@@ -175,6 +175,21 @@ else
   bench_rc=1
 fi
 rm -f "$bench_json"
+# Figure golden gate: the REFIT_FAST=1 stdout of the paper-figure drivers
+# (their CSVs) must hash to bench/figure_golden_hashes.txt at
+# REFIT_THREADS=1 and 4. Regenerate only with a bit-identity justification.
+while read -r fig want; do
+  for t in 1 4; do
+    got=$(REFIT_FAST=1 REFIT_THREADS=$t "./build/bench/$fig" 2> /dev/null |
+          sha256sum | cut -d' ' -f1)
+    if [[ "$got" == "$want" ]]; then
+      echo "  $fig OK at REFIT_THREADS=$t (sha256 matches golden)"
+    else
+      echo "  $fig FAILED at REFIT_THREADS=$t: sha256 $got != golden $want"
+      bench_rc=1
+    fi
+  done
+done < bench/figure_golden_hashes.txt
 record bench-smoke $bench_rc
 
 banner "obs-smoke: trace + metrics capture through quickstart"

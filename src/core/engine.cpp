@@ -420,24 +420,18 @@ FaultMatrix read_fault_matrix(std::istream& is) {
 void write_prune_mask(std::ostream& os, const PruneMask& mask) {
   ser::write_pod<std::uint64_t>(os, mask.rows);
   ser::write_pod<std::uint64_t>(os, mask.cols);
-  std::vector<std::uint8_t> bits(mask.pruned.size());
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    bits[i] = mask.pruned[i] ? 1 : 0;
-  }
-  ser::write_vec(os, bits);
+  ser::write_vec(os, mask.pruned);
 }
 
 PruneMask read_prune_mask(std::istream& is) {
   PruneMask mask;
   mask.rows = static_cast<std::size_t>(ser::read_pod<std::uint64_t>(is));
   mask.cols = static_cast<std::size_t>(ser::read_pod<std::uint64_t>(is));
-  const auto bits = ser::read_vec<std::uint8_t>(is);
-  REFIT_CHECK_MSG(bits.size() == mask.rows * mask.cols,
+  mask.pruned = ser::read_vec<std::uint8_t>(is);
+  REFIT_CHECK_MSG(mask.pruned.size() == mask.rows * mask.cols,
                   "corrupt engine checkpoint (prune mask)");
-  mask.pruned.resize(bits.size());
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    mask.pruned[i] = bits[i] != 0;
-  }
+  // Normalize to 0/1 so a re-saved checkpoint is byte-stable.
+  for (std::uint8_t& b : mask.pruned) b = b != 0 ? 1 : 0;
   return mask;
 }
 

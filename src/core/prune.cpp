@@ -33,18 +33,18 @@ PruneState PruneState::compute(Network& net, const PruneConfig& cfg) {
     PruneMask mask;
     mask.rows = rows;
     mask.cols = cols;
-    mask.pruned.assign(n, false);
+    mask.pruned.assign(n, 0);
     std::size_t pruned = 0;
     for (std::size_t i = 0; i < n && pruned < k; ++i) {
       if (mags[i] < cut) {
-        mask.pruned[i] = true;
+        mask.pruned[i] = 1;
         ++pruned;
       }
     }
     // Fill up to exactly k with entries equal to the cut (ties).
     for (std::size_t i = 0; i < n && pruned < k; ++i) {
-      if (!mask.pruned[i] && mags[i] == cut) {
-        mask.pruned[i] = true;
+      if (mask.pruned[i] == 0 && mags[i] == cut) {
+        mask.pruned[i] = 1;
         ++pruned;
       }
     }
@@ -65,21 +65,12 @@ void PruneState::apply_to(Network& net) const {
     Tensor w = ml->weights().target();
     bool changed = false;
     for (std::size_t i = 0; i < w.numel(); ++i) {
-      if (mask->pruned[i] && w[i] != 0.0f) {
+      if (mask->pruned[i] != 0 && w[i] != 0.0f) {
         w[i] = 0.0f;
         changed = true;
       }
     }
     if (changed) ml->weights().assign(w);
-  }
-}
-
-void PruneState::mask_delta(const WeightStore* store, Tensor& delta) const {
-  const PruneMask* mask = mask_for(store);
-  if (mask == nullptr) return;
-  REFIT_CHECK(delta.numel() == mask->pruned.size());
-  for (std::size_t i = 0; i < delta.numel(); ++i) {
-    if (mask->pruned[i]) delta[i] = 0.0f;
   }
 }
 
@@ -92,7 +83,7 @@ void PruneState::merge_mask(const WeightStore* store, const PruneMask& mask) {
   PruneMask& existing = it->second;
   REFIT_CHECK(existing.pruned.size() == mask.pruned.size());
   for (std::size_t i = 0; i < mask.pruned.size(); ++i) {
-    if (mask.pruned[i]) existing.pruned[i] = true;
+    if (mask.pruned[i] != 0) existing.pruned[i] = 1;
   }
 }
 

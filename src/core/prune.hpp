@@ -5,7 +5,9 @@
 // cells.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -31,20 +33,18 @@ struct PruneConfig {
   double neuron_sparsity = 0.4;
 };
 
-/// Pruning mask of one weight matrix; flat row-major, true = pruned.
+/// Pruning mask of one weight matrix; flat row-major bytes, 1 = pruned
+/// (the layout UpdatePolicy::pruned reads).
 struct PruneMask {
   std::size_t rows = 0;
   std::size_t cols = 0;
-  std::vector<bool> pruned;
+  std::vector<std::uint8_t> pruned;
 
   [[nodiscard]] bool at(std::size_t r, std::size_t c) const {
-    return pruned[r * cols + c];
+    return pruned[r * cols + c] != 0;
   }
   [[nodiscard]] std::size_t count_pruned() const {
-    std::size_t n = 0;
-    for (bool b : pruned)
-      if (b) ++n;
-    return n;
+    return pruned.size() - std::count(pruned.begin(), pruned.end(), 0);
   }
 };
 
@@ -62,9 +62,6 @@ class PruneState {
 
   /// Write zeros into the pruned positions of every masked store.
   void apply_to(Network& net) const;
-
-  /// Zero the entries of `delta` that are pruned for `store`.
-  void mask_delta(const WeightStore* store, Tensor& delta) const;
 
   [[nodiscard]] bool empty() const { return masks_.empty(); }
   [[nodiscard]] std::size_t total_pruned() const;

@@ -349,16 +349,17 @@ PruneState compute_structured_pruning(Network& net, double neuron_sparsity) {
     }
     std::sort(importance.begin(), importance.end());
 
-    PruneMask prod_mask{prod_rows, m, std::vector<bool>(prod_rows * m, false)};
+    PruneMask prod_mask{prod_rows, m,
+                        std::vector<std::uint8_t>(prod_rows * m, 0)};
     PruneMask cons_mask{wc.dim(0), cons_cols,
-                        std::vector<bool>(wc.dim(0) * cons_cols, false)};
+                        std::vector<std::uint8_t>(wc.dim(0) * cons_cols, 0)};
     for (std::size_t r = 0; r < k; ++r) {
       const std::size_t j = importance[r].second;
       for (std::size_t i = 0; i < prod_rows; ++i)
-        prod_mask.pruned[i * m + j] = true;
+        prod_mask.pruned[i * m + j] = 1;
       for (std::size_t bb = 0; bb < b; ++bb)
         for (std::size_t c = 0; c < cons_cols; ++c)
-          cons_mask.pruned[(j * b + bb) * cons_cols + c] = true;
+          cons_mask.pruned[(j * b + bb) * cons_cols + c] = 1;
     }
     state.merge_mask(&iface.producer->weights(), prod_mask);
     state.merge_mask(&iface.consumer->weights(), cons_mask);

@@ -4,8 +4,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "rcs/crossbar_store.hpp"
-
 namespace refit {
 
 ThresholdStepStats ThresholdTrainer::step(
@@ -16,12 +14,14 @@ ThresholdStepStats ThresholdTrainer::step(
   const double lr = lr_.at(iteration);
   ThresholdStepStats stats;
 
-  // Pass 1: compute the raw deltas (δw·LR) for every matrix parameter and
-  // the maximum |δw| of this iteration.
+  // Pass 1: the raw deltas (δw·LR) of every matrix parameter and the
+  // iteration's maximum |δw| over the entries that may update (pruned ones
+  // never write, so they do not set the threshold's scale).
   struct Pending {
     Param* param;
     Tensor delta;
-    double local_max = 0.0;
+    const PruneMask* mask;
+    double local_max;
   };
   std::vector<Pending> pending;
   for (auto& p : params) {
@@ -29,74 +29,38 @@ ThresholdStepStats ThresholdTrainer::step(
     REFIT_CHECK(p.grad != nullptr);
     Tensor delta = *p.grad;
     delta *= static_cast<float>(-lr);
-    if (prune != nullptr) prune->mask_delta(p.store, delta);
-    Pending pd{&p, std::move(delta), 0.0};
-    pd.local_max = pd.delta.max_abs();
-    stats.dw_max = std::max(stats.dw_max, pd.local_max);
-    pending.push_back(std::move(pd));
-  }
-
-  // The original (non-threshold) scheme programs the whole array each
-  // update step — zero deltas included — which is what wears cells out.
-  const bool full_write = cfg_.threshold_ratio <= 0.0;
-
-  // Pass 2: threshold filter + write suppression, then apply.
-  for (auto& pd : pending) {
-    const double base_max = cfg_.global_max ? stats.dw_max : pd.local_max;
-    const double base_thr = cfg_.threshold_ratio * base_max;
-    auto* xstore = dynamic_cast<CrossbarWeightStore*>(pd.param->store);
-    const FaultMatrix* fm = nullptr;
-    if (detected != nullptr) {
-      const auto it = detected->find(pd.param->store);
-      if (it != detected->end() && !it->second.empty()) fm = &it->second;
-    }
-    double mean_writes = 0.0;
-    if (cfg_.wear_leveling_beta > 0.0 && xstore != nullptr) {
-      mean_writes = static_cast<double>(xstore->write_count()) /
-                    static_cast<double>(std::max<std::size_t>(
-                        1, xstore->cell_count()));
-    }
-
-    const std::size_t rows = pd.delta.dim(0), cols = pd.delta.dim(1);
-    for (std::size_t i = 0; i < rows; ++i) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        float& d = pd.delta.at(i, j);
-        if (d == 0.0f) {
-          if (full_write) {
-            ++stats.writes_issued;  // the refresh pulse still happens
-          } else {
-            ++stats.updates_zero;
-          }
-          continue;
-        }
-        // Skip writes to cells the detector already knows are stuck — the
-        // write would be a pure endurance/energy waste.
-        if (fm != nullptr && xstore != nullptr &&
-            fm->faulty(xstore->row_perm()[i], xstore->col_perm()[j])) {
-          d = 0.0f;
-          ++stats.writes_suppressed;
-          continue;
-        }
-        double thr = base_thr;
-        if (mean_writes > 0.0) {
-          const double ratio =
-              static_cast<double>(xstore->cell_write_count(i, j)) /
-              mean_writes;
-          thr *= 1.0 + cfg_.wear_leveling_beta * std::max(0.0, ratio - 1.0);
-        }
-        if (std::fabs(d) < thr) {
-          d = 0.0f;  // Algorithm 1, lines 6-8: suppress the write
-          ++stats.writes_suppressed;
-        } else {
-          ++stats.writes_issued;
-        }
+    const PruneMask* mask = prune != nullptr ? prune->mask_for(p.store) : nullptr;
+    REFIT_CHECK(mask == nullptr || mask->pruned.size() == delta.numel());
+    float local_max = 0.0f;
+    for (std::size_t i = 0; i < delta.numel(); ++i) {
+      if (mask == nullptr || mask->pruned[i] == 0) {
+        local_max = std::max(local_max, std::fabs(delta[i]));
       }
     }
-    if (full_write) {
-      pd.param->store->apply_delta_full(pd.delta);
-    } else {
-      pd.param->store->apply_delta(pd.delta);
+    stats.dw_max = std::max(stats.dw_max, static_cast<double>(local_max));
+    pending.push_back({&p, std::move(delta), mask, local_max});
+  }
+
+  // Pass 2: one fused filter-and-write pass per store (Algorithm 1's
+  // threshold, the prune mask and the detected-fault skip).
+  for (auto& pd : pending) {
+    UpdatePolicy policy;
+    policy.pruned = pd.mask != nullptr ? pd.mask->pruned.data() : nullptr;
+    policy.threshold = cfg_.threshold_ratio *
+                       (cfg_.global_max ? stats.dw_max : pd.local_max);
+    policy.wear_beta = cfg_.wear_leveling_beta;
+    // The original (non-threshold) scheme programs the whole array each
+    // update step — zero deltas included — which is what wears cells out.
+    policy.full_write = cfg_.threshold_ratio <= 0.0;
+    if (detected != nullptr) {
+      const auto it = detected->find(pd.param->store);
+      if (it != detected->end() && !it->second.empty()) {
+        REFIT_CHECK(it->second.rows() == pd.delta.dim(0) &&
+                    it->second.cols() == pd.delta.dim(1));
+        policy.skip = it->second.bytes();
+      }
     }
+    stats += pd.param->store->apply_update(pd.delta, policy);
   }
 
   // Peripheral (bias) parameters update without filtering: they live in

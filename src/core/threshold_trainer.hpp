@@ -17,8 +17,6 @@
 
 namespace refit {
 
-class CrossbarWeightStore;
-
 /// Threshold-training knobs.
 struct ThresholdConfig {
   /// θ: threshold as a fraction of the iteration's max |δw| (paper: 0.01).
@@ -31,11 +29,8 @@ struct ThresholdConfig {
   bool global_max = true;
 };
 
-/// Statistics of one update step.
-struct ThresholdStepStats {
-  std::uint64_t writes_issued = 0;
-  std::uint64_t writes_suppressed = 0;  ///< updates zeroed by the threshold
-  std::uint64_t updates_zero = 0;       ///< δw exactly 0 (no write needed)
+/// Statistics of one update step: the stores' write accounting summed.
+struct ThresholdStepStats : UpdateStats {
   double dw_max = 0.0;
 };
 

@@ -8,16 +8,27 @@
 
 namespace refit {
 
-Tensor WeightStore::forward_matmul(const Tensor& x) {
-  return matmul(x, effective());
-}
-
 SoftwareWeightStore::SoftwareWeightStore(Tensor init) : w_(std::move(init)) {}
 
-void SoftwareWeightStore::apply_delta(const Tensor& delta) {
+Tensor SoftwareWeightStore::forward_matmul(const Tensor& x) {
+  return matmul(x, w_);
+}
+
+UpdateStats SoftwareWeightStore::apply_update(const Tensor& delta,
+                                              const UpdatePolicy& policy) {
   REFIT_CHECK_MSG(delta.shape() == w_.shape(),
                   "delta shape mismatch in SoftwareWeightStore");
-  w_ += delta;
+  // Plain floats, identity mapping: logical and physical cells coincide. A
+  // filtered-out delta adds exactly 0, so every cell takes the sum.
+  UpdateStats st;
+  for (std::size_t n = 0; n < w_.numel(); ++n) {
+    float d = delta[n];
+    (void)policy.admit(d, policy.pruned != nullptr && policy.pruned[n] != 0,
+                       policy.skip != nullptr && policy.skip[n] != 0,
+                       policy.threshold, st);
+    w_[n] += d;
+  }
+  return st;
 }
 
 void SoftwareWeightStore::assign(const Tensor& w) {

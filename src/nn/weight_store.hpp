@@ -11,6 +11,8 @@
 // output neurons, matching the paper's Fig. 5.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -19,6 +21,53 @@
 #include "tensor/tensor.hpp"
 
 namespace refit {
+
+/// Write accounting of one apply_update call.
+struct UpdateStats {
+  std::uint64_t writes_issued = 0;
+  std::uint64_t writes_suppressed = 0;  ///< zeroed by threshold or fault skip
+  std::uint64_t updates_zero = 0;       ///< δw exactly 0 (no write needed)
+  UpdateStats& operator+=(const UpdateStats& o) {
+    writes_issued += o.writes_issued;
+    writes_suppressed += o.writes_suppressed;
+    updates_zero += o.updates_zero;
+    return *this;
+  }
+};
+
+/// Threshold training's per-cell write filter (paper §5.1, Algorithm 1)
+/// for WeightStore::apply_update; the default writes every nonzero delta.
+struct UpdatePolicy {
+  /// Row-major logical bytes, nonzero = pruned (delta forced to 0).
+  const std::uint8_t* pruned = nullptr;
+  /// Row-major physical bytes, nonzero = detected stuck (no write).
+  const std::uint8_t* skip = nullptr;
+  /// Updates with |δw| below this are suppressed (θ · δw_max).
+  double threshold = 0.0;
+  /// Wear-leveling β (device backends): a cell written `ratio` times the
+  /// mean per-cell count sees threshold · (1 + β · max(0, ratio − 1)).
+  double wear_beta = 0.0;
+  /// Program every cell, zero deltas included (the "original" scheme).
+  bool full_write = false;
+
+  /// Filter one cell: `d` becomes the delta to apply (0 when suppressed);
+  /// returns whether the cell is programmed.
+  bool admit(float& d, bool pruned_cell, bool skipped, double thr,
+             UpdateStats& st) const {
+    if (pruned_cell) d = 0.0f;
+    if (d == 0.0f) {
+      ++(full_write ? st.writes_issued : st.updates_zero);
+      return full_write;
+    }
+    if (skipped || std::fabs(d) < thr) {
+      d = 0.0f;  // Algorithm 1, lines 6-8: suppress the write
+      ++st.writes_suppressed;
+      return full_write;
+    }
+    ++st.writes_issued;
+    return true;
+  }
+};
 
 /// Abstract storage for one layer's weight matrix.
 class WeightStore {
@@ -29,27 +78,34 @@ class WeightStore {
 
   /// The weights forward propagation actually computes with. For an RCS
   /// backend this includes faults / quantization / write noise.
-  [[nodiscard]] virtual const Tensor& effective() = 0;
+  [[nodiscard]] virtual Tensor effective() = 0;
 
   /// The ideal target weights the optimizer believes it has written.
   [[nodiscard]] virtual const Tensor& target() const = 0;
 
   /// Forward propagation through the store: y = x · W_eff for a batch
-  /// x [batch, fan_in]. The default materializes effective() and multiplies;
-  /// hardware backends override with a fused kernel that computes straight
-  /// from device state (bit-identical to the default — layers call this
-  /// instead of matmul(x, effective()) purely for speed).
-  [[nodiscard]] virtual Tensor forward_matmul(const Tensor& x);
+  /// x [batch, fan_in], bit-identical to matmul(x, effective()) — layers
+  /// call this so hardware backends can compute straight from device state.
+  [[nodiscard]] virtual Tensor forward_matmul(const Tensor& x) = 0;
+
+  /// One filtered update step: every cell's delta passes `policy` (mask,
+  /// threshold, detected-fault skip), target += the surviving delta, and
+  /// the admitted cells are programmed. Returns the write accounting.
+  virtual UpdateStats apply_update(const Tensor& delta,
+                                   const UpdatePolicy& policy) = 0;
 
   /// target += delta; entries with delta == 0 are *not* written to the
   /// device (this is what threshold training exploits to save endurance).
-  virtual void apply_delta(const Tensor& delta) = 0;
+  void apply_delta(const Tensor& delta) { (void)apply_update(delta, {}); }
 
   /// target += delta, programming EVERY cell — zero deltas included. This
   /// is the paper's "original" on-line update: each step re-programs the
   /// whole array, which is why repeated training wears out most cells.
-  /// Defaults to apply_delta (no distinction without a device).
-  virtual void apply_delta_full(const Tensor& delta) { apply_delta(delta); }
+  void apply_delta_full(const Tensor& delta) {
+    UpdatePolicy full;
+    full.full_write = true;
+    (void)apply_update(delta, full);
+  }
 
   /// Overwrite the full target (counts as a write to every changed cell).
   virtual void assign(const Tensor& w) = 0;
@@ -73,9 +129,11 @@ class SoftwareWeightStore final : public WeightStore {
   explicit SoftwareWeightStore(Tensor init);
 
   [[nodiscard]] const Shape& shape() const override { return w_.shape(); }
-  [[nodiscard]] const Tensor& effective() override { return w_; }
+  [[nodiscard]] Tensor effective() override { return w_; }
   [[nodiscard]] const Tensor& target() const override { return w_; }
-  void apply_delta(const Tensor& delta) override;
+  [[nodiscard]] Tensor forward_matmul(const Tensor& x) override;
+  UpdateStats apply_update(const Tensor& delta,
+                           const UpdatePolicy& policy) override;
   void assign(const Tensor& w) override;
   void save_state(std::ostream& os) const override;
   void restore_state(std::istream& is) override;

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
-#include <numeric>
 #include <ostream>
 #include <utility>
 
@@ -30,6 +29,12 @@ double rms(const Tensor& t) {
   }
   return std::sqrt(s / static_cast<double>(std::max<std::size_t>(1, t.numel())));
 }
+
+/// Scalar-op units of one cell write (encode, endurance bookkeeping, a
+/// Gaussian noise draw, the panel write-through) for the pool's grain: a
+/// full 128×128 tile amortizes a lane, so write passes fan out one tile
+/// per lane.
+constexpr std::size_t kWriteCost = 4;
 
 }  // namespace
 
@@ -88,14 +93,13 @@ CrossbarWeightStore::CrossbarWeightStore(const RcsConfig& cfg, Tensor init,
   }
 
   map_ = LogicalMapping(r, c);
-  tile_dirty_.assign(tiles_.size(), 1);
+  // Zero-filled once: tail panel lanes past the last column are never
+  // touched by any tile and must stay zero for the micro-kernel.
+  packed_eff_.assign(gemm::packed_size(r, c), 0.0f);
   pack_dirty_.assign(tiles_.size(), 1);
   any_pack_dirty_ = true;
 
-  // Program the initial weights onto the chip, one pool lane per tile.
-  // With the identity permutations in force here, visiting each tile's
-  // cells row-major draws its RNG in exactly the order the serial logical
-  // (i, j) sweep would — programming is bit-identical at any thread count.
+  // Program the initial weights onto the chip (identity permutations).
   for (std::size_t i = 0; i < r; ++i) {
     for (std::size_t j = 0; j < c; ++j) {
       target_.at(i, j) = std::clamp(target_.at(i, j),
@@ -103,20 +107,7 @@ CrossbarWeightStore::CrossbarWeightStore(const RcsConfig& cfg, Tensor init,
                                     static_cast<float>(weight_max_));
     }
   }
-  grid_.for_each_tile([&](const TileSpan& span) {
-    Crossbar& xb = *tiles_[span.index];
-    Crossbar* xn = tiles_n_.empty() ? nullptr : tiles_n_[span.index].get();
-    double g[kMaxEncodingLegs];
-    for (std::size_t lr = 0; lr < span.rows; ++lr) {
-      for (std::size_t lc = 0; lc < span.cols; ++lc) {
-        enc_->encode(target_.at(span.row0 + lr, span.col0 + lc), weight_max_,
-                     g);
-        xb.write(lr, lc, g[0]);
-        if (xn != nullptr) xn->write(lr, lc, g[1]);
-      }
-    }
-  });
-  resync_counters();
+  (void)program_tiles([](auto&&...) { return true; });
 }
 
 Crossbar& CrossbarWeightStore::tile(std::size_t ti, std::size_t tj) {
@@ -143,53 +134,96 @@ const Crossbar& CrossbarWeightStore::tile_n(std::size_t ti,
   return *tiles_n_[grid_.index_of(ti, tj)];
 }
 
-void CrossbarWeightStore::write_logical(std::size_t i, std::size_t j) {
-  const TileGrid::Coord tc =
-      grid_.locate(map_.physical_row(i), map_.physical_col(j));
-  Crossbar& xb = *tiles_[tc.tile];
-  Crossbar* xn = tiles_n_.empty() ? nullptr : tiles_n_[tc.tile].get();
-  // Diff the tiles' running totals around the write so the store-level
-  // aggregates stay exact whether the write lands, is suppressed (stuck
-  // cell), or wears the cell out.
-  const std::uint64_t w0 =
-      xb.total_writes() + (xn != nullptr ? xn->total_writes() : 0);
-  const std::size_t f0 =
-      xb.fault_count() + (xn != nullptr ? xn->fault_count() : 0);
-  const std::size_t wo0 = xb.wearout_fault_count() +
-                          (xn != nullptr ? xn->wearout_fault_count() : 0);
-  double g[kMaxEncodingLegs];
-  enc_->encode(target_.at(i, j), weight_max_, g);
-  xb.write(tc.lr, tc.lc, g[0]);
-  if (xn != nullptr) xn->write(tc.lr, tc.lc, g[1]);
-  const std::uint64_t w1 =
-      xb.total_writes() + (xn != nullptr ? xn->total_writes() : 0);
-  const std::size_t f1 =
-      xb.fault_count() + (xn != nullptr ? xn->fault_count() : 0);
-  const std::size_t wo1 = xb.wearout_fault_count() +
-                          (xn != nullptr ? xn->wearout_fault_count() : 0);
+template <class Select>
+CrossbarWeightStore::WriteTally CrossbarWeightStore::program_tiles(
+    const Select& select) {
+  const std::uint64_t writes0 = writes_agg_;
+  const std::size_t wearout0 = wearout_agg_;
+  const std::size_t k = rows();
+  std::vector<WriteTally> per_tile(tiles_.size());
+  grid_.for_each_tile(
+      [&](const TileSpan& span) {
+        Crossbar& xb = *tiles_[span.index];
+        Crossbar* xn = tiles_n_.empty() ? nullptr : tiles_n_[span.index].get();
+        // The tile hosts the product of these logical rows and columns;
+        // sorted, they replay the order of a serial logical row-major sweep.
+        std::vector<std::size_t> li(span.rows), lj(span.cols);
+        for (std::size_t lr = 0; lr < span.rows; ++lr)
+          li[lr] = map_.logical_row(span.row0 + lr);
+        for (std::size_t lc = 0; lc < span.cols; ++lc)
+          lj[lc] = map_.logical_col(span.col0 + lc);
+        std::sort(li.begin(), li.end());
+        std::sort(lj.begin(), lj.end());
+        // Write-through keeps a clean tile's panel entries current; a dirty
+        // tile is re-packed whole before the next read anyway.
+        const bool through = pack_dirty_[span.index] == 0;
+        WriteTally tally;
+        double g[kMaxEncodingLegs] = {};
+        for (const std::size_t i : li) {
+          const std::size_t lr = map_.physical_row(i) - span.row0;
+          for (const std::size_t j : lj) {
+            const std::size_t lc = map_.physical_col(j) - span.col0;
+            if (!select(i, j, span, lr, lc, tally.update)) continue;
+            ++tally.cells;
+            const float target = target_.at(i, j);
+            enc_->encode(target, weight_max_, g);
+            xb.write(lr, lc, g[0]);
+            if (xn != nullptr) xn->write(lr, lc, g[1]);
+            // Re-decoded even when a stuck cell suppressed the write: the
+            // single-cell sign register follows the target.
+            if (through) {
+              packed_eff_[gemm::packed_index(k, i, j)] =
+                  read_cell(xb, xn, lr, lc, target);
+            }
+          }
+        }
+        per_tile[span.index] = tally;
+      },
+      kWriteCost);
+  WriteTally total;
+  for (const WriteTally& t : per_tile) {
+    total.update += t.update;
+    total.cells += t.cells;
+  }
+  resync_counters();
+  total.writes = writes_agg_ - writes0;
+  total.wearout = wearout_agg_ - wearout0;
+  return total;
+}
+
+void CrossbarWeightStore::publish(const WriteTally& t) {
   static obs::Counter writes_metric =
       obs::MetricsRegistry::instance().counter("store.writes", "writes");
   static obs::Counter wearout_metric = obs::MetricsRegistry::instance().counter(
       "store.wearout_faults", "faults");
-  writes_metric.add(w1 - w0);
-  wearout_metric.add(wo1 - wo0);
-  writes_agg_ += w1 - w0;
-  faults_agg_ += f1 - f0;
-  wearout_agg_ += wo1 - wo0;
-  tile_dirty_[tc.tile] = 1;
-  any_dirty_ = true;
-  pack_dirty_[tc.tile] = 1;
-  any_pack_dirty_ = true;
+  writes_metric.add(t.writes);
+  wearout_metric.add(t.wearout);
 }
 
-const Tensor& CrossbarWeightStore::effective() {
-  if (any_dirty_) rebuild_effective();
-  return effective_;
+float CrossbarWeightStore::read_cell(const Crossbar& xb, const Crossbar* xn,
+                                     std::size_t lr, std::size_t lc,
+                                     float target) const {
+  // The compute path is analog: each leg's contribution includes its
+  // IR-drop attenuation (identity when the model is disabled). The decode
+  // undoes the encoding — single-cell reapplies the peripheral sign
+  // register (SA1 cells saturate at ±weight_max, SA0 read as 0);
+  // differential subtracts the legs.
+  double g[kMaxEncodingLegs] = {xb.effective_conductance(lr, lc), 0.0};
+  if (xn != nullptr) g[1] = xn->effective_conductance(lr, lc);
+  return enc_->decode(g, target, weight_max_);
 }
 
-void CrossbarWeightStore::mark_all_dirty() {
-  std::fill(tile_dirty_.begin(), tile_dirty_.end(), 1);
-  any_dirty_ = true;
+Tensor CrossbarWeightStore::effective() {
+  refresh_packed_effective();
+  const std::size_t k = rows(), n = cols();
+  Tensor w({k, n});
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      w.at(i, j) = packed_eff_[gemm::packed_index(k, i, j)];
+  return w;
+}
+
+void CrossbarWeightStore::mark_pack_dirty() {
   std::fill(pack_dirty_.begin(), pack_dirty_.end(), 1);
   any_pack_dirty_ = true;
 }
@@ -238,83 +272,25 @@ void CrossbarWeightStore::tick_noise() {
   invalidate();
 }
 
-void CrossbarWeightStore::rebuild_tile(const TileSpan& span) {
-  const Crossbar& xb = *tiles_[span.index];
-  const Crossbar* xn =
-      tiles_n_.empty() ? nullptr : tiles_n_[span.index].get();
-  double g[kMaxEncodingLegs] = {0.0, 0.0};
-  for (std::size_t lr = 0; lr < span.rows; ++lr) {
-    const std::size_t i = map_.logical_row(span.row0 + lr);
-    for (std::size_t lc = 0; lc < span.cols; ++lc) {
-      const std::size_t j = map_.logical_col(span.col0 + lc);
-      // The compute path is analog: each leg's contribution includes its
-      // IR-drop attenuation (identity when the model is disabled). The
-      // decode undoes the encoding — single-cell reapplies the peripheral
-      // sign register (SA1 cells saturate at ±weight_max, SA0 read as 0);
-      // differential subtracts the legs.
-      g[0] = xb.effective_conductance(lr, lc);
-      if (xn != nullptr) g[1] = xn->effective_conductance(lr, lc);
-      effective_.at(i, j) = enc_->decode(g, target_.at(i, j), weight_max_);
-    }
-  }
-}
-
-void CrossbarWeightStore::rebuild_effective() {
-  if (effective_.shape() != target_.shape()) {
-    effective_ = Tensor({rows(), cols()});
-    mark_all_dirty();
-  }
-  // Incremental: only the tiles that received writes since the last rebuild
-  // are re-read; every physical cell maps to a unique logical entry, so the
-  // dirty tiles write disjoint parts of effective_ — one pool lane each.
-  std::vector<std::size_t> dirty;
-  dirty.reserve(tiles_.size());
-  for (std::size_t t = 0; t < tiles_.size(); ++t) {
-    if (tile_dirty_[t] != 0) dirty.push_back(t);
-  }
-  static obs::Counter rebuilds_metric =
-      obs::MetricsRegistry::instance().counter("store.rebuilds", "rebuilds");
-  static obs::Counter rebuild_tiles_metric =
-      obs::MetricsRegistry::instance().counter("store.rebuild_tiles", "tiles");
-  rebuilds_metric.add();
-  rebuild_tiles_metric.add(dirty.size());
-  grid_.for_each_tile(dirty, [&](const TileSpan& span) {
-    rebuild_tile(span);
-    tile_dirty_[span.index] = 0;
-  });
-  any_dirty_ = false;
-}
-
 void CrossbarWeightStore::pack_tile(const TileSpan& span) {
   const Crossbar& xb = *tiles_[span.index];
   const Crossbar* xn =
       tiles_n_.empty() ? nullptr : tiles_n_[span.index].get();
   const std::size_t k = rows();
-  double g[kMaxEncodingLegs] = {0.0, 0.0};
   for (std::size_t lr = 0; lr < span.rows; ++lr) {
     const std::size_t i = map_.logical_row(span.row0 + lr);
     for (std::size_t lc = 0; lc < span.cols; ++lc) {
       const std::size_t j = map_.logical_col(span.col0 + lc);
-      // Exactly rebuild_tile's read-out expression, scattered into the
-      // panel slot pack_b would have put W_eff(i, j) in — the fused path
-      // and materialize-then-matmul feed the micro-kernel identical bits.
-      g[0] = xb.effective_conductance(lr, lc);
-      if (xn != nullptr) g[1] = xn->effective_conductance(lr, lc);
+      // Scattered into the panel slot pack_b would have put W_eff(i, j) in,
+      // so the fused path and matmul(x, effective()) feed the micro-kernel
+      // identical bits.
       packed_eff_[gemm::packed_index(k, i, j)] =
-          enc_->decode(g, target_.at(i, j), weight_max_);
+          read_cell(xb, xn, lr, lc, target_.at(i, j));
     }
   }
 }
 
 void CrossbarWeightStore::refresh_packed_effective() {
-  const std::size_t needed = gemm::packed_size(rows(), cols());
-  if (packed_eff_.size() != needed) {
-    // Zero-fill once: tail panel lanes past the last column are never
-    // touched by any tile and must stay zero for the micro-kernel.
-    packed_eff_.assign(needed, 0.0f);
-    std::fill(pack_dirty_.begin(), pack_dirty_.end(), 1);
-    any_pack_dirty_ = true;
-  }
   if (!any_pack_dirty_) return;
   std::vector<std::size_t> dirty;
   dirty.reserve(tiles_.size());
@@ -355,53 +331,58 @@ Tensor CrossbarWeightStore::forward_matmul(const Tensor& x) {
   return y;
 }
 
-void CrossbarWeightStore::apply_delta(const Tensor& delta) {
+UpdateStats CrossbarWeightStore::apply_update(const Tensor& delta,
+                                              const UpdatePolicy& policy) {
   REFIT_CHECK_MSG(delta.shape() == target_.shape(),
                   "delta shape mismatch in CrossbarWeightStore");
-  const std::size_t r = rows(), c = cols();
-  for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t j = 0; j < c; ++j) {
-      const float d = delta.at(i, j);
-      if (d == 0.0f) continue;  // threshold training skips these writes
-      target_.at(i, j) = std::clamp(target_.at(i, j) + d,
-                                    -static_cast<float>(weight_max_),
-                                    static_cast<float>(weight_max_));
-      write_logical(i, j);
-    }
-  }
-}
-
-void CrossbarWeightStore::apply_delta_full(const Tensor& delta) {
-  REFIT_CHECK_MSG(delta.shape() == target_.shape(),
-                  "delta shape mismatch in CrossbarWeightStore");
-  const std::size_t r = rows(), c = cols();
-  for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t j = 0; j < c; ++j) {
-      const float d = delta.at(i, j);
-      if (d != 0.0f) {
-        target_.at(i, j) = std::clamp(target_.at(i, j) + d,
-                                      -static_cast<float>(weight_max_),
-                                      static_cast<float>(weight_max_));
+  const std::size_t n = cols();
+  const float wmax = static_cast<float>(weight_max_);
+  // Wear-leveling compares each leg's own write count with the mean per
+  // physical cell (write_count() counts both legs of a pair).
+  const double mean_writes =
+      policy.wear_beta > 0.0
+          ? static_cast<double>(write_count()) /
+                static_cast<double>(
+                    std::max<std::size_t>(1, physical_cell_count()))
+          : 0.0;
+  const WriteTally t = program_tiles([&](std::size_t i, std::size_t j,
+                                         const TileSpan& span, std::size_t lr,
+                                         std::size_t lc, UpdateStats& st) {
+    double thr = policy.threshold;
+    if (mean_writes > 0.0) {
+      std::uint64_t w = tiles_[span.index]->write_count(lr, lc);
+      if (!tiles_n_.empty()) {
+        w = std::max(w, tiles_n_[span.index]->write_count(lr, lc));
       }
-      // Zero delta still issues the programming pulse (same value).
-      write_logical(i, j);
+      const double ratio = static_cast<double>(w) / mean_writes;
+      thr *= 1.0 + policy.wear_beta * std::max(0.0, ratio - 1.0);
     }
-  }
+    const std::size_t at = i * n + j;
+    float d = delta[at];
+    const bool pruned = policy.pruned != nullptr && policy.pruned[at] != 0;
+    const bool skipped =
+        policy.skip != nullptr &&
+        policy.skip[(span.row0 + lr) * n + span.col0 + lc] != 0;
+    if (!policy.admit(d, pruned, skipped, thr, st)) return false;
+    if (d != 0.0f) {
+      target_.at(i, j) = std::clamp(target_.at(i, j) + d, -wmax, wmax);
+    }
+    return true;
+  });
+  publish(t);
+  return t.update;
 }
 
 void CrossbarWeightStore::assign(const Tensor& w) {
   REFIT_CHECK_MSG(w.shape() == target_.shape(),
                   "assign shape mismatch in CrossbarWeightStore");
-  const std::size_t r = rows(), c = cols();
-  for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t j = 0; j < c; ++j) {
-      const float nv = std::clamp(w.at(i, j), -static_cast<float>(weight_max_),
-                                  static_cast<float>(weight_max_));
-      if (nv == target_.at(i, j)) continue;
-      target_.at(i, j) = nv;
-      write_logical(i, j);
-    }
-  }
+  const float wmax = static_cast<float>(weight_max_);
+  publish(program_tiles([&](std::size_t i, std::size_t j, auto&&...) {
+    const float nv = std::clamp(w.at(i, j), -wmax, wmax);
+    if (nv == target_.at(i, j)) return false;
+    target_.at(i, j) = nv;
+    return true;
+  }));
 }
 
 double CrossbarWeightStore::expected_g(std::size_t r, std::size_t c,
@@ -445,39 +426,33 @@ void CrossbarWeightStore::pulse_physical(std::size_t r, std::size_t c,
   REFIT_CHECK(leg < legs());
   const TileGrid::Coord tc = grid_.locate(r, c);
   Crossbar& xb = leg == 0 ? *tiles_[tc.tile] : *tiles_n_[tc.tile];
-  const std::uint64_t w0 = xb.total_writes();
-  const std::size_t f0 = xb.fault_count();
-  const std::size_t wo0 = xb.wearout_fault_count();
+  const std::uint64_t writes0 = writes_agg_;
+  const std::size_t wearout0 = wearout_agg_;
   xb.write(tc.lr, tc.lc, xb.conductance(tc.lr, tc.lc) + delta_g);
-  static obs::Counter writes_metric =
-      obs::MetricsRegistry::instance().counter("store.writes", "writes");
-  static obs::Counter wearout_metric = obs::MetricsRegistry::instance().counter(
-      "store.wearout_faults", "faults");
-  writes_metric.add(xb.total_writes() - w0);
-  wearout_metric.add(xb.wearout_fault_count() - wo0);
-  writes_agg_ += xb.total_writes() - w0;
-  faults_agg_ += xb.fault_count() - f0;
-  wearout_agg_ += xb.wearout_fault_count() - wo0;
-  tile_dirty_[tc.tile] = 1;
-  any_dirty_ = true;
+  resync_counters();
+  publish({{}, 0, writes_agg_ - writes0, wearout_agg_ - wearout0});
   pack_dirty_[tc.tile] = 1;
   any_pack_dirty_ = true;
 }
 
 void CrossbarWeightStore::sync_target_from_device() {
-  if (any_dirty_) rebuild_effective();
-  target_ = effective_;
+  target_ = effective();
+  // The single-cell decode reads its sign register from the target.
+  mark_pack_dirty();
 }
 
 void CrossbarWeightStore::sync_targets_where(
     const FaultMatrix& physical_faults) {
   REFIT_CHECK(physical_faults.rows() == rows() &&
               physical_faults.cols() == cols());
-  if (any_dirty_) rebuild_effective();
+  const Tensor eff = effective();
   for (std::size_t i = 0; i < rows(); ++i) {
     for (std::size_t j = 0; j < cols(); ++j) {
-      if (physical_faults.faulty(map_.physical_row(i), map_.physical_col(j))) {
-        target_.at(i, j) = effective_.at(i, j);
+      const std::size_t r = map_.physical_row(i), c = map_.physical_col(j);
+      if (physical_faults.faulty(r, c)) {
+        target_.at(i, j) = eff.at(i, j);
+        pack_dirty_[grid_.locate(r, c).tile] = 1;
+        any_pack_dirty_ = true;
       }
     }
   }
@@ -485,31 +460,25 @@ void CrossbarWeightStore::sync_targets_where(
 
 void CrossbarWeightStore::set_permutations(std::vector<std::size_t> row_perm,
                                            std::vector<std::size_t> col_perm) {
-  const std::size_t r = rows(), c = cols();
   const std::vector<std::size_t> old_rows = map_.row_perm();
   const std::vector<std::size_t> old_cols = map_.col_perm();
   map_.set(std::move(row_perm), std::move(col_perm));
 
   // Rewrite every cell whose logical owner moved. (Unmoved cells keep their
   // programmed conductance — no endurance is spent on them.) Bijectivity
-  // means every physical cell with a new occupant is rewritten here, so the
-  // per-tile dirty marks from write_logical cover exactly the tiles whose
-  // effective entries can have changed — no blanket invalidation needed.
-  std::uint64_t rewritten = 0;
-  for (std::size_t i = 0; i < r; ++i) {
-    const bool row_moved = old_rows[i] != map_.physical_row(i);
-    for (std::size_t j = 0; j < c; ++j) {
-      if (row_moved || old_cols[j] != map_.physical_col(j)) {
-        write_logical(i, j);
-        ++rewritten;
-      }
-    }
-  }
+  // means every physical cell with a new occupant is rewritten here, and
+  // the write-through carries each moved weight's panel entry along.
+  const WriteTally t =
+      program_tiles([&](std::size_t i, std::size_t j, auto&&...) {
+        return old_rows[i] != map_.physical_row(i) ||
+               old_cols[j] != map_.physical_col(j);
+      });
+  publish(t);
   obs::EventLog::global().emit(
       obs::EventKind::kRemap, obs::EventSeverity::kInfo, "store",
-      {{"rows", static_cast<double>(r)},
-       {"cols", static_cast<double>(c)},
-       {"cells_rewritten", static_cast<double>(rewritten)}});
+      {{"rows", static_cast<double>(rows())},
+       {"cols", static_cast<double>(cols())},
+       {"cells_rewritten", static_cast<double>(t.cells)}});
 }
 
 namespace {
@@ -573,10 +542,7 @@ void CrossbarWeightStore::read_from(std::istream& is) {
   }
   noise_rng_.set_state(ser::read_pod<Rng::State>(is));
   noise_ticks_ = ser::read_pod<std::uint64_t>(is);
-  tile_dirty_.assign(tiles_.size(), 1);
-  any_dirty_ = true;
-  effective_ = Tensor();
-  packed_eff_.clear();
+  packed_eff_.assign(gemm::packed_size(rows(), cols()), 0.0f);
   pack_dirty_.assign(tiles_.size(), 1);
   any_pack_dirty_ = true;
   resync_counters();

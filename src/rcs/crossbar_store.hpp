@@ -75,17 +75,19 @@ class CrossbarWeightStore final : public WeightStore {
 
   // ---- WeightStore interface -------------------------------------------
   [[nodiscard]] const Shape& shape() const override { return target_.shape(); }
-  [[nodiscard]] const Tensor& effective() override;
+  /// Unpacked copy of the read-out panel (see forward_matmul).
+  [[nodiscard]] Tensor effective() override;
   [[nodiscard]] const Tensor& target() const override { return target_; }
-  /// Fused faulty forward: y = x · W_eff computed straight from crossbar
-  /// conductances, sign registers, and the logical mapping — no effective_
-  /// materialization. Dirty tiles repack their cells into the GEMM panel
-  /// layout (tile-parallel, disjoint scatter); the multiply then runs the
-  /// same deterministic micro-kernel as matmul(x, effective()), so the
+  /// Fused faulty forward from the one read-out cache: a panel in the
+  /// GEMM's packed layout, decoded from conductances, sign registers and
+  /// the mapping, that store writes update in place; only tiles dirtied out
+  /// of band re-pack. Same micro-kernel as matmul(x, effective()), so the
   /// result is bit-identical to it at any thread count and permutation.
   [[nodiscard]] Tensor forward_matmul(const Tensor& x) override;
-  void apply_delta(const Tensor& delta) override;
-  void apply_delta_full(const Tensor& delta) override;
+  /// The fused update pass (program_tiles): mask, threshold with
+  /// wear-leveling and fault skip, clamp, encode, write, write through.
+  UpdateStats apply_update(const Tensor& delta,
+                           const UpdatePolicy& policy) override;
   void assign(const Tensor& w) override;
   [[nodiscard]] std::uint64_t write_count() const override {
     return writes_agg_;
@@ -167,11 +169,11 @@ class CrossbarWeightStore final : public WeightStore {
     return cell_count() * legs();
   }
 
-  /// Mark the cached effective weights stale and resync the aggregate
-  /// counters (call after any direct tile manipulation, e.g. a detection
-  /// pass or fault injection through tile()).
+  /// Mark the read-out panel stale and resync the aggregate counters (call
+  /// after any direct tile manipulation, e.g. a detection pass or fault
+  /// injection through tile()).
   void invalidate() {
-    mark_all_dirty();
+    mark_pack_dirty();
     resync_counters();
   }
 
@@ -199,7 +201,7 @@ class CrossbarWeightStore final : public WeightStore {
   /// drift, and new transient faults may strike (device/noise_model.hpp).
   /// No-op unless cfg().noise.active(). Tile-parallel with per-tile RNG
   /// streams salted by (tick, tile, leg) — deterministic at any thread
-  /// count. Marks the effective cache stale.
+  /// count. Marks the read-out panel stale.
   void tick_noise();
   /// Device-time ticks issued so far (serialized with the store).
   [[nodiscard]] std::uint64_t noise_ticks() const { return noise_ticks_; }
@@ -217,22 +219,35 @@ class CrossbarWeightStore final : public WeightStore {
   /// Uninitialized shell used by load().
   CrossbarWeightStore() = default;
 
+  /// Totals of one write pass.
+  struct WriteTally {
+    UpdateStats update;        ///< what the select callbacks recorded
+    std::uint64_t cells = 0;   ///< cells programmed
+    std::uint64_t writes = 0;  ///< device writes that landed
+    std::size_t wearout = 0;   ///< cells the pass wore out
+  };
+
   /// Shared body of load()/restore().
   void read_from(std::istream& is);
-  /// Program the physical cell hosting logical (i, j) from target_.
-  void write_logical(std::size_t i, std::size_t j);
-  /// Rebuild only the tiles whose cells changed since the last rebuild,
-  /// fanning the per-tile work across the global thread pool.
-  void rebuild_effective();
-  /// Recompute the effective entries of every logical cell hosted on the
-  /// tile covering `span`.
-  void rebuild_tile(const TileSpan& span);
-  /// Re-read the tile covering `span` into the packed GEMM panels (the
-  /// fused-forward analogue of rebuild_tile).
+  /// The one per-cell write loop, one pool lane per tile, each visiting
+  /// its cells in a serial logical row-major sweep's order (bit-identical
+  /// at any thread count). `select(i, j, span, lr, lc, stats)` may update
+  /// target_(i, j) and returns whether to program the cell from it;
+  /// programmed cells of clean tiles are written through to the panel.
+  template <class Select>
+  WriteTally program_tiles(const Select& select);
+  /// Add a pass's writes to the store.* metrics.
+  static void publish(const WriteTally& t);
+  /// Effective weight of one tile cell read back through the encoding —
+  /// the decode shared by the re-pack and the write-through.
+  [[nodiscard]] float read_cell(const Crossbar& xb, const Crossbar* xn,
+                                std::size_t lr, std::size_t lc,
+                                float target) const;
+  /// Re-read the tile covering `span` into the packed GEMM panels.
   void pack_tile(const TileSpan& span);
   /// Bring packed_eff_ up to date, repacking only dirty tiles.
   void refresh_packed_effective();
-  void mark_all_dirty();
+  void mark_pack_dirty();
   /// Re-derive the aggregate write/fault counters from the tiles' own
   /// running totals (O(#tiles), used after out-of-band tile mutation).
   void resync_counters();
@@ -242,7 +257,6 @@ class CrossbarWeightStore final : public WeightStore {
   /// the ctor and in read_from(), never null afterwards.
   const CellEncoding* enc_ = nullptr;
   Tensor target_;
-  Tensor effective_;
   double weight_max_ = 1.0;
   TileGrid grid_;
   LogicalMapping map_;
@@ -252,15 +266,11 @@ class CrossbarWeightStore final : public WeightStore {
   /// Device-time noise state (tick_noise); serialized for bit-exact resume.
   Rng noise_rng_{0};
   std::uint64_t noise_ticks_ = 0;
-  /// Per-tile staleness of effective_ (uint8_t, not vector<bool>: lanes
-  /// clear flags for distinct tiles without sharing a word). any_dirty_
-  /// short-circuits effective() on the hottest path.
-  std::vector<std::uint8_t> tile_dirty_;
-  bool any_dirty_ = true;
-  /// Fused-forward cache: the effective weights in the packed panel layout
-  /// of tensor/gemm.hpp, with its own staleness flags (effective_ and the
-  /// panels are consumed by different paths, so each invalidates
-  /// independently and neither pays for the other's rebuild).
+  /// The one read-out cache: the effective weights in the packed panel
+  /// layout of tensor/gemm.hpp, kept current by write-through, with
+  /// per-tile staleness flags for out-of-band mutation (uint8_t, not
+  /// vector<bool>: lanes clear flags for distinct tiles without sharing a
+  /// word).
   std::vector<float> packed_eff_;
   std::vector<std::uint8_t> pack_dirty_;
   bool any_pack_dirty_ = true;

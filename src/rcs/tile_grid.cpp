@@ -40,11 +40,12 @@ TileGrid::Coord TileGrid::locate(std::size_t phys_r, std::size_t phys_c) const {
   return Coord{ti * grid_cols_ + tj, phys_r % tile_rows_, phys_c % tile_cols_};
 }
 
-void TileGrid::for_each_tile(const TileVisitor& visit) const {
+void TileGrid::for_each_tile(const TileVisitor& visit,
+                             std::size_t work_per_cell) const {
   // Grained on the full-tile cell count: one- or two-tile visits (the
-  // sub-millisecond incremental rebuilds) run inline on the caller instead
-  // of paying the pool handshake.
-  parallel_for_grained(tile_count(), tile_rows_ * tile_cols_,
+  // sub-millisecond re-packs) run inline on the caller instead of paying
+  // the pool handshake.
+  parallel_for_grained(tile_count(), tile_rows_ * tile_cols_ * work_per_cell,
                        [&](std::size_t t0, std::size_t t1) {
                          for (std::size_t t = t0; t < t1; ++t) visit(span(t));
                        });

@@ -1,7 +1,7 @@
 // TileGrid — the tile partitioning of a 2-D matrix onto fixed-size
 // crossbar tiles (edge tiles shrink to fit), shared by every component
-// that walks the tiles of a store: the effective-weight rebuild, the
-// on-line detector, and the re-mapping engine's write-back.
+// that walks the tiles of a store: the store's write pass and panel
+// re-pack, the on-line detector, and the re-mapping engine's write-back.
 //
 // The grid is pure geometry: it knows where each tile sits inside the
 // matrix, not what the tile contains. Its one compute primitive,
@@ -59,10 +59,12 @@ class TileGrid {
 
   using TileVisitor = std::function<void(const TileSpan&)>;
 
-  /// Visit every tile, one pool lane per contiguous chunk of tiles.
-  /// The visitor must confine its writes to per-tile state (the static
-  /// partition makes the result order-independent).
-  void for_each_tile(const TileVisitor& visit) const;
+  /// Visit every tile, one pool lane per contiguous chunk of tiles; a lane
+  /// takes as many tiles as amortize the pool handshake at `work_per_cell`
+  /// scalar ops per cell. The visitor must confine its writes to per-tile
+  /// state (the static partition makes the result order-independent).
+  void for_each_tile(const TileVisitor& visit,
+                     std::size_t work_per_cell = 1) const;
 
   /// Visit only the tiles whose flat indices appear in `subset` (the
   /// incremental-rebuild path visits just the dirty tiles).

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -49,6 +50,11 @@ class FaultMatrix {
 
   /// Raw row-major cell storage (serialization).
   [[nodiscard]] const std::vector<FaultKind>& cells() const { return m_; }
+  /// The same cells as bytes, nonzero = faulty (UpdatePolicy::skip).
+  [[nodiscard]] const std::uint8_t* bytes() const {
+    static_assert(sizeof(FaultKind) == 1);
+    return reinterpret_cast<const std::uint8_t*>(m_.data());
+  }
 
  private:
   std::size_t rows_ = 0;

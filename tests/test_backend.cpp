@@ -1,14 +1,20 @@
 // Tests for the parallel compute backend (common/thread_pool.hpp) and its
 // consumers: pooled tensor kernels must be bit-identical to the serial
-// path at any thread count, the crossbar store's incremental rebuild must
-// only re-read dirty tiles, and the store's running write/fault counters
-// must always match a fresh tile scan.
+// path at any thread count, the crossbar store's fused update pass must be
+// bit-identical at any thread count and re-read only the cells it writes,
+// and the store's running write/fault counters must always match a fresh
+// tile scan.
 #include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <numeric>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -169,11 +175,12 @@ TEST(Backend, IncrementalRebuildSkipsCleanTiles) {
   cfg.write_noise_sigma = 0.0;
   cfg.inject_fabrication = false;
   CrossbarWeightStore store(cfg, random_weights(32, 32, 3), Rng(4));
-  (void)store.effective();  // all four tiles rebuilt once
+  (void)store.effective();  // all four tiles packed once
 
-  // Read-counter probe: snapshot each tile's analog read count, dirty only
-  // tile (0, 0) through a delta, and assert the other tiles are not
-  // re-read by the next rebuild.
+  // Read-counter probe: snapshot each tile's analog read count, write only
+  // into tile (0, 0) through a delta, and assert the other tiles are never
+  // re-read — the write-through re-reads just the written cell, and the
+  // next read-out re-packs nothing.
   std::uint64_t before[2][2];
   for (std::size_t ti = 0; ti < 2; ++ti)
     for (std::size_t tj = 0; tj < 2; ++tj)
@@ -184,7 +191,7 @@ TEST(Backend, IncrementalRebuildSkipsCleanTiles) {
   store.apply_delta(delta);
   (void)store.effective();
 
-  EXPECT_GT(store.tile(0, 0).read_count(), before[0][0]);
+  EXPECT_EQ(store.tile(0, 0).read_count(), before[0][0] + 1);
   EXPECT_EQ(store.tile(0, 1).read_count(), before[0][1]);
   EXPECT_EQ(store.tile(1, 0).read_count(), before[1][0]);
   EXPECT_EQ(store.tile(1, 1).read_count(), before[1][1]);
@@ -192,6 +199,77 @@ TEST(Backend, IncrementalRebuildSkipsCleanTiles) {
   // The skipped tiles' cached entries must still be served correctly.
   const Tensor& eff = store.effective();
   EXPECT_EQ(eff.shape(), delta.shape());
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char ch : s) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// A scripted run of fused update steps: a non-identity permutation that
+/// moves cells across tiles, a prune mask, the detected-fault skip, a
+/// threshold, full writes, and wear-out under low endurance. Returns the
+/// store checkpoint after its config block (RcsConfig is written as a raw
+/// struct, padding included, so those bytes are not reproducible).
+std::string scripted_update_bytes(EncodingKind kind) {
+  RcsConfig cfg;  // 128×128 tiles: a 3×2 grid, one pool lane per tile
+  cfg.write_noise_sigma = 0.02;
+  cfg.fabrication.fraction = 0.05;
+  cfg.endurance = EnduranceModel::gaussian(6.0, 2.0);
+  cfg.encoding = kind;
+  const std::size_t rows = 300, cols = 200;
+  Rng wrng(7);
+  CrossbarWeightStore store(cfg, Tensor::randn({rows, cols}, wrng, 0.1f),
+                            Rng(9));
+  std::vector<std::size_t> rp(rows), cp(cols);
+  std::iota(rp.begin(), rp.end(), 0);
+  std::reverse(rp.begin(), rp.end());
+  for (std::size_t j = 0; j < cols; ++j) cp[j] = (j + 37) % cols;
+  store.set_permutations(rp, cp);
+  std::vector<std::uint8_t> pruned(rows * cols);
+  for (std::size_t n = 0; n < pruned.size(); ++n) pruned[n] = n % 7 == 3;
+  Rng drng(11);
+  for (int step = 0; step < 6; ++step) {
+    Tensor delta({rows, cols});
+    for (std::size_t n = 0; n < delta.numel(); ++n) {
+      if (drng.bernoulli(0.6)) {
+        delta[n] = static_cast<float>(drng.normal(0.0, 0.02));
+      }
+    }
+    const FaultMatrix detected = store.true_fault_matrix();
+    UpdatePolicy policy;
+    policy.pruned = pruned.data();
+    policy.skip = detected.bytes();
+    policy.full_write = step % 3 == 2;
+    policy.threshold = policy.full_write ? 0.0 : 0.01;
+    (void)store.apply_update(delta, policy);
+  }
+  EXPECT_GT(store.wearout_fault_count(), 0u) << "script should wear cells out";
+  std::ostringstream os;
+  store.save(os);
+  return os.str().substr(8 + sizeof(RcsConfig));
+}
+
+TEST(Backend, FusedUpdateBitIdenticalAcrossThreadCounts) {
+  PoolGuard guard;
+  // FNV-1a of the bytes the same script produced through the serial
+  // per-cell write chain that the fused pass replaced.
+  const std::pair<EncodingKind, std::uint64_t> cases[] = {
+      {EncodingKind::kSingleCell, 0xc759176ac4d6f4beULL},
+      {EncodingKind::kDifferentialPair, 0x6267a43b16907b7fULL},
+  };
+  for (const auto& [kind, want] : cases) {
+    for (const std::size_t threads : {1UL, 4UL}) {
+      ThreadPool::set_global_threads(threads);
+      EXPECT_EQ(fnv1a(scripted_update_bytes(kind)), want)
+          << "encoding " << static_cast<int>(kind) << ", " << threads
+          << " threads";
+    }
+  }
 }
 
 TEST(Backend, RunningCountersMatchFreshTileScan) {

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "common/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "rcs/rcs_system.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
@@ -293,6 +294,59 @@ TEST(CrossbarStore, FusedForwardTracksWritesAndPermutations) {
                           matmul(x, store.effective())))
         << "threads=" << threads;
   }
+}
+
+std::uint64_t fused_pack_tiles() {
+  for (const obs::MetricSnapshot& m :
+       obs::MetricsRegistry::instance().snapshot()) {
+    if (m.name == "store.fused_pack_tiles") return m.count;
+  }
+  return 0;
+}
+
+TEST(CrossbarStore, WriteThroughKeepsThePanelCurrent) {
+  ReductionModeGuard mode_guard;
+  PoolGuard pool_guard;
+  set_reduction_mode(ReductionMode::kDeterministic);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  const bool metrics_were_on = reg.enabled();
+  reg.set_enabled(true);
+  for (const EncodingKind kind :
+       {EncodingKind::kSingleCell, EncodingKind::kDifferentialPair}) {
+    RcsConfig cfg = clean_config();
+    cfg.write_noise_sigma = 0.02;
+    cfg.inject_fabrication = true;
+    cfg.fabrication.fraction = 0.05;
+    cfg.endurance = EnduranceModel::gaussian(5.0, 2.0);
+    cfg.encoding = kind;
+    CrossbarWeightStore store(cfg, ramp(40, 24, 0.03f), Rng(31));
+    std::vector<std::size_t> rp(40), cp(24);
+    std::iota(rp.begin(), rp.end(), 0);
+    std::iota(cp.begin(), cp.end(), 0);
+    std::reverse(rp.begin(), rp.end());
+    std::swap(cp[0], cp[20]);
+    store.set_permutations(rp, cp);
+    Rng rng(32);
+    const Tensor x = Tensor::randn({4, 40}, rng);
+    (void)store.forward_matmul(x);  // packs every tile once
+    for (int step = 0; step < 6; ++step) {
+      Tensor delta({40, 24});
+      for (std::size_t i = 0; i < delta.numel(); ++i) {
+        if (rng.bernoulli(0.5)) delta[i] = static_cast<float>(rng.normal(0.0, 0.02));
+      }
+      UpdatePolicy policy;
+      policy.threshold = 0.005;
+      policy.full_write = step % 2 == 1;
+      const std::uint64_t packs = fused_pack_tiles();
+      (void)store.apply_update(delta, policy);
+      const Tensor fused = store.forward_matmul(x);
+      EXPECT_EQ(fused_pack_tiles(), packs) << "step " << step;
+      EXPECT_TRUE(same_bits(fused, matmul(x, store.effective())))
+          << "encoding " << static_cast<int>(kind) << ", step " << step;
+    }
+    EXPECT_GT(store.wearout_fault_count(), 0u);
+  }
+  reg.set_enabled(metrics_were_on);
 }
 
 TEST(CrossbarStore, FusedForwardSurvivesCheckpointRestore) {

@@ -492,8 +492,8 @@ TEST_F(ObsTest, EngineRunPopulatesTheMetricCatalogue) {
       "engine.runs",          "engine.iterations",
       "engine.run_ns",        "engine.phase.train-step.runs",
       "engine.phase.train-step.ns", "engine.phase_ns",
-      "store.writes",         "store.rebuilds",
-      "store.rebuild_tiles",  "detector.rounds",
+      "store.writes",         "store.fused_forward.calls",
+      "store.fused_pack_tiles", "detector.rounds",
       "detector.cycles",      "detector.cells_tested",
       "detector.pulses",      "detector.adc_reads",
       "detector.precision",   "detector.recall",

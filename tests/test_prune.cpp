@@ -82,10 +82,15 @@ TEST(Prune, MaskDeltaZeroesPrunedEntries) {
   const PruneState st = PruneState::compute(net, cfg);
   MatrixLayer* ml = net.matrix_layers()[0];
   const PruneMask* m = st.mask_for(&ml->weights());
-  Tensor delta({8, 4}, 1.0f);
-  st.mask_delta(&ml->weights(), delta);
-  for (std::size_t i = 0; i < delta.numel(); ++i)
-    EXPECT_EQ(delta[i], m->pruned[i] ? 0.0f : 1.0f);
+  // The byte mask is what the store's update pass reads.
+  SoftwareWeightStore store(Tensor({8, 4}));
+  UpdatePolicy policy;
+  policy.pruned = m->pruned.data();
+  const UpdateStats us = store.apply_update(Tensor({8, 4}, 1.0f), policy);
+  EXPECT_EQ(us.updates_zero, m->count_pruned());
+  EXPECT_EQ(us.writes_issued, 32u - m->count_pruned());
+  for (std::size_t i = 0; i < 32; ++i)
+    EXPECT_EQ(store.target()[i], m->pruned[i] != 0 ? 0.0f : 1.0f);
 }
 
 TEST(Prune, ConvAndFcUseDifferentSparsity) {

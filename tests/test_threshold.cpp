@@ -167,6 +167,45 @@ TEST(Threshold, WearLevelingRaisesThresholdForHotCells) {
   EXPECT_LT(st_lvl.writes_issued, 4u);  // the hot cell got filtered
 }
 
+TEST(Threshold, WearLevelingFiresUnderDifferentialPair) {
+  // A differential pair writes both legs, so the store's write count is
+  // twice the per-leg wear. Normalized per logical cell, the mean doubled
+  // and a cell 1.5× the mean wear never crossed it; normalized per
+  // physical cell, it does.
+  RcsConfig cfg;
+  cfg.tile_rows = 8;
+  cfg.tile_cols = 8;
+  cfg.write_noise_sigma = 0.0;
+  cfg.inject_fabrication = false;
+  cfg.encoding = EncodingKind::kDifferentialPair;
+  Rng rng(5);
+  Network net;
+  RcsSystem sys(cfg, Rng(6));
+  net.add(std::make_unique<Dense>("fc", 2, 2, sys.factory(), rng));
+  std::vector<Param> params = net.params();
+  auto* store = dynamic_cast<CrossbarWeightStore*>(params[0].store);
+  ASSERT_NE(store, nullptr);
+  Tensor all({2, 2}, 0.001f);
+  Tensor hot({2, 2});
+  hot.at(0, 0) = 0.001f;
+  for (int i = 0; i < 10; ++i) {
+    store->apply_delta(all);
+    store->apply_delta(hot);
+  }
+  // Cell (0,0): 21 writes per leg; the others 11; mean per leg 13.5.
+  ASSERT_EQ(store->cell_write_count(0, 0), 21u);
+  ASSERT_EQ(store->write_count(), 2u * (21u + 3u * 11u));
+
+  Tensor g({2, 2}, 0.02f);
+  g.at(1, 1) = 1.0f;
+  *params[0].grad = g;
+  const ThresholdTrainer leveled({0.01, 50.0, true},
+                                 LrSchedule{1.0, 1.0, 0, 1e-4});
+  const auto st = leveled.step(params, 0);
+  EXPECT_EQ(st.writes_issued, 3u);  // only the hot cell is held back
+  EXPECT_EQ(st.writes_suppressed, 1u);
+}
+
 TEST(Threshold, PerLayerMaxMode) {
   Rng rng(7);
   Network net;

@@ -365,7 +365,7 @@ void rule_parallel_shared_write(const FileCfg& file,
 
 bool stmt_cleanses(const FileCfg& file, const Stmt& st) {
   static const std::set<std::string> kCleansers = {
-      "invalidate", "mark_all_dirty", "mark_pack_dirty", "resync_counters"};
+      "invalidate", "mark_pack_dirty", "resync_counters"};
   const std::vector<Token>& toks = file.lex.tokens;
   for (std::size_t i = st.first; i + 1 < st.last; ++i)
     if (toks[i].kind == TokKind::kIdent && kCleansers.count(toks[i].text) &&
@@ -385,7 +385,11 @@ struct Mutation {
 void rule_mutation_without_invalidate(const FileCfg& file,
                                       std::vector<Finding>& out) {
   const std::vector<Token>& toks = file.lex.tokens;
-  static const std::set<std::string> kWriteMethods = {"write", "force_fault"};
+  // The Crossbar members that change what the store's panel caches (the
+  // same set refit-lint's tile-invalidate rule watches).
+  static const std::set<std::string> kWriteMethods = {
+      "write",        "force_fault",  "force_soft_fault",
+      "strong_write", "drift_toward", "decay_soft_faults"};
 
   for (std::size_t fi = 0; fi < file.functions.size(); ++fi) {
     const FunctionCfg& fn = file.functions[fi];
@@ -508,7 +512,7 @@ void rule_mutation_without_invalidate(const FileCfg& file,
       f.message = "tile state is mutated through '" + m.root +
                   "' but a path reaches the end of '" + fn.name +
                   "' with no invalidate()/mark_pack_dirty() — the "
-                  "effective/packed caches go stale";
+                  "store's read-out panel goes stale";
       out.push_back(std::move(f));
     }
   }

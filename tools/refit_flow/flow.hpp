@@ -15,9 +15,9 @@
 //                            through CrossbarWeightStore::tile() (direct
 //                            chain or via a saved reference) and some path
 //                            reaches the function exit with no
-//                            invalidate() / mark_all_dirty() /
-//                            mark_pack_dirty() / resync_counters() — the
-//                            store's effective/packed caches go stale.
+//                            invalidate() / mark_pack_dirty() /
+//                            resync_counters() — the store's read-out
+//                            panel goes stale.
 //   unchecked-must-use       a call to save_checkpoint / load_checkpoint /
 //                            detect / detect_store / forward_matmul whose
 //                            result is discarded, or bound to a variable

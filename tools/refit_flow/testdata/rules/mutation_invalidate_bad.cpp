@@ -1,8 +1,9 @@
 // Tile mutations that can reach function exit without invalidating the
-// store's derived caches (effective weights, packed planes).
+// store's derived state (the packed read-out panel, the running counters).
 struct Tile {
   void write(int idx, double g);
   void force_fault(int idx);
+  void drift_toward(double g, double rate);
 };
 struct Store {
   Tile& tile(int ti, int tj);
@@ -22,4 +23,8 @@ void early_out(Store& s, bool fast) {
 void via_alias(Store& s) {
   auto& tl = s.tile(2, 2);
   tl.write(0, 0.25);  // EXPECT-FLOW: mutation-without-invalidate
+}
+
+void drift(Store& s) {
+  s.tile(0, 1).drift_toward(0.0, 0.1);  // EXPECT-FLOW: mutation-without-invalidate
 }

@@ -43,9 +43,11 @@ const std::set<std::string> kStdEngineNames = {
 const std::set<std::string> kCRandNames = {"rand", "srand", "drand48",
                                            "lrand48", "mrand48", "random"};
 
-const std::set<std::string> kTileMutators = {"write", "force_fault",
-                                             "force_soft_fault",
-                                             "strong_write"};
+// Crossbar members that change state the store caches in its read-out
+// panel or its running counters.
+const std::set<std::string> kTileMutators = {
+    "write",        "force_fault",  "force_soft_fault",
+    "strong_write", "drift_toward", "decay_soft_faults"};
 
 // Conductance-mutating Crossbar members: callable only from the modules
 // that own device physics (src/device, src/rram) and from the store that
@@ -108,8 +110,8 @@ const std::vector<RuleInfo>& rules() {
        "rand()/std::random_device/std::mt19937 and other ad-hoc generators "
        "outside common/rng"},
       {"tile-invalidate",
-       "store.tile(..).write/force_fault without a store invalidate() (or "
-       "resync_counters()) within the next 40 lines"},
+       "store.tile(..).write/force_fault/drift_toward/... without a store "
+       "invalidate() (or resync_counters()) within the next 40 lines"},
       {"using-namespace-header", "`using namespace` in a header"},
       {"dcheck-side-effect",
        "++/--/assignment inside REFIT_DCHECK / REFIT_DCHECK_MSG, which "
@@ -166,9 +168,8 @@ std::vector<Finding> lint_source(const std::string& path,
   // (tests, benches, tools) may drive them directly.
   const bool owns_device =
       mod.empty() || mod == "device" || mod == "rram" || owns_tiles;
-  // nn/weight_store hosts the interface plus the portable forward_matmul
-  // fallback, which is the one sanctioned effective()-materializing site on
-  // the inference side.
+  // nn/weight_store hosts the interface and the software backend, whose
+  // effective() is its own floats.
   const bool inference_side =
       (mod == "nn" || mod == "core") && !path_contains(path, "nn/weight_store");
   // src/obs prints the flight-recorder tail itself and common/log owns the
@@ -335,8 +336,8 @@ std::vector<Finding> lint_source(const std::string& path,
           report("tile-invalidate", mut_line,
                  "tile()." + t[close + 2].text +
                      "() mutates device state behind the store — call "
-                     "invalidate() afterwards to resync the cached "
-                     "effective weights and O(1) counters");
+                     "invalidate() afterwards to re-pack the read-out "
+                     "panel and resync the running counters");
       }
     }
 

@@ -12,8 +12,8 @@
 //                        outside common/rng (every stochastic component
 //                        must be reproducible from one seed)
 //   tile-invalidate      mutating a crossbar tile via store.tile(..)
-//                        without a nearby invalidate() (keeps the O(1)
-//                        write/fault aggregates in sync)
+//                        without a nearby invalidate() (keeps the
+//                        read-out panel and write/fault aggregates in sync)
 //   using-namespace-header  `using namespace` in a header
 //   dcheck-side-effect   ++/--/assignment inside REFIT_DCHECK(...), which
 //                        compiles away under NDEBUG

@@ -133,7 +133,7 @@ TEST(RefitLint, PathExemptionsApply) {
   EXPECT_FALSE(
       refit::lint::lint_source("src/nn/dense.cpp", clock_src).empty());
 
-  // nn/weight_store hosts the sanctioned effective()-materializing fallback;
+  // nn/weight_store (the interface and the software backend) is exempt;
   // the identical call is a violation in any other nn/core file, and legal
   // outside the inference side entirely (rcs, detect, tests).
   const std::string eff_src = "// impl\nauto w = store->effective();\n";

@@ -4,6 +4,7 @@ struct FakeTile {
   void force_fault(int, int, int) {}
   void force_soft_fault(int, int, int, int) {}
   void strong_write(int, int, double) {}
+  void drift_toward(double, double) {}
   int rows() { return 4; }
 };
 
@@ -43,4 +44,8 @@ void unpaired_soft_fault(FakeStore& store) {
 
 void unpaired_strong_write(FakeStore& store) {
   store.tile(1, 0).strong_write(0, 0, 0.5);  // EXPECT-LINT: tile-invalidate
+}
+
+void unpaired_drift(FakeStore& store) {
+  store.tile(1, 1).drift_toward(0.0, 0.1);  // EXPECT-LINT: tile-invalidate
 }
