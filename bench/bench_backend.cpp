@@ -13,8 +13,9 @@
 //
 // GEMM-shaped rows carry achieved GFLOP/s and a roofline-style
 // fraction-of-peak column, where "peak" is measured in-process by a
-// register-resident multiply-add probe (same compiler, same flags, no
-// memory traffic) — see docs/kernels.md for how to read these. The JSON
+// register-resident multiply-add probe at the width of the dispatched
+// GEMM kernel (same compiler, same flags, no memory traffic) and scaled by
+// the lanes a row can use — see docs/kernels.md for how to read these. The JSON
 // header records hardware provenance; when the host has fewer hardware
 // threads than the bench was asked to scale to, scaling rows are marked
 // "scaling_valid": false and a loud warning is printed (the seed's numbers
@@ -51,6 +52,10 @@
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace {
 
 using refit::CrossbarWeightStore;
@@ -78,7 +83,7 @@ struct Row {
   double speedup_vs_serial;
   bool bit_identical;
   double gflops = 0.0;            ///< 0 for rows without a FLOP count
-  double frac_peak = 0.0;         ///< gflops / measured single-thread peak
+  double frac_peak = 0.0;         ///< gflops / (single-lane peak × lanes)
   double speedup_vs_naive = 0.0;  ///< 0 for rows without a naive baseline
 };
 
@@ -140,11 +145,12 @@ std::uint64_t fnv1a64(const Tensor& t) {
 
 // ---- Measured peak --------------------------------------------------------
 
-/// Register-resident multiply-add probe: 64 independent accumulators, each
-/// element a dependent acc = acc*m + c chain whose latency is hidden by
-/// the 64-way parallelism. 2 flops per element per iteration, no memory
-/// traffic — the compute ceiling of this compiler+flags+CPU combination.
-double measured_peak_gflops(int reps) {
+/// Register-resident multiply-add probe for the portable kernel: 64
+/// independent accumulators, each element a dependent acc = acc*m + c chain
+/// whose latency is hidden by the 64-way parallelism. 2 flops per element
+/// per iteration, no memory traffic — the compute ceiling of this
+/// compiler+flags+CPU combination.
+double portable_peak_gflops(int reps) {
   constexpr std::size_t kAcc = 64;
   constexpr std::size_t kIters = 1 << 18;
   float acc[kAcc];
@@ -169,6 +175,48 @@ double measured_peak_gflops(int reps) {
   if (sink == 12345.678f) std::cout << "";
   return 2.0 * static_cast<double>(kAcc) * static_cast<double>(kIters) /
          (best * 1e9);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+/// The same probe at the AVX kernel's width and under its target attribute:
+/// 12 independent 256-bit chains of _mm256_mul_ps then _mm256_add_ps (no
+/// FMA), which with the two operand registers fill the 16 ymm registers.
+__attribute__((target("avx"))) double avx_peak_gflops(int reps) {
+  constexpr std::size_t kAcc = 12;
+  constexpr std::size_t kIters = 1 << 18;
+  __m256 acc[kAcc];
+  for (std::size_t i = 0; i < kAcc; ++i)
+    acc[i] = _mm256_set1_ps(1.0f + 1e-6f * static_cast<float>(i));
+  const __m256 mul = _mm256_set1_ps(0.999999f);
+  const __m256 add = _mm256_set1_ps(1e-7f);
+  double best = 1e300;
+  float sink = 0.0f;
+  for (int r = 0; r < reps; ++r) {
+    refit::obs::Stopwatch sw;
+    for (std::size_t it = 0; it < kIters; ++it) {
+      for (std::size_t i = 0; i < kAcc; ++i)
+        acc[i] = _mm256_add_ps(_mm256_mul_ps(acc[i], mul), add);
+    }
+    best = std::min(best, sw.seconds());
+    float lanes[8];
+    for (std::size_t i = 0; i < kAcc; ++i) {
+      _mm256_storeu_ps(lanes, acc[i]);
+      sink += lanes[0];
+    }
+  }
+  if (sink == 12345.678f) std::cout << "";
+  return 2.0 * 8.0 * static_cast<double>(kAcc) * static_cast<double>(kIters) /
+         (best * 1e9);
+}
+#endif
+
+/// Single-lane peak at the width of the dispatched GEMM kernel.
+double measured_peak_gflops(int reps) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (std::strcmp(refit::gemm::kernel_isa(), "avx") == 0)
+    return avx_peak_gflops(reps);
+#endif
+  return portable_peak_gflops(reps);
 }
 
 // ---- Naive GEMM baselines (serial copies of the pre-blocking kernels) -----
@@ -295,7 +343,13 @@ int main(int argc, char** argv) {
   }
 
   const double peak_gflops = measured_peak_gflops(reps);
-  std::cout << "measured_peak_gflops=" << peak_gflops << "\n";
+  std::cout << "gemm_isa=" << refit::gemm::kernel_isa()
+            << " measured_peak_gflops=" << peak_gflops << "\n";
+  // Roofline fraction of the lanes a t-thread row can actually run on.
+  const auto frac_of_peak = [&](double gflops, std::size_t t) {
+    const std::size_t lanes = std::max<std::size_t>(1, std::min(t, hw_threads));
+    return gflops / (peak_gflops * static_cast<double>(lanes));
+  };
 
   // ---- GEMM + conv kernels ------------------------------------------------
   Rng rng(1);
@@ -359,7 +413,7 @@ int main(int argc, char** argv) {
       rows.push_back({"naive_" + kern.name, 1, naive_serial, 1.0,
                       !det || same_bits(ref, naive_out),
                       kern.flops / (naive_serial * 1e9),
-                      kern.flops / (naive_serial * 1e9) / peak_gflops, 0.0});
+                      frac_of_peak(kern.flops / (naive_serial * 1e9), 1), 0.0});
       std::cout << "naive_" << kern.name << " threads=1 " << naive_serial
                 << "s; blocked kernel is " << naive_serial / serial
                 << "x faster single-thread\n";
@@ -372,12 +426,12 @@ int main(int argc, char** argv) {
           kern.flops > 0.0 ? kern.flops / (secs * 1e9) : 0.0;
       rows.push_back({kern.name, t, secs, serial / secs,
                       same_bits(ref, pooled), gflops,
-                      gflops > 0.0 ? gflops / peak_gflops : 0.0,
+                      frac_of_peak(gflops, t),
                       naive_serial > 0.0 ? naive_serial / secs : 0.0});
       std::cout << kern.name << " threads=" << t << " " << secs << "s ("
                 << serial / secs << "x)";
       if (gflops > 0.0) {
-        std::cout << " " << gflops << " GFLOP/s (" << gflops / peak_gflops
+        std::cout << " " << gflops << " GFLOP/s (" << frac_of_peak(gflops, t)
                   << " of peak)";
       }
       std::cout << "\n";
@@ -411,10 +465,10 @@ int main(int argc, char** argv) {
       const double fus_gf = fwd_flops / (fus_clean * 1e9);
       rows.push_back({"materialize_forward_clean", t, mat_clean, 1.0, bits,
                       fwd_flops / (mat_clean * 1e9),
-                      fwd_flops / (mat_clean * 1e9) / peak_gflops, 0.0});
+                      frac_of_peak(fwd_flops / (mat_clean * 1e9), t), 0.0});
       rows.push_back({"fused_forward_clean", t, fus_clean,
                       mat_clean / fus_clean, bits, fus_gf,
-                      fus_gf / peak_gflops, 0.0});
+                      frac_of_peak(fus_gf, t), 0.0});
       std::cout << "fused_forward_clean threads=" << t << " " << fus_clean
                 << "s vs materialize " << mat_clean << "s ("
                 << mat_clean / fus_clean << "x, bit_identical="
@@ -529,6 +583,7 @@ int main(int argc, char** argv) {
   os << "    \"build_type\": \"" << json_escape(REFIT_BENCH_BUILD_TYPE)
      << "\",\n";
 #endif
+  os << "    \"gemm_isa\": \"" << refit::gemm::kernel_isa() << "\",\n";
   os << "    \"measured_peak_gflops\": " << peak_gflops << "\n  },\n";
   os << "  \"scaling_valid\": " << (scaling_valid ? "true" : "false")
      << ",\n";
@@ -537,6 +592,8 @@ int main(int argc, char** argv) {
   os << "  \"note\": \"thread speedups are bounded by hardware_threads "
         "(invalid when scaling_valid is false); gflops/frac_peak are "
         "achieved FLOP throughput against the measured in-register peak "
+        "at the dispatched kernel's width (gemm_isa), times the lanes a "
+        "row can use "
         "(docs/kernels.md); the rebuild rows time the effective() read-out "
         "after an update (the panel is written through), *_vs_full_serial "
         "against the serial read-out after a full update\",\n";

@@ -170,6 +170,24 @@ if REFIT_FAST=1 REFIT_BENCH_OUT="$bench_json" ./build/bench/bench_backend \
     echo "  bench_backend FAILED: gemm_output_hash $got != golden $want"
     bench_rc=1
   fi
+  # Roofline sanity: the peak probe runs at the dispatched kernel's width,
+  # so no single-lane row may beat it by more than timing noise.
+  if ! python3 - "$bench_json" <<'EOF'
+import json, sys
+d = json.load(open(sys.argv[1]))
+isa = d["provenance"]["gemm_isa"]
+over = [(r["name"], r["frac_peak"]) for r in d["results"]
+        if r["threads"] == 1 and r.get("frac_peak", 0.0) > 1.05]
+for name, frac in over:
+    print("  bench_backend FAILED: %s at 1 thread reports frac_peak %.3f > 1.05"
+          " of the %s peak" % (name, frac, isa))
+if not over:
+    print("  bench_backend OK (1-lane frac_peak <= 1.05 of the %s peak)" % isa)
+sys.exit(1 if over else 0)
+EOF
+  then
+    bench_rc=1
+  fi
 else
   echo "  bench_backend FAILED"
   bench_rc=1

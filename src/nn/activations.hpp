@@ -1,6 +1,7 @@
 // Parameter-free layers: ReLU, Flatten, MaxPool2D.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -17,7 +18,7 @@ class ReLU final : public Layer {
   [[nodiscard]] const char* kind() const override { return "relu"; }
 
  private:
-  std::vector<bool> mask_;
+  std::vector<std::uint8_t> mask_;  ///< 1 where the forward input was > 0
 };
 
 /// Collapse [N, ...] to [N, features].

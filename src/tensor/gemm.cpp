@@ -5,11 +5,15 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "common/thread_pool.hpp"
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define REFIT_GEMM_X86 1
+#else
+#define REFIT_GEMM_X86 0
 #endif
 
 namespace refit {
@@ -44,51 +48,26 @@ namespace {
 /// strip pass to kMC×k floats so it stays L2-resident at bench shapes.
 constexpr std::size_t kMC = 64;
 
-/// Deterministic micro-kernel: MR C rows × kNR C columns accumulated in
-/// registers down the whole k extent, additions k-ascending from zero —
-/// the exact rounding sequence of the pre-blocking naive kernels.
-#if defined(__SSE2__)
-/// Explicit SSE2 lanes (baseline on x86-64). Each C element still sees one
-/// IEEE mul + add per kk in k order — _mm_mul_ps/_mm_add_ps round exactly
-/// like the scalar ops — so the bits match the scalar form. Hand-written
-/// because GCC's SLP pass turns the branchless variant into shuffle soup
-/// (~3x slower than broadcast-axpy).
+/// One micro-kernel: C[mr, nvalid] = A[mr, k] · one packed strip.
+using MicroFn = void (*)(std::size_t k, const float* a, std::size_t lda,
+                         const float* bp, float* c, std::size_t ldc,
+                         std::size_t nvalid);
+
+/// One kernel family: fn[mr - 1] computes an mr-row block, mr ≤ rows.
+struct MicroSet {
+  std::size_t rows;
+  MicroFn fn[kMR];
+};
+
+/// Portable deterministic micro-kernel: MR C rows × kNR C columns
+/// accumulated down the whole k extent, additions k-ascending from zero —
+/// the exact rounding sequence of the pre-blocking naive kernels. The
+/// kNR-wide inner loops carry independent accumulators, so they vectorize
+/// without reassociating anything.
 template <std::size_t MR, bool ZeroSkip>
-void micro_det(std::size_t k, const float* a, std::size_t lda, const float* bp,
-               float* c, std::size_t ldc, std::size_t nvalid) {
-  __m128 lo[MR];
-  __m128 hi[MR];
-  for (std::size_t r = 0; r < MR; ++r) {
-    lo[r] = _mm_setzero_ps();
-    hi[r] = _mm_setzero_ps();
-  }
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const __m128 blo = _mm_loadu_ps(bp + kk * kNR);
-    const __m128 bhi = _mm_loadu_ps(bp + kk * kNR + 4);
-    for (std::size_t r = 0; r < MR; ++r) {
-      const float av = a[r * lda + kk];
-      if constexpr (ZeroSkip) {
-        if (av == 0.0f) continue;  // post-ReLU activations are sparse
-      }
-      const __m128 va = _mm_set1_ps(av);
-      lo[r] = _mm_add_ps(lo[r], _mm_mul_ps(va, blo));
-      hi[r] = _mm_add_ps(hi[r], _mm_mul_ps(va, bhi));
-    }
-  }
-  float acc[MR][kNR];
-  for (std::size_t r = 0; r < MR; ++r) {
-    _mm_storeu_ps(acc[r], lo[r]);
-    _mm_storeu_ps(acc[r] + 4, hi[r]);
-  }
-  for (std::size_t r = 0; r < MR; ++r)
-    for (std::size_t j = 0; j < nvalid; ++j) c[r * ldc + j] = acc[r][j];
-}
-#else
-/// Portable scalar form: the kNR-wide inner loops carry independent
-/// accumulators, so they vectorize without reassociating anything.
-template <std::size_t MR, bool ZeroSkip>
-void micro_det(std::size_t k, const float* a, std::size_t lda, const float* bp,
-               float* c, std::size_t ldc, std::size_t nvalid) {
+void micro_portable(std::size_t k, const float* a, std::size_t lda,
+                    const float* bp, float* c, std::size_t ldc,
+                    std::size_t nvalid) {
   float acc[MR][kNR] = {};
   for (std::size_t kk = 0; kk < k; ++kk) {
     const float* brow = bp + kk * kNR;
@@ -103,10 +82,72 @@ void micro_det(std::size_t k, const float* a, std::size_t lda, const float* bp,
   for (std::size_t r = 0; r < MR; ++r)
     for (std::size_t j = 0; j < nvalid; ++j) c[r * ldc + j] = acc[r][j];
 }
+template <bool ZeroSkip, std::size_t... R>
+constexpr MicroSet portable_set(std::index_sequence<R...>) {
+  return {sizeof...(R), {&micro_portable<R + 1, ZeroSkip>...}};
+}
+
+#if REFIT_GEMM_X86
+/// AVX deterministic micro-kernel: one __m256 accumulator per C row. Each
+/// C element still sees one IEEE mul then one add per kk in k order —
+/// _mm256_mul_ps/_mm256_add_ps round exactly like scalar * and +, and the
+/// target has no FMA to contract them — so the bits match the portable
+/// kernel. The zero skip is a mask, not a branch: the product of a zero
+/// A entry is replaced by +0, and acc + (+0) == acc bit for bit because
+/// an accumulator that starts at +0 never becomes −0 under round-to-
+/// nearest (docs/kernels.md). The rows are a pack expansion rather than a
+/// loop so every accumulator access has a constant index and the block
+/// stays in registers across the k loop.
+/// One k step of one C row: sum + a·b, the product masked to +0 where
+/// the skip applies.
+template <bool ZeroSkip>
+__attribute__((target("avx"), always_inline)) inline __m256 avx_step(
+    __m256 sum, const float* ap, __m256 b) {
+  const __m256 va = _mm256_broadcast_ss(ap);
+  __m256 p = _mm256_mul_ps(va, b);
+  if constexpr (ZeroSkip) {
+    // NEQ_UQ is true for NaN, like the scalar `av == 0` test is false.
+    p = _mm256_and_ps(p, _mm256_cmp_ps(va, _mm256_setzero_ps(), _CMP_NEQ_UQ));
+  }
+  return _mm256_add_ps(sum, p);
+}
+
+template <bool ZeroSkip, std::size_t... R>
+__attribute__((target("avx"))) void micro_avx_rows(
+    std::index_sequence<R...>, std::size_t k, const float* a, std::size_t lda,
+    const float* bp, float* c, std::size_t ldc, std::size_t nvalid) {
+  constexpr std::size_t MR = sizeof...(R);
+  __m256 acc[MR] = {((void)R, _mm256_setzero_ps())...};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const __m256 b = _mm256_loadu_ps(bp + kk * kNR);
+    ((acc[R] = avx_step<ZeroSkip>(acc[R], a + R * lda + kk, b)), ...);
+  }
+  if (nvalid == kNR) {
+    (_mm256_storeu_ps(c + R * ldc, acc[R]), ...);
+    return;
+  }
+  float tail[MR][kNR];
+  (_mm256_storeu_ps(tail[R], acc[R]), ...);
+  for (std::size_t r = 0; r < MR; ++r)
+    for (std::size_t j = 0; j < nvalid; ++j) c[r * ldc + j] = tail[r][j];
+}
+
+template <std::size_t MR, bool ZeroSkip>
+__attribute__((target("avx"))) void micro_avx(
+    std::size_t k, const float* a, std::size_t lda, const float* bp, float* c,
+    std::size_t ldc, std::size_t nvalid) {
+  micro_avx_rows<ZeroSkip>(std::make_index_sequence<MR>{}, k, a, lda, bp, c,
+                           ldc, nvalid);
+}
+template <bool ZeroSkip, std::size_t... R>
+constexpr MicroSet avx_set(std::index_sequence<R...>) {
+  return {sizeof...(R), {&micro_avx<R + 1, ZeroSkip>...}};
+}
 #endif
 
 /// Fast micro-kernel: k split across two interleaved partial accumulators
-/// (reassociation → more FMA-latency overlap), no zero skip.
+/// (reassociation → more latency overlap), no zero skip. Four rows: its
+/// two scalar accumulator blocks would spill at kMR.
 template <std::size_t MR>
 void micro_fast(std::size_t k, const float* a, std::size_t lda, const float* bp,
                 float* c, std::size_t ldc, std::size_t nvalid) {
@@ -136,34 +177,61 @@ void micro_fast(std::size_t k, const float* a, std::size_t lda, const float* bp,
     for (std::size_t j = 0; j < nvalid; ++j)
       c[r * ldc + j] = acc0[r][j] + acc1[r][j];
 }
+template <std::size_t... R>
+constexpr MicroSet fast_set(std::index_sequence<R...>) {
+  return {sizeof...(R), {&micro_fast<R + 1>...}};
+}
 
-/// mr ∈ [1, kMR] dispatch so every instantiation has compile-time row
-/// counts (full unroll, accumulators in registers).
-void micro(std::size_t mr, std::size_t k, const float* a, std::size_t lda,
-           const float* bp, float* c, std::size_t ldc, std::size_t nvalid,
-           bool zero_skip, bool fast) {
-  if (fast) {
-    switch (mr) {
-      case 4: micro_fast<4>(k, a, lda, bp, c, ldc, nvalid); return;
-      case 3: micro_fast<3>(k, a, lda, bp, c, ldc, nvalid); return;
-      case 2: micro_fast<2>(k, a, lda, bp, c, ldc, nvalid); return;
-      default: micro_fast<1>(k, a, lda, bp, c, ldc, nvalid); return;
+/// The deterministic kernels of one ISA, indexed by zero_skip.
+struct DetKernels {
+  const char* isa;
+  MicroSet det[2];
+};
+
+constexpr DetKernels kPortable = {
+    "portable",
+    {portable_set<false>(std::make_index_sequence<kMR>{}),
+     portable_set<true>(std::make_index_sequence<kMR>{})}};
+
+constexpr MicroSet kFastSet = fast_set(std::make_index_sequence<4>{});
+
+/// Chosen once per process: AVX when the CPU (and OS) support it.
+const DetKernels& dispatched() {
+#if REFIT_GEMM_X86
+  static constexpr DetKernels kAvx = {
+      "avx",
+      {avx_set<false>(std::make_index_sequence<kMR>{}),
+       avx_set<true>(std::make_index_sequence<kMR>{})}};
+  static const DetKernels& chosen =
+      __builtin_cpu_supports("avx") ? kAvx : kPortable;
+  return chosen;
+#else
+  return kPortable;
+#endif
+}
+
+/// Lanes own contiguous C row blocks; within a lane the mid loop holds a
+/// kMC-row A slab against every (L1-resident) packed strip, which the
+/// micro-kernels walk `ks.rows` rows at a time.
+void drive(const MicroSet& ks, std::size_t m, std::size_t k, std::size_t n,
+           const float* a, std::size_t lda, const float* bp, float* c,
+           std::size_t ldc) {
+  const std::size_t nstrips = strip_count(n);
+  parallel_for_grained(m, 2 * k * n, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t ic = i0; ic < i1; ic += kMC) {
+      const std::size_t ie = std::min(i1, ic + kMC);
+      for (std::size_t s = 0; s < nstrips; ++s) {
+        const float* strip = bp + s * k * kNR;
+        const std::size_t j0 = s * kNR;
+        const std::size_t nvalid = std::min(kNR, n - j0);
+        for (std::size_t i = ic; i < ie; i += ks.rows) {
+          const std::size_t mr = std::min(ks.rows, ie - i);
+          ks.fn[mr - 1](k, a + i * lda, lda, strip, c + i * ldc + j0, ldc,
+                        nvalid);
+        }
+      }
     }
-  }
-  if (zero_skip) {
-    switch (mr) {
-      case 4: micro_det<4, true>(k, a, lda, bp, c, ldc, nvalid); return;
-      case 3: micro_det<3, true>(k, a, lda, bp, c, ldc, nvalid); return;
-      case 2: micro_det<2, true>(k, a, lda, bp, c, ldc, nvalid); return;
-      default: micro_det<1, true>(k, a, lda, bp, c, ldc, nvalid); return;
-    }
-  }
-  switch (mr) {
-    case 4: micro_det<4, false>(k, a, lda, bp, c, ldc, nvalid); return;
-    case 3: micro_det<3, false>(k, a, lda, bp, c, ldc, nvalid); return;
-    case 2: micro_det<2, false>(k, a, lda, bp, c, ldc, nvalid); return;
-    default: micro_det<1, false>(k, a, lda, bp, c, ldc, nvalid); return;
-  }
+  });
 }
 
 }  // namespace
@@ -218,31 +286,27 @@ void pack_at(const float* a, std::size_t k, std::size_t m, float* at) {
 void run(std::size_t m, std::size_t k, std::size_t n, const float* a,
          std::size_t lda, const float* bp, float* c, std::size_t ldc,
          bool zero_skip) {
-  const bool fast = reduction_mode() == ReductionMode::kFast;
-  const std::size_t nstrips = strip_count(n);
-  // Lanes own contiguous C row blocks; within a lane the mid loop holds a
-  // kMC-row A slab against every (L1-resident) packed strip.
-  parallel_for_grained(m, 2 * k * n, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t ic = i0; ic < i1; ic += kMC) {
-      const std::size_t ie = std::min(i1, ic + kMC);
-      for (std::size_t s = 0; s < nstrips; ++s) {
-        const float* strip = bp + s * k * kNR;
-        const std::size_t j0 = s * kNR;
-        const std::size_t nvalid = std::min(kNR, n - j0);
-        for (std::size_t i = ic; i < ie; i += kMR) {
-          const std::size_t mr = std::min(kMR, ie - i);
-          micro(mr, k, a + i * lda, lda, strip, c + i * ldc + j0, ldc, nvalid,
-                zero_skip, fast);
-        }
-      }
-    }
-  });
+  const MicroSet& ks = reduction_mode() == ReductionMode::kFast
+                           ? kFastSet
+                           : dispatched().det[zero_skip ? 1 : 0];
+  drive(ks, m, k, n, a, lda, bp, c, ldc);
 }
+
+const char* kernel_isa() { return dispatched().isa; }
 
 std::vector<float>& scratch(std::size_t slot) {
   thread_local std::vector<float> buffers[2];
   return buffers[slot < 2 ? slot : 0];
 }
 
+namespace detail {
+
+void run_portable(std::size_t m, std::size_t k, std::size_t n, const float* a,
+                  std::size_t lda, const float* bp, float* c, std::size_t ldc,
+                  bool zero_skip) {
+  drive(kPortable.det[zero_skip ? 1 : 0], m, k, n, a, lda, bp, c, ldc);
+}
+
+}  // namespace detail
 }  // namespace gemm
 }  // namespace refit

@@ -12,7 +12,9 @@
 // additions run in k-ascending order from a zero accumulator — exactly the
 // sequence the pre-blocking naive kernels performed — so deterministic-mode
 // results are bit-identical to them (and across thread counts; lanes write
-// disjoint C rows). ReductionMode::kFast (opt-in via
+// disjoint C rows). On AVX hosts the zero skip of matmul/matmul_tn is a
+// mask rather than a branch, with the same bits (docs/kernels.md).
+// ReductionMode::kFast (opt-in via
 // refit::set_reduction_mode or REFIT_FAST_REDUCE=1) permits reassociation:
 // the micro-kernel splits k across two interleaved partial accumulators,
 // which changes the rounding sequence but stays within ~1e-4 relative
@@ -38,9 +40,10 @@ void set_reduction_mode(ReductionMode mode);
 namespace gemm {
 
 /// Micro-kernel register block: kMR C rows × kNR C columns held in
-/// registers across the whole k extent (kNR = two 4-wide SSE vectors, one
-/// AVX vector — auto-vectorized FMA under the build's optimization flags).
-inline constexpr std::size_t kMR = 4;
+/// registers across the whole k extent (one 256-bit vector per C row in
+/// the AVX kernel — eight accumulators plus the B row fit the 16 ymm
+/// registers).
+inline constexpr std::size_t kMR = 8;
 inline constexpr std::size_t kNR = 8;
 
 /// Number of kNR-wide column strips covering n columns.
@@ -80,9 +83,24 @@ void run(std::size_t m, std::size_t k, std::size_t n, const float* a,
          std::size_t lda, const float* bp, float* c, std::size_t ldc,
          bool zero_skip);
 
+/// Instruction set of the deterministic micro-kernel this process runs:
+/// "avx" (256-bit mul + add, chosen once when the CPU supports AVX) or
+/// "portable" (scalar, every other host). Both produce identical bits.
+[[nodiscard]] const char* kernel_isa();
+
 /// Thread-local scratch buffer for packed panels (slot 0: right-hand
 /// panels, slot 1: transposed A panels). Contents are call-local.
 [[nodiscard]] std::vector<float>& scratch(std::size_t slot);
 
+namespace detail {
+
+/// run() pinned to the portable scalar micro-kernel in deterministic mode,
+/// whatever kernel_isa() and reduction_mode() say — lets the tests hold
+/// both kernels to the same bit-identity contract on one host.
+void run_portable(std::size_t m, std::size_t k, std::size_t n, const float* a,
+                  std::size_t lda, const float* bp, float* c, std::size_t ldc,
+                  bool zero_skip);
+
+}  // namespace detail
 }  // namespace gemm
 }  // namespace refit

@@ -1,14 +1,18 @@
-// Unit tests for tensor kernels (src/tensor/ops.hpp): GEMM variants,
-// im2col/col2im adjointness, pooling.
+// Unit tests for tensor kernels (src/tensor/ops.hpp): GEMM variants and
+// both micro-kernels against the naive loops, the masked zero skip,
+// im2col/col2im against their per-tap reference, pooling.
 #include "tensor/ops.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "rcs/crossbar_store.hpp"
 #include "tensor/gemm.hpp"
 
 namespace refit {
@@ -289,14 +293,53 @@ Tensor sparse_randn(Shape shape, Rng& rng) {
 }
 
 // Odd shapes: non-multiples of the kMR/kNR register block and the row
-// block, degenerate m=1 / k=1 / n=1, and exact-multiple controls.
+// block, degenerate m=1 / k=1 / n=1, and exact-multiple controls. Most m
+// are not multiples of kMR = 8, so every row-tail kernel runs.
 struct GemmShape {
   std::size_t m, k, n;
 };
 const GemmShape kOddShapes[] = {
-    {1, 1, 1},    {1, 7, 1},   {3, 5, 2},    {4, 8, 8},    {5, 9, 11},
-    {1, 64, 9},   {31, 1, 8},  {33, 17, 31}, {64, 64, 64}, {127, 129, 63},
+    {1, 1, 1},    {1, 7, 1},     {3, 5, 2},    {4, 8, 8},    {5, 9, 11},
+    {1, 64, 9},   {31, 1, 8},    {33, 17, 31}, {64, 64, 64}, {127, 129, 63},
+    {7, 12, 16},  {9, 3, 7},     {15, 20, 9},  {17, 6, 24},  {70, 40, 13},
+    {8, 1, 3},    {100, 11, 17},
 };
+
+/// C = A·packed(B) through the portable micro-kernel, row-major A of
+/// leading dimension k.
+Tensor portable_run(const Tensor& a, const std::vector<float>& bp,
+                    std::size_t m, std::size_t k, std::size_t n,
+                    bool zero_skip) {
+  Tensor c({m, n});
+  gemm::detail::run_portable(m, k, n, a.data(), k, bp.data(), c.data(), n,
+                             zero_skip);
+  return c;
+}
+
+/// The portable kernel on each of the three packings: matmul, matmul_tn
+/// (A transposed back to row-major) and matmul_nt.
+Tensor portable_matmul(const Tensor& a, const Tensor& b) {
+  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  std::vector<float> bp(gemm::packed_size(k, n));
+  gemm::pack_b(b.data(), k, n, bp.data());
+  return portable_run(a, bp, m, k, n, /*zero_skip=*/true);
+}
+
+Tensor portable_matmul_tn(const Tensor& at, const Tensor& b) {
+  const std::size_t k = at.dim(0), m = at.dim(1), n = b.dim(1);
+  Tensor a({m, k});
+  gemm::pack_at(at.data(), k, m, a.data());
+  std::vector<float> bp(gemm::packed_size(k, n));
+  gemm::pack_b(b.data(), k, n, bp.data());
+  return portable_run(a, bp, m, k, n, /*zero_skip=*/true);
+}
+
+Tensor portable_matmul_nt(const Tensor& a, const Tensor& bt) {
+  const std::size_t m = a.dim(0), k = a.dim(1), n = bt.dim(0);
+  std::vector<float> bp(gemm::packed_size(k, n));
+  gemm::pack_bt(bt.data(), n, k, bp.data());
+  return portable_run(a, bp, m, k, n, /*zero_skip=*/false);
+}
 
 TEST(GemmBlocked, DeterministicBitIdenticalToNaiveAcrossShapes) {
   ReductionModeGuard mode_guard;
@@ -319,6 +362,16 @@ TEST(GemmBlocked, DeterministicBitIdenticalToNaiveAcrossShapes) {
           << "tn " << sh.m << "x" << sh.k << "x" << sh.n << " @" << threads;
       EXPECT_TRUE(same_bits(matmul_nt(a, bt), ref_nt))
           << "nt " << sh.m << "x" << sh.k << "x" << sh.n << " @" << threads;
+      // The portable kernel, whichever one gemm::kernel_isa() dispatched.
+      EXPECT_TRUE(same_bits(portable_matmul(a, b), ref))
+          << "portable " << sh.m << "x" << sh.k << "x" << sh.n << " @"
+          << threads;
+      EXPECT_TRUE(same_bits(portable_matmul_tn(at, b), ref_tn))
+          << "portable tn " << sh.m << "x" << sh.k << "x" << sh.n << " @"
+          << threads;
+      EXPECT_TRUE(same_bits(portable_matmul_nt(a, bt), ref_nt))
+          << "portable nt " << sh.m << "x" << sh.k << "x" << sh.n << " @"
+          << threads;
     }
   }
 }
@@ -361,6 +414,213 @@ TEST(GemmBlocked, PackedIndexMatchesPackB) {
   for (std::size_t kk = 0; kk < k; ++kk)
     for (std::size_t j = 0; j < n; ++j)
       EXPECT_EQ(bp[gemm::packed_index(k, kk, j)], b.at(kk, j));
+}
+
+// ---- Masked zero skip -------------------------------------------------------
+
+/// Operands on which skipping a zero term and adding its product differ:
+/// A columns of +0/−0 face B rows of +inf, −inf and NaN (0·inf is NaN), and
+/// negative A columns face all-zero B rows (their products are −0).
+/// Every fourth column is each kind; the rest stay random.
+void plant_skip_specials(Tensor& a, Tensor& b) {
+  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    if (kk % 4 == 0) {
+      for (std::size_t i = 0; i < m; ++i)
+        a.at(i, kk) = (i + kk) % 2 == 0 ? 0.0f : -0.0f;
+      for (std::size_t j = 0; j < n; ++j)
+        b.at(kk, j) = specials[(kk / 4 + j) % 3];
+    } else if (kk % 4 == 1) {
+      for (std::size_t i = 0; i < m; ++i)
+        a.at(i, kk) = -0.5f - std::fabs(a.at(i, kk));
+      for (std::size_t j = 0; j < n; ++j) b.at(kk, j) = 0.0f;
+    }
+  }
+}
+
+TEST(GemmBlocked, MaskedZeroSkipIsExact) {
+  ReductionModeGuard mode_guard;
+  PoolGuard pool_guard;
+  set_reduction_mode(ReductionMode::kDeterministic);
+  Rng rng(15);
+  // k = 2 leaves every C element a skipped term plus a −0 product.
+  const GemmShape shapes[] = {{8, 2, 8},   {13, 10, 19}, {3, 4, 5},
+                              {70, 33, 9}, {16, 64, 24}, {1, 5, 1}};
+  for (const auto& sh : shapes) {
+    Tensor a = Tensor::randn({sh.m, sh.k}, rng);
+    Tensor b = Tensor::randn({sh.k, sh.n}, rng);
+    plant_skip_specials(a, b);
+    const Tensor at = transpose(a);
+    const Tensor ref = naive_matmul(a, b);
+    const Tensor ref_tn = naive_matmul_tn(at, b);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ThreadPool::set_global_threads(threads);
+      EXPECT_TRUE(same_bits(matmul(a, b), ref))
+          << sh.m << "x" << sh.k << "x" << sh.n << " @" << threads;
+      EXPECT_TRUE(same_bits(matmul_tn(at, b), ref_tn))
+          << "tn " << sh.m << "x" << sh.k << "x" << sh.n << " @" << threads;
+      EXPECT_TRUE(same_bits(portable_matmul(a, b), ref))
+          << "portable " << sh.m << "x" << sh.k << "x" << sh.n;
+      EXPECT_TRUE(same_bits(portable_matmul_tn(at, b), ref_tn))
+          << "portable tn " << sh.m << "x" << sh.k << "x" << sh.n;
+    }
+  }
+}
+
+TEST(GemmBlocked, FusedForwardMaskedSkipMatchesMatmul) {
+  ReductionModeGuard mode_guard;
+  PoolGuard pool_guard;
+  set_reduction_mode(ReductionMode::kDeterministic);
+  // Zero weight rows program to exactly-zero effective rows, so negative
+  // activations facing them produce −0 products; ±0 activations are
+  // skipped. 40×24 on 16×16 tiles crosses tile edges both ways.
+  const std::size_t k = 40, n = 24;
+  Tensor init({k, n});
+  for (std::size_t i = 0; i < init.numel(); ++i)
+    init[i] = 0.03f * (static_cast<float>(i % 17) - 8.0f);
+  for (std::size_t kk = 1; kk < k; kk += 4)
+    for (std::size_t j = 0; j < n; ++j) init.at(kk, j) = 0.0f;
+  RcsConfig cfg;
+  cfg.tile_rows = 16;
+  cfg.tile_cols = 16;
+  cfg.levels = 64;
+  cfg.write_noise_sigma = 0.0;
+  cfg.inject_fabrication = false;
+  CrossbarWeightStore store(cfg, init, Rng(16));
+  const Tensor w = store.effective();
+  for (std::size_t kk = 1; kk < k; kk += 4)
+    for (std::size_t j = 0; j < n; ++j) ASSERT_EQ(w.at(kk, j), 0.0f);
+
+  Rng rng(17);
+  Tensor x = Tensor::randn({11, k}, rng);
+  for (std::size_t i = 0; i < x.dim(0); ++i)
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      if (kk % 4 == 0) x.at(i, kk) = (i + kk) % 2 == 0 ? 0.0f : -0.0f;
+      if (kk % 4 == 1) x.at(i, kk) = -0.5f - std::fabs(x.at(i, kk));
+    }
+  const Tensor ref = naive_matmul(x, w);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::set_global_threads(threads);
+    const Tensor fused = store.forward_matmul(x);
+    EXPECT_TRUE(same_bits(fused, matmul(x, store.effective())))
+        << "threads=" << threads;
+    EXPECT_TRUE(same_bits(fused, ref)) << "threads=" << threads;
+  }
+}
+
+// ---- im2col / col2im vs the per-tap loops -----------------------------------
+
+// Serial copies of the pre-rewrite loop nests, which tested bounds per
+// kernel tap. The row-copy kernels must reproduce them bit for bit; for
+// col2im that pins the order in which overlapping windows accumulate.
+
+Tensor naive_im2col(const Tensor& input, const ConvGeometry& g) {
+  const std::size_t batch = input.dim(0);
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  const std::size_t plen = g.patch_len();
+  Tensor cols({batch * oh * ow, plen});
+  float* cp = cols.data();
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t y = 0; y < oh; ++y) {
+      for (std::size_t x = 0; x < ow; ++x) {
+        float* dst = cp + ((n * oh + y) * ow + x) * plen;
+        std::size_t idx = 0;
+        for (std::size_t c = 0; c < g.in_channels; ++c) {
+          for (std::size_t kh = 0; kh < g.kernel; ++kh) {
+            const std::ptrdiff_t in_y =
+                static_cast<std::ptrdiff_t>(y * g.stride + kh) -
+                static_cast<std::ptrdiff_t>(g.pad);
+            for (std::size_t kw = 0; kw < g.kernel; ++kw, ++idx) {
+              const std::ptrdiff_t in_x =
+                  static_cast<std::ptrdiff_t>(x * g.stride + kw) -
+                  static_cast<std::ptrdiff_t>(g.pad);
+              if (in_y < 0 || in_x < 0 ||
+                  in_y >= static_cast<std::ptrdiff_t>(g.in_h) ||
+                  in_x >= static_cast<std::ptrdiff_t>(g.in_w)) {
+                dst[idx] = 0.0f;
+              } else {
+                dst[idx] = input.at4(n, c, static_cast<std::size_t>(in_y),
+                                     static_cast<std::size_t>(in_x));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return cols;
+}
+
+Tensor naive_col2im(const Tensor& cols, std::size_t batch,
+                    const ConvGeometry& g) {
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  const std::size_t plen = g.patch_len();
+  Tensor input({batch, g.in_channels, g.in_h, g.in_w});
+  const float* cp = cols.data();
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t y = 0; y < oh; ++y) {
+      for (std::size_t x = 0; x < ow; ++x) {
+        const float* src = cp + ((n * oh + y) * ow + x) * plen;
+        std::size_t idx = 0;
+        for (std::size_t c = 0; c < g.in_channels; ++c) {
+          for (std::size_t kh = 0; kh < g.kernel; ++kh) {
+            const std::ptrdiff_t in_y =
+                static_cast<std::ptrdiff_t>(y * g.stride + kh) -
+                static_cast<std::ptrdiff_t>(g.pad);
+            for (std::size_t kw = 0; kw < g.kernel; ++kw, ++idx) {
+              const std::ptrdiff_t in_x =
+                  static_cast<std::ptrdiff_t>(x * g.stride + kw) -
+                  static_cast<std::ptrdiff_t>(g.pad);
+              if (in_y >= 0 && in_x >= 0 &&
+                  in_y < static_cast<std::ptrdiff_t>(g.in_h) &&
+                  in_x < static_cast<std::ptrdiff_t>(g.in_w)) {
+                input.at4(n, c, static_cast<std::size_t>(in_y),
+                          static_cast<std::size_t>(in_x)) += src[idx];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return input;
+}
+
+TEST(Im2col, RowCopyBitIdenticalToNaive) {
+  PoolGuard pool_guard;
+  Rng rng(18);
+  for (std::size_t kernel : {1, 3, 5}) {
+    for (std::size_t stride : {1, 2}) {
+      for (std::size_t pad : {0, 1, 2}) {
+        for (std::size_t batch : {1, 8}) {
+          ConvGeometry g;
+          g.in_channels = 3;
+          g.in_h = 7;  // non-square
+          g.in_w = 10;
+          g.kernel = kernel;
+          g.stride = stride;
+          g.pad = pad;
+          const Tensor img = Tensor::randn({batch, 3, 7, 10}, rng);
+          const Tensor cols = Tensor::randn(
+              {batch * g.out_h() * g.out_w(), g.patch_len()}, rng);
+          const Tensor ref = naive_im2col(img, g);
+          const Tensor ref_back = naive_col2im(cols, batch, g);
+          for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            ThreadPool::set_global_threads(threads);
+            EXPECT_TRUE(same_bits(im2col(img, g), ref))
+                << "k" << kernel << " s" << stride << " p" << pad << " b"
+                << batch << " @" << threads;
+            EXPECT_TRUE(same_bits(col2im(cols, batch, g), ref_back))
+                << "col2im k" << kernel << " s" << stride << " p" << pad
+                << " b" << batch << " @" << threads;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
