@@ -568,10 +568,11 @@ int main(int argc, char** argv) {
   std::ofstream os(path);
   os << "{\n  \"bench\": \"backend\",\n";
   os << "  \"provenance\": {\n";
-  // refit-det deliberate (baselined): hardware_threads and scaling_valid
-  // are provenance — they describe the host the numbers were measured on
-  // and are excluded from the deterministic comparison surface (check.sh
-  // compares gemm_output_hash and result rows, never provenance).
+  // hardware_threads and scaling_valid depend on the thread count on
+  // purpose: they are provenance — they describe the host the numbers were
+  // measured on and are excluded from the deterministic comparison surface
+  // (check.sh compares gemm_output_hash and result rows, never provenance).
+  // refit-check: allow(threadcount-value-dependence)
   os << "    \"hardware_threads\": " << hw_threads << ",\n";
   os << "    \"cpu_model\": \"" << json_escape(cpu_model()) << "\",\n";
   os << "    \"compiler\": \"" << json_escape(__VERSION__) << "\",\n";
@@ -585,6 +586,7 @@ int main(int argc, char** argv) {
 #endif
   os << "    \"gemm_isa\": \"" << refit::gemm::kernel_isa() << "\",\n";
   os << "    \"measured_peak_gflops\": " << peak_gflops << "\n  },\n";
+  // refit-check: allow(threadcount-value-dependence) — provenance, above
   os << "  \"scaling_valid\": " << (scaling_valid ? "true" : "false")
      << ",\n";
   os << "  \"gemm_output_hash\": \"" << std::hex << gemm_hash << std::dec

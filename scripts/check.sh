@@ -2,10 +2,9 @@
 # Local verification, mirroring .github/workflows/ci.yml:
 #
 #   tier1       RelWithDebInfo build (-DREFIT_WERROR=ON) + full ctest suite
-#   lint        refit-lint static analysis over src/tests/bench/examples/tools
-#   audit       refit-audit cross-TU analysis diffed against its baseline
-#   flow        refit-flow CFG/dataflow analysis diffed against its baseline
-#   det         refit-det whole-program determinism analysis vs its baseline
+#               (the build includes the header self-sufficiency stubs)
+#   check       refit-check static analysis (lint, audit, flow and det rule
+#               families) over src/tests/bench/examples/tools
 #   det-smoke   dynamic determinism check: the backend GEMM hash and the
 #               soft-fault result rows must be byte-identical at
 #               REFIT_THREADS=1 and REFIT_THREADS=4
@@ -46,52 +45,23 @@ if cmake -B build -S . -DREFIT_WERROR=ON &&
 fi
 record tier1 $tier1_rc
 
-banner "lint: refit-lint static analysis"
-lint_rc=1
-if [[ $tier1_rc -ne 0 && ! -x build/tools/refit_lint ]]; then
-  # The tier-1 build failed before producing the linter; try to build just it.
-  cmake --build build -j --target refit_lint || true
+banner "check: refit-check static analysis"
+check_rc=1
+if [[ ! -x build/tools/refit_check ]]; then
+  # The tier-1 build failed before producing the analyzer; try to build
+  # just it.
+  cmake --build build -j --target refit_check || true
 fi
-if ./build/tools/refit_lint src tests bench examples tools; then
-  lint_rc=0
+if ./build/tools/refit_check; then
+  check_rc=0
 fi
-record lint $lint_rc
-
-banner "audit: refit-audit cross-TU analysis vs baseline"
-audit_rc=1
-if [[ ! -x build/tools/refit_audit ]]; then
-  cmake --build build -j --target refit_audit || true
-fi
-if ./build/tools/refit_audit --baseline tools/refit_audit/baseline.txt \
-     --compile-commands build/compile_commands.json; then
-  audit_rc=0
-fi
-record audit $audit_rc
-
-banner "flow: refit-flow CFG/dataflow analysis vs baseline"
-flow_rc=1
-if [[ ! -x build/tools/refit_flow ]]; then
-  cmake --build build -j --target refit_flow || true
-fi
-if ./build/tools/refit_flow --baseline tools/refit_flow/baseline.txt; then
-  flow_rc=0
-fi
-record flow $flow_rc
-
-banner "det: refit-det whole-program determinism analysis vs baseline"
-det_rc=1
-if [[ ! -x build/tools/refit_det ]]; then
-  cmake --build build -j --target refit_det || true
-fi
-if ./build/tools/refit_det --baseline tools/refit_det/baseline.txt; then
-  det_rc=0
-fi
-record det $det_rc
+record check $check_rc
 
 banner "det-smoke: artifacts byte-identical at REFIT_THREADS=1 vs 4"
-# The dynamic half of the determinism contract refit-det checks statically:
-# the deterministic artifact fields (backend gemm_output_hash, device
-# result rows) must not change with the worker-thread count. Provenance
+# The dynamic half of the determinism contract refit-check's det rules
+# check statically: the deterministic artifact fields (backend
+# gemm_output_hash, device result rows) must not change with the
+# worker-thread count. Provenance
 # fields (hardware_threads, scaling_valid, timings) are excluded — those
 # describe the host and the run, not the computation.
 detsmoke_rc=0

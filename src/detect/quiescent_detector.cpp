@@ -224,7 +224,7 @@ DetectionOutcome QuiescentVoltageDetector::detect(Crossbar& xbar) const {
         const double g0 = static_cast<double>(l0) * gap;
         // The scrub pulse is the detector's own confirmation primitive
         // (crossbar.hpp strong_write contract).
-        // refit-lint: allow(device-encoding)
+        // refit-check: allow(device-encoding)
         xbar.strong_write(r, c, g0 + dir * gap);
         ++out.device_writes;
         const int l1 = xbar.read_level(r, c);

@@ -3,7 +3,7 @@
 // tests can inject a deterministic clock and get byte-stable traces.
 //
 // SteadyClock (the default) reads std::chrono::steady_clock — the only
-// permitted user of it inside src/ (machine-checked by refit-lint's
+// permitted user of it inside src/ (machine-checked by refit-check's
 // `obs-timing` rule). ManualClock advances a fixed step per call *per
 // calling thread*, so a thread's timestamp sequence does not depend on
 // how many pool workers happen to read the clock concurrently — that

@@ -48,7 +48,7 @@ TEST(Backend, ParallelForHandlesSmallAndEmptyRanges) {
   ThreadPool pool(8);
   int calls = 0;
   // n == 0: the body never runs, so the shared increment is unreachable.
-  // refit-audit: allow(pool-capture) refit-flow: allow(parallel-shared-write)
+  // refit-check: allow(parallel-shared-write)
   pool.parallel_for(0, [&](std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   std::vector<std::atomic<int>> hits(3);  // fewer items than lanes
@@ -68,7 +68,7 @@ TEST(Backend, ParallelForPropagatesExceptions) {
   // Pool survives a throwing job.
   std::atomic<int> n{0};
   pool.parallel_for(10, [&](std::size_t b, std::size_t e) {
-    n += static_cast<int>(e - b);  // refit-audit: allow(pool-capture) — atomic
+    n += static_cast<int>(e - b);
   });
   EXPECT_EQ(n.load(), 10);
 }

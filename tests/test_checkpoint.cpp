@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "common/serialize.hpp"
 #include "nn/models.hpp"
 #include "nn/network_io.hpp"
 #include "rcs/crossbar_store.hpp"
@@ -68,6 +69,32 @@ TEST(CrossbarCheckpoint, ResumedWritesMatchOriginal) {
     EXPECT_DOUBLE_EQ(a.conductance(1, 1), b.conductance(1, 1));
   }
   EXPECT_EQ(a.fault_count(), b.fault_count());
+}
+
+TEST(Serialize, RoundtripsVectorsAcrossChunkBoundaries) {
+  std::vector<float> big(3 * (1u << 18) + 7);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<float>(i);
+  std::stringstream ss;
+  ser::write_vec(ss, big);
+  ser::write_vec(ss, std::vector<double>{});
+  EXPECT_EQ(ser::read_vec<float>(ss), big);
+  EXPECT_TRUE(ser::read_vec<double>(ss).empty());
+}
+
+TEST(Serialize, HugeLengthPrefixFailsCleanly) {
+  // A corrupt 2^60 count followed by 8 payload bytes must fail with the
+  // usual check error, never bad_alloc: as floats the count is
+  // representable but runs out of bytes; as uint64 its byte size overflows.
+  const auto corrupt = [] {
+    std::stringstream ss;
+    ser::write_pod<std::uint64_t>(ss, std::uint64_t{1} << 60);
+    ser::write_pod<std::uint64_t>(ss, 42);
+    return ss;
+  };
+  auto as_float = corrupt();
+  EXPECT_THROW((void)ser::read_vec<float>(as_float), CheckError);
+  auto as_u64 = corrupt();
+  EXPECT_THROW((void)ser::read_vec<std::uint64_t>(as_u64), CheckError);
 }
 
 TEST(CrossbarCheckpoint, CorruptTagThrows) {

@@ -10,8 +10,6 @@
 
 namespace refit::cfg {
 
-namespace {
-
 using refit::lint::match_brace;
 using refit::lint::match_paren;
 using refit::lint::Token;
@@ -23,6 +21,41 @@ bool is_punct(const Token& t, const char* s) {
 bool is_ident(const Token& t, const char* s) {
   return t.kind == TokKind::kIdent && t.text == s;
 }
+
+bool is_assign_op(const Token& t) {
+  if (t.kind != TokKind::kPunct) return false;
+  static const std::set<std::string> kOps = {"=",  "+=",  "-=",  "*=",
+                                             "/=", "%=",  "&=",  "|=",
+                                             "^=", "<<=", ">>="};
+  return kOps.count(t.text) > 0;
+}
+
+bool is_decl_name_at(const std::vector<Token>& toks, const Stmt& st,
+                     std::size_t i) {
+  if (toks[i].kind != TokKind::kIdent || i == st.first) return false;
+  static const std::set<std::string> kFollow = {"=", "{", "(", ";",
+                                                ",", "[", ":", ")"};
+  if (i + 1 < st.last && (toks[i + 1].kind != TokKind::kPunct ||
+                          !kFollow.count(toks[i + 1].text)))
+    return false;
+  static const std::set<std::string> kBlockers = {
+      "return", "delete", "throw", "new", "case", "goto", "co_return"};
+  static const std::set<std::string> kTypePunct = {"::", "<", ">", ">>",
+                                                   "*",  "&", "&&"};
+  for (std::size_t j = i; j-- > st.first;) {
+    const Token& t = toks[j];
+    if (t.kind == TokKind::kIdent) {
+      if (kBlockers.count(t.text)) return false;
+      continue;
+    }
+    if (t.kind == TokKind::kNumber) continue;  // array/template extents
+    if (t.kind == TokKind::kPunct && kTypePunct.count(t.text)) continue;
+    return false;
+  }
+  return true;
+}
+
+namespace {
 
 /// Identifiers that can directly precede a '(' without being a callee or a
 /// function name (control flow, operators, specifiers).
@@ -614,20 +647,31 @@ FileCfg build_file_cfg(const std::string& path, const std::string& content) {
     BodyParser parser(file.lex.tokens, fn);
     parser.run();
   }
+  // Bodies nest, so painting them outermost-first (by opening token)
+  // leaves each token owned by its innermost function.
+  std::vector<int> order(file.functions.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return file.functions[a].body_begin < file.functions[b].body_begin;
+  });
+  file.innermost.assign(file.lex.tokens.size(), -1);
+  for (const int i : order) {
+    const FunctionCfg& fn = file.functions[i];
+    for (std::size_t t = fn.body_begin;
+         t < fn.body_end && t < file.innermost.size(); ++t)
+      file.innermost[t] = i;
+  }
   return file;
 }
 
 bool in_nested_body(const FileCfg& file, int fn_index,
                     std::size_t token_index) {
+  if (token_index >= file.innermost.size()) return false;
+  const int inner = file.innermost[token_index];
+  if (inner < 0 || inner == fn_index) return false;
   const FunctionCfg& fn = file.functions[fn_index];
-  for (std::size_t j = 0; j < file.functions.size(); ++j) {
-    if (static_cast<int>(j) == fn_index) continue;
-    const FunctionCfg& g = file.functions[j];
-    if (g.body_begin > fn.body_begin && g.body_end <= fn.body_end &&
-        token_index >= g.body_begin && token_index < g.body_end)
-      return true;
-  }
-  return false;
+  const FunctionCfg& g = file.functions[inner];
+  return g.body_begin > fn.body_begin && g.body_end <= fn.body_end;
 }
 
 void dump_cfg(std::ostream& os, const FileCfg& file) {

@@ -1,6 +1,7 @@
-// Shared intraprocedural control-flow graphs over the analyzer lexer
-// (tools/common/lexer.hpp), consumed by refit-flow's per-function dataflow
-// rules and refit-det's whole-program determinism taint analysis.
+// Intraprocedural control-flow graphs over the analyzer lexer
+// (tools/common/lexer.hpp). refit-check builds each file's CFGs once and
+// hands them to both its per-function dataflow rules (flow_rules.cpp) and
+// its whole-program determinism taint rules (det_rules.cpp).
 //
 // build_file_cfg() lexes one translation unit, finds every function body
 // (free functions, member functions, TEST bodies — anything of the shape
@@ -22,7 +23,7 @@
 //     parallel_callee — the hook the static race rule keys on.
 //
 // Statements are token ranges into the file-wide token vector, so analyses
-// (refit-flow's flow.hpp, refit-det's det.hpp) can re-inspect any
+// (refit-check's flow and det rules) can re-inspect any
 // statement's tokens without re-lexing. The graph is deliberately
 // syntax-directed and unresolved (no symbol table): good enough for the
 // dataflow rules, cheap enough to run on every commit.
@@ -80,6 +81,9 @@ struct FileCfg {
   std::string path;
   refit::lint::LexResult lex;
   std::vector<FunctionCfg> functions;
+  /// Per token: index of the innermost function whose body holds it, or
+  /// -1 (the index behind in_nested_body's constant-time answer).
+  std::vector<int> innermost;
 };
 
 /// Lex + CFG-build one file. Never fails: constructs the parser cannot
@@ -91,6 +95,20 @@ struct FileCfg {
 /// format under testdata/cfg/ (one `function`/`block`/`succ` section per
 /// entity, token texts elided down to per-statement line + first tokens).
 void dump_cfg(std::ostream& os, const FileCfg& file);
+
+// Token predicates the rules share.
+[[nodiscard]] bool is_punct(const refit::lint::Token& t, const char* s);
+[[nodiscard]] bool is_ident(const refit::lint::Token& t, const char* s);
+/// `=` or a compound assignment (`+=`, `<<=`, …).
+[[nodiscard]] bool is_assign_op(const refit::lint::Token& t);
+
+/// Heuristic: is toks[i] the *declared name* of a declaration inside `st`?
+/// True when the token is followed by an initializer/terminator and every
+/// token between the statement start and the name is type-shaped (no
+/// operators, no assignment — that is what separates `int* p = q` from
+/// `x = a * b`).
+[[nodiscard]] bool is_decl_name_at(const std::vector<refit::lint::Token>& toks,
+                                   const Stmt& st, std::size_t i);
 
 /// True if the token range [first, last) of `stmts` overlaps the body of a
 /// *nested* function of `fn` (analyses use this to skip lambda bodies when

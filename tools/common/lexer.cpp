@@ -1,5 +1,4 @@
-// Token scanner + suppression parser shared by refit-lint and refit-audit
-// (see lexer.hpp).
+// Token scanner + suppression parser behind refit-check (see lexer.hpp).
 #include "common/lexer.hpp"
 
 #include <cctype>
@@ -192,8 +191,8 @@ bool Suppressions::allows(const std::string& rule, int line) const {
   return false;
 }
 
-Suppressions parse_suppressions(const std::vector<Comment>& comments,
-                                const std::string& tag) {
+Suppressions parse_suppressions(const std::vector<Comment>& comments) {
+  const std::string tag = kSuppressionTag;
   Suppressions sup;
   for (const Comment& cm : comments) {
     const std::size_t pos0 = cm.text.find(tag);

@@ -1,13 +1,12 @@
-// Shared C++ token scanner behind the project's static-analysis tools
-// (refit-lint's per-file rules, refit-audit's cross-TU passes, and
-// refit-flow's CFG/dataflow analysis).
+// C++ token scanner behind refit-check, the project's static analyzer
+// (tools/refit_check): its per-file token rules, its cross-file passes,
+// and the CFG builder its dataflow and determinism rules share.
 //
 // This is deliberately not a parser: it lexes well enough to separate
 // code from comments, strings and preprocessor lines, which is all the
-// pattern-matching and flow rules need. All tools also share the
-// in-source suppression syntax (`// <tag> allow(rule[, rule…])`),
-// parameterised by tag so `refit-lint:`, `refit-audit:` and `refit-flow:`
-// suppressions stay independent.
+// pattern-matching and flow rules need. The in-source suppression syntax
+// (`// refit-check: allow(rule[, rule…])`) is parsed here too, so every
+// rule family honours the same tag.
 #pragma once
 
 #include <map>
@@ -56,7 +55,10 @@ struct LexResult {
 [[nodiscard]] std::size_t match_brace(const std::vector<Token>& toks,
                                       std::size_t open);
 
-/// In-source rule suppressions, shared by both tools.
+/// The comment tag that introduces an in-source suppression.
+inline constexpr const char* kSuppressionTag = "refit-check:";
+
+/// In-source rule suppressions of one file.
 struct Suppressions {
   /// line → rules allowed on that line (and the line after it).
   std::map<int, std::set<std::string>> by_line;
@@ -66,10 +68,10 @@ struct Suppressions {
   [[nodiscard]] bool allows(const std::string& rule, int line) const;
 };
 
-/// Parses `<tag> allow(a, b)` / `<tag> allow-file(a)` out of comment text;
-/// `tag` is e.g. "refit-lint:" or "refit-audit:". allow-file only takes
-/// effect within the first 10 lines of the file.
+/// Parses `refit-check: allow(a, b)` / `refit-check: allow-file(a)` out of
+/// comment text (any other tag is ignored). allow-file only takes effect
+/// within the first 10 lines of the file.
 [[nodiscard]] Suppressions parse_suppressions(
-    const std::vector<Comment>& comments, const std::string& tag);
+    const std::vector<Comment>& comments);
 
 }  // namespace refit::lint

@@ -1,8 +1,8 @@
 // Unit tests for the shared CFG builder (common/cfg.hpp), exercised
-// directly rather than through refit-flow's golden dumps: block/edge
+// directly rather than through refit-check's golden dumps: block/edge
 // structure for the loop and switch shapes, lambda extraction and
 // parallel-callee association, and the statement token ranges the
-// downstream analyses walk. refit-flow's testdata/cfg/ goldens pin the
+// downstream analyses walk. refit_check/testdata/cfg/ goldens pin the
 // exact dump format; these tests pin the graph semantics.
 #include <algorithm>
 #include <set>

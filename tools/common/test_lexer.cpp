@@ -1,7 +1,7 @@
 // Unit tests for the shared analyzer lexer (tools/common/lexer.{hpp,cpp}):
 // token round-trips on the nastiest constructs the analyzers meet in the
 // tree — raw strings, template argument lists, ctor-init lists — plus the
-// bracket matchers and the shared suppression parser.
+// bracket matchers and the suppression parser.
 #include <string>
 #include <vector>
 
@@ -137,28 +137,27 @@ TEST(Lexer, UnterminatedConstructsDegradeGracefully) {
 }
 
 TEST(Lexer, SuppressionsPerTagAreIndependent) {
+  // Only the refit-check tag suppresses; other tools' comment tags never
+  // do.
   const std::vector<Comment> comments = {
-      {"// refit-lint: allow(randomness)", 5},
-      {"// refit-flow: allow(use-after-move, parallel-shared-write)", 9},
+      {"// other-tool: allow(randomness)", 5},
+      {"// refit-check: allow(use-after-move, parallel-shared-write)", 9},
   };
-  const Suppressions lint_sup = parse_suppressions(comments, "refit-lint:");
-  EXPECT_TRUE(lint_sup.allows("randomness", 5));
-  EXPECT_FALSE(lint_sup.allows("use-after-move", 9));
-
-  const Suppressions flow_sup = parse_suppressions(comments, "refit-flow:");
-  EXPECT_TRUE(flow_sup.allows("use-after-move", 9));
-  EXPECT_TRUE(flow_sup.allows("parallel-shared-write", 9));
+  const Suppressions sup = parse_suppressions(comments);
+  EXPECT_FALSE(sup.allows("randomness", 5));
+  EXPECT_TRUE(sup.allows("use-after-move", 9));
+  EXPECT_TRUE(sup.allows("parallel-shared-write", 9));
   // A suppression covers its own line and the next one only.
-  EXPECT_TRUE(flow_sup.allows("use-after-move", 10));
-  EXPECT_FALSE(flow_sup.allows("use-after-move", 11));
-  EXPECT_FALSE(flow_sup.allows("randomness", 5));
+  EXPECT_TRUE(sup.allows("use-after-move", 10));
+  EXPECT_FALSE(sup.allows("use-after-move", 11));
+  EXPECT_FALSE(sup.allows("randomness", 9));
 }
 
 TEST(Lexer, FileWideSuppressionOnlyInHeader) {
-  const std::vector<Comment> early = {{"// refit-flow: allow-file(x)", 3}};
-  EXPECT_TRUE(parse_suppressions(early, "refit-flow:").allows("x", 999));
-  const std::vector<Comment> late = {{"// refit-flow: allow-file(x)", 42}};
-  EXPECT_FALSE(parse_suppressions(late, "refit-flow:").allows("x", 999));
+  const std::vector<Comment> early = {{"// refit-check: allow-file(x)", 3}};
+  EXPECT_TRUE(parse_suppressions(early).allows("x", 999));
+  const std::vector<Comment> late = {{"// refit-check: allow-file(x)", 42}};
+  EXPECT_FALSE(parse_suppressions(late).allows("x", 999));
 }
 
 }  // namespace
