@@ -43,7 +43,7 @@ int main() {
       cfg.remap_enabled = true;
       cfg.remap.algorithm = RemapAlgorithm::kHungarian;
     }
-    const TrainingResult r = run_training(net, &sys, data, cfg, 3);
+    const TrainingResult r = FtEngine(cfg).run(net, &sys, data, Rng(3));
     std::size_t cycles = 0;
     std::uint64_t writes = 0;
     for (const auto& ph : r.phases) {

@@ -48,7 +48,7 @@ Outcome run_one(const Dataset& data, const VggMiniConfig& vc,
   RcsSystem sys(rc, Rng(42 + seed));
   Network net = make_vgg_mini(vc, software_store_factory(), sys.factory(),
                               rng);
-  const TrainingResult r = run_training(net, &sys, data, cfg, 3 + seed);
+  const TrainingResult r = FtEngine(cfg).run(net, &sys, data, Rng(3 + seed));
   Outcome o;
   o.peak = r.peak_accuracy;
   for (const auto& ph : r.phases) {

@@ -36,7 +36,7 @@ int main() {
     cfg.batch_size = 8;
     cfg.threshold_training = true;
     cfg.threshold.wear_leveling_beta = beta;
-    const TrainingResult r = run_training(net, &sys, data, cfg, 3);
+    const TrainingResult r = FtEngine(cfg).run(net, &sys, data, Rng(3));
     out.row({beta, r.peak_accuracy, r.final_accuracy,
              static_cast<double>(r.wearout_faults),
              static_cast<double>(r.updates_written)});

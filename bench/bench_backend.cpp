@@ -47,6 +47,7 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "obs/capture.hpp"
 #include "obs/clock.hpp"
 #include "rcs/crossbar_store.hpp"
 #include "tensor/gemm.hpp"
@@ -321,7 +322,7 @@ std::unique_ptr<CrossbarWeightStore> make_store(std::size_t n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const refit::bench::ObsOptions obs_opts = refit::bench::init_obs(argc, argv);
+  const refit::obs::ObsOptions obs_opts = refit::obs::init_obs(argc, argv);
   const bool fast = std::getenv("REFIT_FAST") != nullptr &&
                     std::string(std::getenv("REFIT_FAST")) == "1";
   const int reps = fast ? 2 : 5;
@@ -618,6 +619,6 @@ int main(int argc, char** argv) {
   }
   os << "  ]\n}\n";
   std::cout << "wrote " << path << " (sink=" << sink << ")\n";
-  refit::bench::write_obs(obs_opts);
+  refit::obs::write_obs(obs_opts);
   return 0;
 }

@@ -6,12 +6,6 @@
 #include <fstream>
 #include <thread>
 
-#include "obs/clock.hpp"
-#include "obs/events.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
-
 namespace refit::bench {
 
 bool fast_mode() {
@@ -75,25 +69,19 @@ FtFlowConfig mlp_flow(std::size_t iterations) {
   return cfg;
 }
 
-TrainingResult run_training(Network& net, RcsSystem* rcs, const Dataset& data,
-                            const FtFlowConfig& cfg, std::uint64_t seed) {
-  FtTrainer trainer(cfg);
-  return trainer.train(net, rcs, data, Rng(seed));
-}
-
 TrainingResult ScenarioBuilder::run(FtBaseline baseline) const {
-  const FtFlowConfig cfg = FtTrainer::baseline_config(baseline, flow_);
+  const FtFlowConfig cfg = baseline_config(baseline, flow_);
   Rng net_rng(2);
   if (baseline == FtBaseline::kIdeal) {
     Network net = make_vgg_mini(model_, software_store_factory(),
                                 software_store_factory(), net_rng);
-    return run_training(net, nullptr, *data_, cfg, 3);
+    return FtEngine(cfg).run(net, nullptr, *data_, Rng(3));
   }
   RcsSystem sys(rcs_, Rng(42));
   const StoreFactory conv =
       fc_only_ ? software_store_factory() : sys.factory();
   Network net = make_vgg_mini(model_, conv, sys.factory(), net_rng);
-  return run_training(net, &sys, *data_, cfg, 3);
+  return FtEngine(cfg).run(net, &sys, *data_, Rng(3));
 }
 
 double accuracy_at(const TrainingResult& r, std::size_t iteration) {
@@ -103,56 +91,6 @@ double accuracy_at(const TrainingResult& r, std::size_t iteration) {
     if (r.eval_iterations[i] <= iteration) acc = r.eval_accuracy[i];
   }
   return acc;
-}
-
-ObsOptions init_obs(int argc, char** argv) {
-  ObsOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trace-out=", 0) == 0) {
-      opts.trace_out = arg.substr(12);
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      opts.metrics_out = arg.substr(14);
-    } else if (arg.rfind("--timeseries-out=", 0) == 0) {
-      opts.timeseries_out = arg.substr(17);
-    } else if (arg.rfind("--events-out=", 0) == 0) {
-      opts.events_out = arg.substr(13);
-    } else if (arg == "--manual-clock") {
-      opts.manual_clock = true;
-    }
-  }
-  if (opts.trace_out.empty()) {
-    if (const char* env = std::getenv("REFIT_TRACE_OUT")) opts.trace_out = env;
-  }
-  if (opts.metrics_out.empty()) {
-    if (const char* env = std::getenv("REFIT_METRICS_OUT"))
-      opts.metrics_out = env;
-  }
-  if (opts.timeseries_out.empty()) {
-    if (const char* env = std::getenv("REFIT_TIMESERIES_OUT"))
-      opts.timeseries_out = env;
-  }
-  if (opts.events_out.empty()) {
-    if (const char* env = std::getenv("REFIT_EVENTS_OUT"))
-      opts.events_out = env;
-  }
-  if (!opts.manual_clock) {
-    const char* env = std::getenv("REFIT_MANUAL_CLOCK");
-    opts.manual_clock = env != nullptr && env[0] == '1';
-  }
-  if (opts.manual_clock) {
-    // Leaked like the rest of the obs state: instrumented threads may
-    // still read the clock during process teardown.
-    static obs::ManualClock* manual = new obs::ManualClock();
-    obs::set_clock(manual);
-  }
-  if (opts.enabled()) obs::MetricsRegistry::instance().set_enabled(true);
-  if (!opts.trace_out.empty()) obs::Tracer::global().set_enabled(true);
-  if (!opts.timeseries_out.empty()) {
-    obs::TimeseriesRecorder::global().set_enabled(true);
-  }
-  if (!opts.events_out.empty()) obs::EventLog::global().set_enabled(true);
-  return opts;
 }
 
 BenchProvenance collect_provenance() {
@@ -209,31 +147,6 @@ void write_provenance_header(std::ostream& os, const std::string& bench_name,
 std::string bench_out_path(const std::string& default_path) {
   const char* env = std::getenv("REFIT_BENCH_OUT");
   return env != nullptr ? std::string(env) : default_path;
-}
-
-void write_obs(const ObsOptions& opts) {
-  if (!opts.metrics_out.empty()) {
-    std::ofstream os(opts.metrics_out);
-    if (opts.metrics_out.size() >= 4 &&
-        opts.metrics_out.compare(opts.metrics_out.size() - 4, 4, ".csv") ==
-            0) {
-      obs::MetricsRegistry::instance().write_csv(os);
-    } else {
-      obs::MetricsRegistry::instance().write_json(os);
-    }
-  }
-  if (!opts.trace_out.empty()) {
-    std::ofstream os(opts.trace_out);
-    obs::Tracer::global().write_chrome_json(os);
-  }
-  if (!opts.timeseries_out.empty()) {
-    std::ofstream os(opts.timeseries_out);
-    obs::TimeseriesRecorder::global().write_jsonl(os);
-  }
-  if (!opts.events_out.empty()) {
-    std::ofstream os(opts.events_out);
-    obs::EventLog::global().write_jsonl(os);
-  }
 }
 
 }  // namespace refit::bench

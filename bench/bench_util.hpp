@@ -12,7 +12,7 @@
 
 #include "common/csv.hpp"
 #include "common/rng.hpp"
-#include "core/ft_trainer.hpp"
+#include "core/engine.hpp"
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
 #include "rcs/rcs_system.hpp"
@@ -45,18 +45,13 @@ FtFlowConfig cnn_flow(std::size_t iterations);
 /// Baseline training schedule for MLP experiments.
 FtFlowConfig mlp_flow(std::size_t iterations);
 
-/// Run one training configuration and return the result. `rcs` may be
-/// null for the software-ideal baseline.
-TrainingResult run_training(Network& net, RcsSystem* rcs, const Dataset& data,
-                            const FtFlowConfig& cfg, std::uint64_t seed);
-
 /// Runs the paper's four baseline configurations (Fig. 7 curves) with the
 /// benches' fixed seeds: network init Rng(2), RcsSystem Rng(42), training
 /// seed 3. Each run() builds a fresh network — and a fresh RcsSystem for
 /// the on-RCS baselines — so successive curves are independent and
 /// deterministic. The flow config passed at construction supplies the
-/// schedule (iterations / lr / eval cadence); FtTrainer::baseline_config
-/// derives the per-curve feature toggles from it.
+/// schedule (iterations / lr / eval cadence); baseline_config (core/
+/// engine.hpp) derives the per-curve feature toggles from it.
 class ScenarioBuilder {
  public:
   ScenarioBuilder(const Dataset& data, VggMiniConfig model, FtFlowConfig flow)
@@ -89,33 +84,6 @@ class ScenarioBuilder {
 /// Interpolate a training curve onto fixed iteration grid points so that
 /// several runs can be printed side by side.
 double accuracy_at(const TrainingResult& r, std::size_t iteration);
-
-/// Observability wiring for benches (docs/observability.md).
-struct ObsOptions {
-  std::string trace_out;
-  std::string metrics_out;
-  std::string timeseries_out;
-  std::string events_out;
-  /// Install a deterministic obs::ManualClock (golden/CI runs).
-  bool manual_clock = false;
-  [[nodiscard]] bool enabled() const {
-    return !trace_out.empty() || !metrics_out.empty() ||
-           !timeseries_out.empty() || !events_out.empty();
-  }
-};
-
-/// Parse --trace-out=FILE / --metrics-out=FILE / --timeseries-out=FILE /
-/// --events-out=FILE / --manual-clock from argv, falling back to the
-/// REFIT_TRACE_OUT / REFIT_METRICS_OUT / REFIT_TIMESERIES_OUT /
-/// REFIT_EVENTS_OUT / REFIT_MANUAL_CLOCK environment variables (so
-/// benches whose main() takes no arguments can still be traced), and
-/// runtime-enable the obs layer accordingly. Unrecognized arguments are
-/// left alone.
-ObsOptions init_obs(int argc, char** argv);
-
-/// Write the trace / metrics / timeseries / events files at bench end.
-/// No-op for options that were not requested.
-void write_obs(const ObsOptions& opts);
 
 /// Hardware/compiler provenance for BENCH_*.json artifacts — the same
 /// fields bench_backend stamps, so artifacts from one host are directly

@@ -31,14 +31,14 @@ int main() {
       Rng rng(2);
       RcsSystem sys(rc, Rng(42));
       Network net = make_vgg_mini(vc, sys.factory(), sys.factory(), rng);
-      entire = run_training(net, &sys, data, cfg, 3).peak_accuracy;
+      entire = FtEngine(cfg).run(net, &sys, data, Rng(3)).peak_accuracy;
     }
     {
       Rng rng(2);
       RcsSystem sys(rc, Rng(42));
       Network net = make_vgg_mini(vc, software_store_factory(),
                                   sys.factory(), rng);
-      fc_only = run_training(net, &sys, data, cfg, 3).peak_accuracy;
+      fc_only = FtEngine(cfg).run(net, &sys, data, Rng(3)).peak_accuracy;
     }
     out.row({fault, entire, fc_only});
   }

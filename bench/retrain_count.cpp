@@ -57,7 +57,7 @@ std::size_t count_retrains(double endurance_multiple, bool threshold,
       ml->weights().assign(Tensor::randn(s, wrng, stddev));
     }
     const TrainingResult r =
-        run_training(net, &sys, data, cfg, 300 + run);
+        FtEngine(cfg).run(net, &sys, data, Rng(300 + run));
     if (r.peak_accuracy < floor_acc) break;
     ++successes;
   }

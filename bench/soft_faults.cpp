@@ -26,6 +26,7 @@
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
 #include "nn/network_io.hpp"
+#include "obs/capture.hpp"
 
 using namespace refit;
 using namespace refit::bench;
@@ -55,7 +56,7 @@ double phase_mean(const TrainingResult& r, Get get) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsOptions obs = init_obs(argc, argv);
+  const obs::ObsOptions obs = obs::init_obs(argc, argv);
   const Dataset data = mnist_like();
   const BenchProvenance prov = collect_provenance();
   std::vector<std::string> json_rows;
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
 
     // One software-trained reference network, shared by every offline case.
     Network sw_net = make_net(software_store_factory());
-    run_training(sw_net, nullptr, data, cfg, 3);
+    FtEngine(cfg).run(sw_net, nullptr, data, Rng(3));
     std::stringstream weights;
     save_network_weights(sw_net, weights);
 
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
         {
           RcsSystem sys(rc, Rng(42));
           Network net = make_net(sys.factory());
-          online = run_training(net, &sys, data, cfg, 3).peak_accuracy;
+          online = FtEngine(cfg).run(net, &sys, data, Rng(3)).peak_accuracy;
         }
         out.row({enc == EncodingKind::kSingleCell ? 0.0 : 1.0, sigma, offline,
                  online});
@@ -139,7 +140,7 @@ int main(int argc, char** argv) {
       cfg.device_tick_period = 20;
       RcsSystem sys(rc, Rng(42));
       Network net = make_net(sys.factory());
-      const TrainingResult r = run_training(net, &sys, data, cfg, 3);
+      const TrainingResult r = FtEngine(cfg).run(net, &sys, data, Rng(3));
       out.row({rate, r.final_accuracy, r.peak_accuracy,
                static_cast<double>(r.device_writes)});
       std::ostringstream js;
@@ -182,7 +183,7 @@ int main(int argc, char** argv) {
         cfg.detector.classify_soft = true;
         RcsSystem sys(rc, Rng(42));
         Network net = make_net(sys.factory());
-        const TrainingResult r = run_training(net, &sys, data, cfg, 3);
+        const TrainingResult r = FtEngine(cfg).run(net, &sys, data, Rng(3));
         const double hp =
             phase_mean(r, [](const PhaseEvent& e) { return e.hard_precision; });
         const double hr =
@@ -242,6 +243,6 @@ int main(int argc, char** argv) {
     std::cerr << "wrote " << path << "\n";
   }
 
-  write_obs(obs);
+  obs::write_obs(obs);
   return 0;
 }

@@ -34,9 +34,10 @@ Row measure(const char* model, Network&& base_net, Network&& thr_net,
             RcsSystem& base_sys, RcsSystem& thr_sys, const Dataset& data,
             FtFlowConfig cfg) {
   cfg.threshold_training = false;
-  const TrainingResult base = run_training(base_net, &base_sys, data, cfg, 3);
+  const TrainingResult base =
+      FtEngine(cfg).run(base_net, &base_sys, data, Rng(3));
   cfg.threshold_training = true;
-  const TrainingResult thr = run_training(thr_net, &thr_sys, data, cfg, 3);
+  const TrainingResult thr = FtEngine(cfg).run(thr_net, &thr_sys, data, Rng(3));
 
   const double target = 0.95 * base.peak_accuracy;
   const double it_base = iters_to(base, target);

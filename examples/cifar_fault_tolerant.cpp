@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/ft_trainer.hpp"
+#include "core/engine.hpp"
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
 
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     FtFlowConfig cfg = base;
     cfg.threshold_training = false;
     original_peak =
-        FtTrainer(cfg).train(net, &rcs, data, Rng(3)).peak_accuracy;
+        FtEngine(cfg).run(net, &rcs, data, Rng(3)).peak_accuracy;
   }
 
   // The complete fault-tolerant flow.
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   cfg.prune.conv_sparsity = 0.0;
   cfg.remap_enabled = true;
   cfg.remap.algorithm = RemapAlgorithm::kHungarian;
-  const TrainingResult ft = FtTrainer(cfg).train(net, &rcs, data, Rng(3));
+  const TrainingResult ft = FtEngine(cfg).run(net, &rcs, data, Rng(3));
 
   std::printf("FC-only VGG-mini on a chip with 50%% initial hard faults\n");
   std::printf("  original on-line training peak : %.3f\n", original_peak);

@@ -17,33 +17,35 @@
 //   prune=S                [0.3]    FC pruning sparsity when detect=1
 //   seed=N                 [1]      master seed
 //
-// Observability flags (docs/observability.md; either one enables the
-// obs layer and the end-of-run per-phase timing table):
+// Numeric values must be plain non-negative numbers, and iters and batch
+// at least 1; anything else (abc, -5, 12x) exits 2 with a one-line
+// message naming the key.
+//
+// Observability flags (docs/observability.md; any output flag enables
+// the obs layer and the end-of-run per-phase timing table):
 //   --trace-out=FILE       Chrome trace-event JSON (Perfetto-loadable)
 //   --metrics-out=FILE     metrics snapshot; .csv extension → CSV, else JSON
 //   --timeseries-out=FILE  per-iteration metric samples, JSONL
 //   --events-out=FILE      structured event log, JSONL
-//   --manual-clock=1       deterministic injected clock (golden runs)
+//   --manual-clock         deterministic injected clock (golden runs)
 //
 // Example: reproduce the Fig. 7(b) setting in one line:
 //   build/examples/experiment_cli model=cnn map=fc_only faults=0.5
 //       iters=1200 detect=1
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <string>
 
-#include "core/ft_trainer.hpp"
+#include "core/engine.hpp"
 #include "core/obs_observer.hpp"
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
-#include "obs/clock.hpp"
-#include "obs/events.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
+#include "obs/capture.hpp"
 
 using namespace refit;
 
@@ -53,17 +55,14 @@ std::map<std::string, std::string> parse_args(int argc, char** argv) {
   std::map<std::string, std::string> kv;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (obs::is_obs_flag(arg)) continue;  // handled by obs::init_obs
     const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
+    if (eq == std::string::npos || arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "ignoring malformed argument '%s'\n",
                    arg.c_str());
       continue;
     }
-    // Long-option spelling: --trace-out=x is stored under key trace_out.
-    std::string key = arg.substr(0, eq);
-    if (key.rfind("--", 0) == 0) key = key.substr(2);
-    std::replace(key.begin(), key.end(), '-', '_');
-    kv[key] = arg.substr(eq + 1);
+    kv[arg.substr(0, eq)] = arg.substr(eq + 1);
   }
   return kv;
 }
@@ -74,42 +73,58 @@ std::string get(const std::map<std::string, std::string>& kv,
   return it == kv.end() ? dflt : it->second;
 }
 
+[[noreturn]] void reject(const std::string& key, const std::string& text,
+                         const char* want) {
+  std::fprintf(stderr, "experiment_cli: %s=%s is not %s\n", key.c_str(),
+               text.c_str(), want);
+  std::exit(2);
+}
+
+/// An integer argument of at least `min`; exits 2 on anything else.
+std::uint64_t get_count(const std::map<std::string, std::string>& kv,
+                        const std::string& key, const std::string& dflt,
+                        std::uint64_t min = 0) {
+  const std::string text = get(kv, key, dflt);
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < min) {
+    reject(key, text, min == 0 ? "a non-negative integer"
+                               : "a positive integer");
+  }
+  return v;
+}
+
+/// A finite non-negative real argument; exits 2 on anything else.
+double get_real(const std::map<std::string, std::string>& kv,
+                const std::string& key, const std::string& dflt) {
+  const std::string text = get(kv, key, dflt);
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < 0.0) {
+    reject(key, text, "a non-negative number");
+  }
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto kv = parse_args(argc, argv);
   const std::string model = get(kv, "model", "mlp");
   const std::string map = get(kv, "map", "entire");
-  const auto iters =
-      static_cast<std::size_t>(std::stoll(get(kv, "iters", "1000")));
-  const auto batch =
-      static_cast<std::size_t>(std::stoll(get(kv, "batch", "8")));
-  const double faults = std::stod(get(kv, "faults", "0.1"));
+  const std::size_t iters = get_count(kv, "iters", "1000", 1);
+  const std::size_t batch = get_count(kv, "batch", "8", 1);
+  const double faults = get_real(kv, "faults", "0.1");
   const std::string spatial = get(kv, "spatial", "uniform");
-  const double endurance = std::stod(get(kv, "endurance", "0"));
+  const double endurance = get_real(kv, "endurance", "0");
   const bool threshold = get(kv, "threshold", "1") == "1";
   const bool detect = get(kv, "detect", "0") == "1";
-  const auto period = static_cast<std::size_t>(
-      std::stoll(get(kv, "period", std::to_string(iters / 5))));
-  const double prune = std::stod(get(kv, "prune", "0.3"));
-  const auto seed =
-      static_cast<std::uint64_t>(std::stoll(get(kv, "seed", "1")));
-  const std::string trace_out = get(kv, "trace_out", "");
-  const std::string metrics_out = get(kv, "metrics_out", "");
-  const std::string timeseries_out = get(kv, "timeseries_out", "");
-  const std::string events_out = get(kv, "events_out", "");
-  if (get(kv, "manual_clock", "") == "1") {
-    // Leaked so instrumented threads may still read it during teardown.
-    obs::set_clock(new obs::ManualClock());
-  }
-  const bool obs_on = !trace_out.empty() || !metrics_out.empty() ||
-                      !timeseries_out.empty() || !events_out.empty();
-  if (obs_on) obs::MetricsRegistry::instance().set_enabled(true);
-  if (!trace_out.empty()) obs::Tracer::global().set_enabled(true);
-  if (!timeseries_out.empty()) {
-    obs::TimeseriesRecorder::global().set_enabled(true);
-  }
-  if (!events_out.empty()) obs::EventLog::global().set_enabled(true);
+  const std::size_t period = get_count(kv, "period", std::to_string(iters / 5));
+  const double prune = get_real(kv, "prune", "0.3");
+  const std::uint64_t seed = get_count(kv, "seed", "1");
+  const obs::ObsOptions obs_opts = obs::init_obs(argc, argv);
 
   // Dataset.
   SyntheticConfig dc;
@@ -165,10 +180,10 @@ int main(int argc, char** argv) {
               endurance > 0 ? get(kv, "endurance", "0").c_str() : "inf",
               threshold ? 1 : 0, detect ? 1 : 0);
 
-  FtTrainer trainer(flow);
+  FtEngine engine(flow);
   ObsObserver obs_observer;
-  if (obs_on) trainer.add_observer(&obs_observer);
-  const TrainingResult r = trainer.train(net, &rcs, data, Rng(seed + 3));
+  if (obs_opts.enabled()) engine.add_observer(&obs_observer);
+  const TrainingResult r = engine.run(net, &rcs, data, Rng(seed + 3));
 
   for (std::size_t i = 0; i < r.eval_iterations.size(); ++i) {
     std::printf("iter %6zu  accuracy %.3f  fault-ratio %.3f\n",
@@ -185,34 +200,9 @@ int main(int argc, char** argv) {
                 ph.iteration, ph.precision, ph.recall, ph.cycles);
   }
 
-  if (obs_on) {
+  if (obs_opts.enabled()) {
     std::printf("\n%s", obs_observer.timing_table().c_str());
   }
-  if (!metrics_out.empty()) {
-    std::ofstream os(metrics_out);
-    if (metrics_out.size() >= 4 &&
-        metrics_out.compare(metrics_out.size() - 4, 4, ".csv") == 0) {
-      obs::MetricsRegistry::instance().write_csv(os);
-    } else {
-      obs::MetricsRegistry::instance().write_json(os);
-    }
-    std::printf("metrics snapshot written to %s\n", metrics_out.c_str());
-  }
-  if (!trace_out.empty()) {
-    std::ofstream os(trace_out);
-    obs::Tracer::global().write_chrome_json(os);
-    std::printf("trace written to %s (load in ui.perfetto.dev)\n",
-                trace_out.c_str());
-  }
-  if (!timeseries_out.empty()) {
-    std::ofstream os(timeseries_out);
-    obs::TimeseriesRecorder::global().write_jsonl(os);
-    std::printf("timeseries written to %s\n", timeseries_out.c_str());
-  }
-  if (!events_out.empty()) {
-    std::ofstream os(events_out);
-    obs::EventLog::global().write_jsonl(os);
-    std::printf("event log written to %s\n", events_out.c_str());
-  }
+  obs::write_obs(obs_opts);
   return 0;
 }

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/ft_trainer.hpp"
+#include "core/engine.hpp"
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
 
@@ -36,8 +36,7 @@ TrainingResult run(bool threshold, const Dataset& data, std::size_t iters) {
   flow.eval_period = iters / 10;
   flow.threshold_training = threshold;
 
-  FtTrainer trainer(flow);
-  TrainingResult res = trainer.train(net, &rcs, data, Rng(3));
+  TrainingResult res = FtEngine(flow).run(net, &rcs, data, Rng(3));
   return res;
 }
 

@@ -7,8 +7,9 @@
 // What it shows:
 //   1. building a dataset and a network whose weight matrices live on
 //      crossbar tiles (RcsSystem::factory),
-//   2. configuring the fault-tolerant trainer (threshold training +
-//      periodic on-line detection + re-mapping),
+//   2. configuring the fault-tolerant flow (threshold training +
+//      periodic on-line detection + re-mapping) and running it on an
+//      FtEngine,
 //   3. reading back the accuracy trace and endurance statistics,
 //   4. optionally capturing a Perfetto trace, metrics snapshot,
 //      per-iteration timeseries JSONL, and structured event JSONL
@@ -17,52 +18,22 @@
 //      REFIT_THREADS. REFIT_FAST=1 shortens the run for smoke tests.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <string>
 
-#include "core/ft_trainer.hpp"
+#include "core/engine.hpp"
 #include "core/obs_observer.hpp"
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
-#include "obs/clock.hpp"
-#include "obs/events.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
+#include "obs/capture.hpp"
 
 using namespace refit;
 
 int main(int argc, char** argv) {
-  std::string trace_out, metrics_out, timeseries_out, events_out;
-  bool manual_clock = false;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out = arg.substr(12);
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_out = arg.substr(14);
-    } else if (arg.rfind("--timeseries-out=", 0) == 0) {
-      timeseries_out = arg.substr(17);
-    } else if (arg.rfind("--events-out=", 0) == 0) {
-      events_out = arg.substr(13);
-    } else if (arg == "--manual-clock") {
-      manual_clock = true;
-    } else {
-      std::fprintf(stderr, "ignoring unknown argument '%s'\n", arg.c_str());
+    if (!obs::is_obs_flag(argv[i])) {
+      std::fprintf(stderr, "ignoring unknown argument '%s'\n", argv[i]);
     }
   }
-  if (manual_clock) {
-    // Leaked so instrumented threads may still read it during teardown.
-    obs::set_clock(new obs::ManualClock());
-  }
-  const bool obs_on = !trace_out.empty() || !metrics_out.empty() ||
-                      !timeseries_out.empty() || !events_out.empty();
-  if (obs_on) obs::MetricsRegistry::instance().set_enabled(true);
-  if (!trace_out.empty()) obs::Tracer::global().set_enabled(true);
-  if (!timeseries_out.empty()) {
-    obs::TimeseriesRecorder::global().set_enabled(true);
-  }
-  if (!events_out.empty()) obs::EventLog::global().set_enabled(true);
+  const obs::ObsOptions obs_opts = obs::init_obs(argc, argv);
   const bool fast = std::getenv("REFIT_FAST") != nullptr;
 
   // A 10-class MNIST-like task, synthesized deterministically.
@@ -93,10 +64,10 @@ int main(int argc, char** argv) {
   flow.prune.enabled = true;        // §5.2: pruning +
   flow.remap_enabled = true;        // …neuron re-ordering
 
-  FtTrainer trainer(flow);
+  FtEngine engine(flow);
   ObsObserver obs_observer;
-  if (obs_on) trainer.add_observer(&obs_observer);
-  const TrainingResult result = trainer.train(net, &rcs, data, Rng(3));
+  if (obs_opts.enabled()) engine.add_observer(&obs_observer);
+  const TrainingResult result = engine.run(net, &rcs, data, Rng(3));
 
   std::printf("accuracy trace:\n");
   for (std::size_t i = 0; i < result.eval_iterations.size(); ++i) {
@@ -118,24 +89,9 @@ int main(int argc, char** argv) {
         ph.remap_cost_before, ph.remap_cost_after);
   }
 
-  if (obs_on) {
+  if (obs_opts.enabled()) {
     std::printf("\n%s", obs_observer.timing_table().c_str());
   }
-  if (!metrics_out.empty()) {
-    std::ofstream os(metrics_out);
-    obs::MetricsRegistry::instance().write_json(os);
-  }
-  if (!trace_out.empty()) {
-    std::ofstream os(trace_out);
-    obs::Tracer::global().write_chrome_json(os);
-  }
-  if (!timeseries_out.empty()) {
-    std::ofstream os(timeseries_out);
-    obs::TimeseriesRecorder::global().write_jsonl(os);
-  }
-  if (!events_out.empty()) {
-    std::ofstream os(events_out);
-    obs::EventLog::global().write_jsonl(os);
-  }
+  obs::write_obs(obs_opts);
   return 0;
 }

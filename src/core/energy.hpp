@@ -10,7 +10,7 @@
 
 #include <cstdint>
 
-#include "core/ft_trainer.hpp"
+#include "core/engine.hpp"
 #include "detect/march_test.hpp"
 #include "detect/quiescent_detector.hpp"
 

@@ -14,6 +14,31 @@
 
 namespace refit {
 
+FtFlowConfig baseline_config(FtBaseline baseline, FtFlowConfig base) {
+  switch (baseline) {
+    case FtBaseline::kIdeal:
+    case FtBaseline::kOriginal:
+      base.threshold_training = false;
+      base.detection_enabled = false;
+      break;
+    case FtBaseline::kThreshold:
+      base.threshold_training = true;
+      base.detection_enabled = false;
+      break;
+    case FtBaseline::kFullFlow:
+      base.threshold_training = true;
+      base.detection_enabled = true;
+      base.detection_period = std::max<std::size_t>(1, base.iterations / 6);
+      base.prune.enabled = true;
+      base.prune.fc_sparsity = 0.3;
+      base.prune.conv_sparsity = 0.0;
+      base.remap_enabled = true;
+      base.remap.algorithm = RemapAlgorithm::kHungarian;
+      break;
+  }
+  return base;
+}
+
 double EngineContext::evaluate(std::size_t iter) {
   const double acc = net->evaluate(eval_images, eval_labels);
   result.eval_iterations.push_back(iter);

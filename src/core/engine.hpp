@@ -20,9 +20,13 @@
 //
 // Swapping a phase is how related flows are meant to be built: an on-line
 // soft-error scrubber replaces DetectionPhase, a drop-connect update rule
-// replaces TrainStepPhase — without forking the loop. The legacy
-// FtTrainer facade (core/ft_trainer.hpp) assembles the paper's four
-// baseline configurations on top of this engine.
+// replaces TrainStepPhase — without forking the loop. baseline_config()
+// derives the paper's four experimental configurations (§6, Fig. 7) from
+// a base schedule:
+//   ideal / original method .. threshold/detection/remap all disabled
+//                              (ideal = run on a software-backed network)
+//   threshold training ....... threshold enabled
+//   entire FT flow ........... threshold + detection + pruning + re-mapping
 #pragma once
 
 #include <cstdint>
@@ -79,6 +83,17 @@ struct FtFlowConfig {
   /// config is active.
   std::size_t device_tick_period = 0;
 };
+
+/// The paper's experimental configurations (§6, Fig. 7 curves).
+enum class FtBaseline { kIdeal, kOriginal, kThreshold, kFullFlow };
+
+/// Derive one of the paper's four baseline configurations from a base
+/// flow config (iterations / lr / eval cadence are taken from `base`).
+/// The full flow enables detection every iterations/6 steps, magnitude
+/// pruning on FC layers only (30 %), and exact Hungarian re-mapping —
+/// the settings of the Fig. 7 reproduction benches.
+[[nodiscard]] FtFlowConfig baseline_config(FtBaseline baseline,
+                                           FtFlowConfig base);
 
 /// One detection/re-mapping phase record.
 struct PhaseEvent {
@@ -264,7 +279,8 @@ class FtEngine {
   [[nodiscard]] const FtFlowConfig& config() const { return cfg_; }
   [[nodiscard]] const EngineContext& context() const { return ctx_; }
 
-  /// Register a tracing observer (non-owning; must outlive the run).
+  /// Register a tracing observer (non-owning; must outlive the run). The
+  /// CLIs attach an ObsObserver (core/obs_observer.hpp) here.
   void add_observer(EngineObserver* obs);
 
   // ---- Stepwise interface ----------------------------------------------
@@ -277,7 +293,9 @@ class FtEngine {
   /// Final evaluation + endurance totals; returns the completed result.
   TrainingResult finish();
 
-  /// begin + step-to-completion + finish.
+  /// begin + step-to-completion + finish. `rcs` may be nullptr for an
+  /// all-software network (the ideal baseline); when given, it must be the
+  /// system whose factory produced the network's crossbar stores.
   TrainingResult run(Network& net, RcsSystem* rcs, const Dataset& data,
                      Rng rng);
 

@@ -4,8 +4,8 @@
 // stamps the engine iteration counter, and keeps its own per-phase totals
 // for the CLI's end-of-run timing table.
 //
-// Attach with FtEngine::add_observer (or FtTrainer::add_observer) before
-// the run; the observer never mutates the context. Trace spans land in
+// Attach with FtEngine::add_observer before the run; the observer never
+// mutates the context. Trace spans land in
 // obs::Tracer::global() only while tracing is runtime-enabled; the
 // metrics go through the usual per-handle runtime gate. Timestamps come
 // from the obs::Clock seam, so runs under an injected ManualClock produce

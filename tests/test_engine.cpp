@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "core/ft_trainer.hpp"
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
 

@@ -9,7 +9,10 @@
 //     4 threads,
 //   * engine integration: exactly one "phase"-category span per executed
 //     Phase::run, independent of the pool size, plus the metric catalogue
-//     entries documented in docs/observability.md.
+//     entries documented in docs/observability.md,
+//   * the drivers' capture flags (obs/capture.hpp): the metrics suffix
+//     picks CSV or JSON, --manual-clock installs a ManualClock, other
+//     arguments pass through, and no flag enables nothing.
 //
 // Every test runs through the ObsTest fixture, which resets the registry
 // and tracer, enables both layers, and restores the steady clock and the
@@ -19,6 +22,9 @@
 #include <atomic>
 #include <cctype>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -26,12 +32,15 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "core/ft_trainer.hpp"
+#include "core/engine.hpp"
 #include "core/obs_observer.hpp"
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
+#include "obs/capture.hpp"
 #include "obs/clock.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 
 namespace refit {
@@ -396,10 +405,10 @@ std::string run_and_trace(std::size_t threads) {
   flow.detection_period = 3;
   flow.remap_enabled = true;
 
-  FtTrainer trainer(flow);
+  FtEngine engine(flow);
   ObsObserver observer;
-  trainer.add_observer(&observer);
-  (void)trainer.train(net, &rcs, data, Rng(3));
+  engine.add_observer(&observer);
+  (void)engine.run(net, &rcs, data, Rng(3));
 
   std::ostringstream os;
   Tracer::global().write_chrome_json(os);
@@ -466,12 +475,12 @@ TEST_F(ObsTest, OneTraceSpanPerExecutedPhase) {
     flow.detection_enabled = true;
     flow.detection_period = 3;
 
-    FtTrainer trainer(flow);
+    FtEngine engine(flow);
     ObsObserver observer;
     PhaseCounter phase_counter;
-    trainer.add_observer(&observer);
-    trainer.add_observer(&phase_counter);
-    (void)trainer.train(net, &rcs, data, Rng(3));
+    engine.add_observer(&observer);
+    engine.add_observer(&phase_counter);
+    (void)engine.run(net, &rcs, data, Rng(3));
 
     std::map<std::string, int> spans;
     for (const obs::TraceEvent& ev : Tracer::global().collect())
@@ -536,10 +545,10 @@ TEST_F(ObsTest, ObsObserverTimingTableListsEveryPhase) {
   flow.eval_period = 2;
   flow.eval_samples = 32;
 
-  FtTrainer trainer(flow);
+  FtEngine engine(flow);
   ObsObserver observer;
-  trainer.add_observer(&observer);
-  (void)trainer.train(net, &rcs, data, Rng(3));
+  engine.add_observer(&observer);
+  (void)engine.run(net, &rcs, data, Rng(3));
 
   ASSERT_FALSE(observer.phase_stats().empty());
   EXPECT_GT(observer.run_ns(), 0u);
@@ -551,6 +560,99 @@ TEST_F(ObsTest, ObsObserverTimingTableListsEveryPhase) {
     EXPECT_GT(st.runs, 0u);
     EXPECT_GT(st.total_ns, 0u) << st.name;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Capture flags (obs/capture.hpp)
+// ---------------------------------------------------------------------------
+
+// Starts with every obs layer off and turns them all off again on
+// teardown; ObsTest's teardown restores the steady clock.
+class ObsCaptureTest : public ObsTest {
+ protected:
+  void SetUp() override {
+    ObsTest::SetUp();
+    enable_all(false);
+  }
+  void TearDown() override {
+    enable_all(false);
+    obs::TimeseriesRecorder::global().reset_for_tests();
+    obs::EventLog::global().reset_for_tests();
+    ObsTest::TearDown();
+  }
+
+  static void enable_all(bool on) {
+    MetricsRegistry::instance().set_enabled(on);
+    Tracer::global().set_enabled(on);
+    obs::TimeseriesRecorder::global().set_enabled(on);
+    obs::EventLog::global().set_enabled(on);
+  }
+
+  /// init_obs over `args`, with a program name prepended as argv[0].
+  static obs::ObsOptions init(std::vector<std::string> args) {
+    args.insert(args.begin(), "prog");
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    return obs::init_obs(static_cast<int>(argv.size()), argv.data());
+  }
+
+  static std::string slurp(const std::string& path) {
+    std::ifstream is(path);
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
+  }
+};
+
+TEST_F(ObsCaptureTest, MetricsOutSuffixSelectsCsvOrJson) {
+  const std::string csv = ::testing::TempDir() + "refit_capture_metrics.csv";
+  const std::string txt = ::testing::TempDir() + "refit_capture_metrics.txt";
+
+  const obs::ObsOptions opts = init({"--metrics-out=" + csv});
+  EXPECT_EQ(opts.metrics_out, csv);
+  EXPECT_TRUE(MetricsRegistry::instance().enabled());
+  EXPECT_FALSE(Tracer::global().enabled());
+  obs::write_obs(opts);
+  obs::write_obs(init({"--metrics-out=" + txt}));
+
+  EXPECT_EQ(slurp(csv).rfind("name,type,unit,value,", 0), 0u);
+  const std::string json = slurp(txt);
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_NE(json.find("\"metrics\""), std::string::npos);
+  std::remove(csv.c_str());
+  std::remove(txt.c_str());
+}
+
+TEST_F(ObsCaptureTest, ManualClockFlagInstallsManualClock) {
+  const obs::ObsOptions opts = init({"--manual-clock"});
+  EXPECT_TRUE(opts.manual_clock);
+  EXPECT_FALSE(opts.enabled());
+  // A ManualClock steps a fixed 1000 ns per call on each thread.
+  const std::uint64_t a = obs::now_ns();
+  const std::uint64_t b = obs::now_ns();
+  EXPECT_EQ(a % 1000u, 0u);
+  EXPECT_EQ(b - a, 1000u);
+}
+
+TEST_F(ObsCaptureTest, UnrecognisedArgumentsAreLeftAlone) {
+  const std::vector<std::string> args = {"model=cnn", "iters=5",
+                                         "--trace-out", "--manual-clock=1"};
+  const obs::ObsOptions opts = init(args);
+  EXPECT_FALSE(opts.enabled());
+  EXPECT_FALSE(opts.manual_clock);
+  for (const std::string& a : args) EXPECT_FALSE(obs::is_obs_flag(a)) << a;
+  EXPECT_TRUE(obs::is_obs_flag("--trace-out=t.json"));
+  EXPECT_TRUE(obs::is_obs_flag("--manual-clock"));
+}
+
+TEST_F(ObsCaptureTest, NoFlagEnablesNothing) {
+  const obs::ObsOptions opts = init({});
+  EXPECT_FALSE(opts.enabled());
+  EXPECT_FALSE(opts.manual_clock);
+  EXPECT_FALSE(MetricsRegistry::instance().enabled());
+  EXPECT_FALSE(Tracer::global().enabled());
+  EXPECT_FALSE(obs::TimeseriesRecorder::global().enabled());
+  EXPECT_FALSE(obs::EventLog::global().enabled());
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 
 #include <sstream>
 
-#include "core/ft_trainer.hpp"
+#include "core/engine.hpp"
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
 #include "nn/network_io.hpp"
@@ -41,7 +41,7 @@ TEST(PaperClaims, ThresholdCutsWritesByLargeFactor) {
     cfg.eval_period = 100;
     cfg.eval_samples = 128;
     cfg.threshold_training = threshold;
-    return FtTrainer(cfg).train(net, &sys, data, Rng(3)).updates_written;
+    return FtEngine(cfg).run(net, &sys, data, Rng(3)).updates_written;
   };
   const std::uint64_t original = writes(false);
   const std::uint64_t thresholded = writes(true);
@@ -63,7 +63,7 @@ TEST(PaperClaims, OnlineTrainingBeatsOfflineMappingUnderSoftFaults) {
   cfg.lr = LrSchedule{0.05, 0.5, 200, 1e-4};
   cfg.eval_period = 200;
   cfg.eval_samples = 256;
-  FtTrainer(cfg).train(sw, nullptr, data, Rng(5));
+  FtEngine(cfg).run(sw, nullptr, data, Rng(5));
   std::stringstream ws;
   save_network_weights(sw, ws);
 
@@ -88,7 +88,7 @@ TEST(PaperClaims, OnlineTrainingBeatsOfflineMappingUnderSoftFaults) {
     RcsSystem sys(rc, Rng(42));
     Rng rng(4);
     Network net = make_mlp({784, 24, 10}, sys.factory(), rng);
-    online = FtTrainer(cfg).train(net, &sys, data, Rng(5)).peak_accuracy;
+    online = FtEngine(cfg).run(net, &sys, data, Rng(5)).peak_accuracy;
   }
   EXPECT_GT(online, offline + 0.05);
 }
@@ -110,8 +110,7 @@ TEST(PaperClaims, OriginalSchemeWearsChipFasterThanThreshold) {
     cfg.eval_period = 150;
     cfg.eval_samples = 128;
     cfg.threshold_training = threshold;
-    return FtTrainer(cfg).train(net, &sys, data, Rng(7))
-        .final_fault_fraction;
+    return FtEngine(cfg).run(net, &sys, data, Rng(7)).final_fault_fraction;
   };
   const double original = wearout(false);
   const double thresholded = wearout(true);

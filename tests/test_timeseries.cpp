@@ -16,7 +16,7 @@
 #include <string>
 
 #include "common/thread_pool.hpp"
-#include "core/ft_trainer.hpp"
+#include "core/engine.hpp"
 #include "core/obs_observer.hpp"
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
@@ -153,10 +153,10 @@ std::string run_and_dump(std::size_t threads) {
   flow.detection_period = 3;
   flow.remap_enabled = true;
 
-  FtTrainer trainer(flow);
+  FtEngine engine(flow);
   ObsObserver observer;
-  trainer.add_observer(&observer);
-  (void)trainer.train(net, &rcs, data, Rng(3));
+  engine.add_observer(&observer);
+  (void)engine.run(net, &rcs, data, Rng(3));
 
   std::ostringstream os;
   TimeseriesRecorder::global().write_jsonl(os);
