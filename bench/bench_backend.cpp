@@ -7,9 +7,8 @@
 // read-out after an update, and the fused faulty forward against
 // materialize-then-matmul; verifies pooled outputs are bit-identical to
 // serial; and writes the results as JSON (default ./BENCH_backend.json,
-// override with REFIT_BENCH_OUT). Thread counts come from
-// REFIT_BENCH_THREADS (comma list, default "1,2,4"); REFIT_FAST=1 shrinks
-// repetitions.
+// override with REFIT_BENCH_OUT). Every row runs at 1, 2 and 4 threads;
+// REFIT_FAST=1 shrinks repetitions (but not the peak probe's).
 //
 // GEMM-shaped rows carry achieved GFLOP/s and a roofline-style
 // fraction-of-peak column, where "peak" is measured in-process by a
@@ -33,15 +32,12 @@
 //                         column-repair writes).
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -64,6 +60,7 @@ using refit::RcsConfig;
 using refit::Rng;
 using refit::Tensor;
 using refit::ThreadPool;
+using refit::bench::json_escape;
 
 /// Best-of-`reps` wall-clock seconds for fn(), via the obs clock seam.
 template <typename Fn>
@@ -84,56 +81,19 @@ struct Row {
   double speedup_vs_serial;
   bool bit_identical;
   double gflops = 0.0;            ///< 0 for rows without a FLOP count
-  double frac_peak = 0.0;         ///< gflops / (single-lane peak × lanes)
   double speedup_vs_naive = 0.0;  ///< 0 for rows without a naive baseline
 };
 
-std::vector<std::size_t> thread_counts() {
-  std::vector<std::size_t> out;
-  const char* env = std::getenv("REFIT_BENCH_THREADS");
-  std::stringstream ss(env != nullptr ? env : "1,2,4");
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    const long v = std::strtol(tok.c_str(), nullptr, 10);
-    if (v > 0) out.push_back(static_cast<std::size_t>(v));
-  }
-  if (out.empty()) out.push_back(1);
-  return out;
-}
+/// Pool sizes every scaling row is measured at.
+constexpr std::size_t kThreadCounts[] = {1, 2, 4};
 
 bool same_bits(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
          std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
 }
 
-// ---- Provenance -----------------------------------------------------------
-
-std::string cpu_model() {
-  std::ifstream is("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto pos = line.find("model name");
-    if (pos == std::string::npos) continue;
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) break;
-    std::string name = line.substr(colon + 1);
-    const auto first = name.find_first_not_of(" \t");
-    return first == std::string::npos ? name : name.substr(first);
-  }
-  return "unknown";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// FNV-1a 64-bit over the tensor's float bytes — the deterministic-mode
-/// golden hash asserted by the bench-smoke CI stage.
+/// FNV-1a 64-bit over the tensor's float bytes — the golden hash asserted
+/// by the bench-smoke CI stage.
 std::uint64_t fnv1a64(const Tensor& t) {
   std::uint64_t h = 1469598103934665603ULL;
   const auto* p = reinterpret_cast<const unsigned char*>(t.data());
@@ -145,6 +105,12 @@ std::uint64_t fnv1a64(const Tensor& t) {
 }
 
 // ---- Measured peak --------------------------------------------------------
+
+/// Repetitions of one peak probe (~1 ms each), independent of REFIT_FAST.
+/// One probe can read low while the host is briefly slower, which would
+/// push later rows' frac_peak past the roofline gate, so main() probes
+/// before every GEMM-shaped timing and keeps the best.
+constexpr int kPeakReps = 10;
 
 /// Register-resident multiply-add probe for the portable kernel: 64
 /// independent accumulators, each element a dependent acc = acc*m + c chain
@@ -212,12 +178,12 @@ __attribute__((target("avx"))) double avx_peak_gflops(int reps) {
 #endif
 
 /// Single-lane peak at the width of the dispatched GEMM kernel.
-double measured_peak_gflops(int reps) {
+double measured_peak_gflops() {
 #if defined(__x86_64__) || defined(__i386__)
   if (std::strcmp(refit::gemm::kernel_isa(), "avx") == 0)
-    return avx_peak_gflops(reps);
+    return avx_peak_gflops(kPeakReps);
 #endif
-  return portable_peak_gflops(reps);
+  return portable_peak_gflops(kPeakReps);
 }
 
 // ---- Naive GEMM baselines (serial copies of the pre-blocking kernels) -----
@@ -323,17 +289,15 @@ std::unique_ptr<CrossbarWeightStore> make_store(std::size_t n) {
 
 int main(int argc, char** argv) {
   const refit::obs::ObsOptions obs_opts = refit::obs::init_obs(argc, argv);
-  const bool fast = std::getenv("REFIT_FAST") != nullptr &&
-                    std::string(std::getenv("REFIT_FAST")) == "1";
-  const int reps = fast ? 2 : 5;
+  const int reps = refit::bench::fast_mode() ? 2 : 5;
   const std::size_t n = 512;
   std::vector<Row> rows;
   double sink = 0.0;  // defeats dead-code elimination
 
-  const auto threads_list = thread_counts();
-  const std::size_t hw_threads = std::thread::hardware_concurrency();
+  const refit::bench::BenchProvenance prov = refit::bench::collect_provenance();
+  const std::size_t hw_threads = prov.hardware_threads;
   const std::size_t max_threads =
-      *std::max_element(threads_list.begin(), threads_list.end());
+      *std::max_element(std::begin(kThreadCounts), std::end(kThreadCounts));
   const bool scaling_valid = hw_threads >= max_threads;
   if (!scaling_valid) {
     std::cerr << "*** WARNING: host has " << hw_threads
@@ -343,9 +307,12 @@ int main(int argc, char** argv) {
                  "invalid (\"scaling_valid\": false in the JSON).\n";
   }
 
-  const double peak_gflops = measured_peak_gflops(reps);
-  std::cout << "gemm_isa=" << refit::gemm::kernel_isa()
-            << " measured_peak_gflops=" << peak_gflops << "\n";
+  // Single-lane peak: the best probe of the run, each probe taken right
+  // before a GEMM-shaped timing so both see the same host state.
+  double peak_gflops = 0.0;
+  const auto probe_peak = [&] {
+    peak_gflops = std::max(peak_gflops, measured_peak_gflops());
+  };
   // Roofline fraction of the lanes a t-thread row can actually run on.
   const auto frac_of_peak = [&](double gflops, std::size_t t) {
     const std::size_t lanes = std::max<std::size_t>(1, std::min(t, hw_threads));
@@ -363,18 +330,10 @@ int main(int argc, char** argv) {
   geom.kernel = 3;
   geom.pad = 1;
 
-  // Deterministic-mode golden hash (the bench-smoke CI ratchet): computed
-  // with the reduction mode pinned so a REFIT_FAST_REDUCE environment
-  // cannot change it, and stable across hosts and thread counts because
-  // the deterministic kernel is bit-exact and Rng is portable.
-  std::uint64_t gemm_hash = 0;
-  {
-    const refit::ReductionMode prev = refit::reduction_mode();
-    refit::set_reduction_mode(refit::ReductionMode::kDeterministic);
-    ThreadPool::set_global_threads(1);
-    gemm_hash = fnv1a64(refit::matmul(a, b));
-    refit::set_reduction_mode(prev);
-  }
+  // Golden hash (the bench-smoke CI ratchet): stable across hosts and
+  // thread counts because the kernel is bit-exact and Rng is portable.
+  ThreadPool::set_global_threads(1);
+  const std::uint64_t gemm_hash = fnv1a64(refit::matmul(a, b));
   std::cout << "gemm_output_hash=" << std::hex << gemm_hash << std::dec
             << "\n";
 
@@ -406,35 +365,28 @@ int main(int argc, char** argv) {
     double naive_serial = 0.0;
     if (kern.naive) {
       const Tensor naive_out = kern.naive();
-      // The naive kernels carry the deterministic contract; only compare
-      // bits when the blocked kernel runs in deterministic mode too.
-      const bool det =
-          refit::reduction_mode() == refit::ReductionMode::kDeterministic;
+      probe_peak();
       naive_serial = time_best(reps, [&] { sink += kern.naive()[0]; });
       rows.push_back({"naive_" + kern.name, 1, naive_serial, 1.0,
-                      !det || same_bits(ref, naive_out),
-                      kern.flops / (naive_serial * 1e9),
-                      frac_of_peak(kern.flops / (naive_serial * 1e9), 1), 0.0});
+                      same_bits(ref, naive_out),
+                      kern.flops / (naive_serial * 1e9), 0.0});
       std::cout << "naive_" << kern.name << " threads=1 " << naive_serial
                 << "s; blocked kernel is " << naive_serial / serial
                 << "x faster single-thread\n";
     }
-    for (const std::size_t t : threads_list) {
+    for (const std::size_t t : kThreadCounts) {
       ThreadPool::set_global_threads(t);
       const Tensor pooled = kern.run();
+      if (kern.flops > 0.0) probe_peak();
       const double secs = time_best(reps, [&] { sink += kern.run()[0]; });
       const double gflops =
           kern.flops > 0.0 ? kern.flops / (secs * 1e9) : 0.0;
       rows.push_back({kern.name, t, secs, serial / secs,
                       same_bits(ref, pooled), gflops,
-                      frac_of_peak(gflops, t),
                       naive_serial > 0.0 ? naive_serial / secs : 0.0});
       std::cout << kern.name << " threads=" << t << " " << secs << "s ("
                 << serial / secs << "x)";
-      if (gflops > 0.0) {
-        std::cout << " " << gflops << " GFLOP/s (" << frac_of_peak(gflops, t)
-                  << " of peak)";
-      }
+      if (gflops > 0.0) std::cout << " " << gflops << " GFLOP/s";
       std::cout << "\n";
     }
   }
@@ -452,24 +404,23 @@ int main(int argc, char** argv) {
     Tensor delta_tile({n, n});
     delta_tile.at(3, 5) = 1e-4f;
 
-    for (const std::size_t t : threads_list) {
+    for (const std::size_t t : kThreadCounts) {
       ThreadPool::set_global_threads(t);
       auto store = make_store(n);
       const Tensor ref = refit::matmul(x, store->effective());
       const Tensor fused = store->forward_matmul(x);
       const bool bits = same_bits(ref, fused);
 
+      probe_peak();
       const double mat_clean = time_best(
           reps, [&] { sink += refit::matmul(x, store->effective())[0]; });
       const double fus_clean =
           time_best(reps, [&] { sink += store->forward_matmul(x)[0]; });
       const double fus_gf = fwd_flops / (fus_clean * 1e9);
       rows.push_back({"materialize_forward_clean", t, mat_clean, 1.0, bits,
-                      fwd_flops / (mat_clean * 1e9),
-                      frac_of_peak(fwd_flops / (mat_clean * 1e9), t), 0.0});
+                      fwd_flops / (mat_clean * 1e9), 0.0});
       rows.push_back({"fused_forward_clean", t, fus_clean,
-                      mat_clean / fus_clean, bits, fus_gf,
-                      frac_of_peak(fus_gf, t), 0.0});
+                      mat_clean / fus_clean, bits, fus_gf, 0.0});
       std::cout << "fused_forward_clean threads=" << t << " " << fus_clean
                 << "s vs materialize " << mat_clean << "s ("
                 << mat_clean / fus_clean << "x, bit_identical="
@@ -483,10 +434,10 @@ int main(int argc, char** argv) {
         store->apply_delta(delta_tile);
         sink += store->forward_matmul(x)[0];
       });
-      rows.push_back({"materialize_forward_dirty_tile", t, mat_dirty, 1.0,
-                      bits, 0.0, 0.0, 0.0});
+      rows.push_back(
+          {"materialize_forward_dirty_tile", t, mat_dirty, 1.0, bits});
       rows.push_back({"fused_forward_dirty_tile", t, fus_dirty,
-                      mat_dirty / fus_dirty, bits, 0.0, 0.0, 0.0});
+                      mat_dirty / fus_dirty, bits});
       std::cout << "fused_forward_dirty_tile threads=" << t << " "
                 << fus_dirty << "s vs materialize " << mat_dirty << "s ("
                 << mat_dirty / fus_dirty << "x)\n";
@@ -550,7 +501,7 @@ int main(int argc, char** argv) {
     }
     const double serial_rebuild = timed(1, &ref).first;
     if (rc.name == "rebuild_full") serial_full_rebuild = serial_rebuild;
-    for (const std::size_t t : threads_list) {
+    for (const std::size_t t : kThreadCounts) {
       const auto [secs, bits] = timed(t, &ref);
       rows.push_back({rc.name, t, secs, serial_rebuild / secs, bits});
       std::cout << rc.name << " threads=" << t << " " << secs << "s ("
@@ -564,8 +515,9 @@ int main(int argc, char** argv) {
   }
 
   // ---- Emit JSON ----------------------------------------------------------
-  const char* out_env = std::getenv("REFIT_BENCH_OUT");
-  const std::string path = out_env != nullptr ? out_env : "BENCH_backend.json";
+  std::cout << "gemm_isa=" << refit::gemm::kernel_isa()
+            << " measured_peak_gflops=" << peak_gflops << "\n";
+  const std::string path = refit::bench::bench_out_path("BENCH_backend.json");
   std::ofstream os(path);
   os << "{\n  \"bench\": \"backend\",\n";
   os << "  \"provenance\": {\n";
@@ -575,16 +527,12 @@ int main(int argc, char** argv) {
   // (check.sh compares gemm_output_hash and result rows, never provenance).
   // refit-check: allow(threadcount-value-dependence)
   os << "    \"hardware_threads\": " << hw_threads << ",\n";
-  os << "    \"cpu_model\": \"" << json_escape(cpu_model()) << "\",\n";
-  os << "    \"compiler\": \"" << json_escape(__VERSION__) << "\",\n";
-#ifdef REFIT_BENCH_CXX_FLAGS
-  os << "    \"cxx_flags\": \"" << json_escape(REFIT_BENCH_CXX_FLAGS)
-     << "\",\n";
-#endif
-#ifdef REFIT_BENCH_BUILD_TYPE
-  os << "    \"build_type\": \"" << json_escape(REFIT_BENCH_BUILD_TYPE)
-     << "\",\n";
-#endif
+  os << "    \"cpu_model\": \"" << json_escape(prov.cpu_model) << "\",\n";
+  os << "    \"compiler\": \"" << json_escape(prov.compiler) << "\",\n";
+  if (!prov.cxx_flags.empty())
+    os << "    \"cxx_flags\": \"" << json_escape(prov.cxx_flags) << "\",\n";
+  if (!prov.build_type.empty())
+    os << "    \"build_type\": \"" << json_escape(prov.build_type) << "\",\n";
   os << "    \"gemm_isa\": \"" << refit::gemm::kernel_isa() << "\",\n";
   os << "    \"measured_peak_gflops\": " << peak_gflops << "\n  },\n";
   // refit-check: allow(threadcount-value-dependence) — provenance, above
@@ -609,7 +557,7 @@ int main(int argc, char** argv) {
        << (r.bit_identical ? "true" : "false");
     if (r.gflops > 0.0) {
       os << ", \"gflops\": " << r.gflops << ", \"frac_peak\": "
-         << r.frac_peak;
+         << frac_of_peak(r.gflops, r.threads);
     }
     if (r.speedup_vs_naive > 0.0) {
       os << ", \"speedup_vs_naive\": " << r.speedup_vs_naive;

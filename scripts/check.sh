@@ -305,16 +305,14 @@ if cmake -B build-asan -S . -DREFIT_SANITIZE=address,undefined &&
 fi
 record asan-ubsan $asan_rc
 
-banner "tsan: backend + device tests under TSan (REFIT_THREADS=4, fast reduce)"
-# REFIT_FAST_REDUCE=1 exercises the opt-in fast reduction mode under TSan;
-# the backend determinism assertions still hold because fast mode is
-# thread-count-invariant per element (see docs/kernels.md). The Device
-# suites cover the tile-parallel tick_noise / classify_soft paths.
+banner "tsan: backend + device tests under TSan (REFIT_THREADS=4)"
+# Runs the same GEMM kernel the flows run. The Device suites cover the
+# tile-parallel tick_noise / classify_soft paths.
 tsan_rc=1
 if cmake -B build-tsan -S . -DREFIT_SANITIZE=thread &&
    cmake --build build-tsan -j --target test_backend test_device &&
    (cd build-tsan &&
-    REFIT_THREADS=4 REFIT_FAST_REDUCE=1 ctest --output-on-failure \
+    REFIT_THREADS=4 ctest --output-on-failure \
       -R '^Backend|^Device'); then
   tsan_rc=0
 fi

@@ -539,8 +539,6 @@ bool FtEngine::save_checkpoint(std::ostream& os) const {
     if (has_fm) write_fault_matrix(os, it->second);
   }
 
-  // Phase-local state (no-ops for the standard phases).
-  for (const auto& phase : phases_) phase->save(os);
   obs::EventLog::global().emit(
       obs::EventKind::kCheckpoint, obs::EventSeverity::kInfo, "engine",
       {{"iteration", static_cast<double>(ctx_.iteration)},
@@ -618,7 +616,6 @@ bool FtEngine::load_checkpoint(Network& net, RcsSystem* rcs,
     }
   }
 
-  for (const auto& phase : phases_) phase->load(is);
   begun_ = true;
   return is.good();
 }

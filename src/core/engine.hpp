@@ -176,18 +176,15 @@ struct EngineContext {
   double evaluate(std::size_t iter);
 };
 
-/// One step of the flow. due() gates run() each iteration; save()/load()
-/// round-trip any phase-local state through engine checkpoints (the four
-/// standard phases keep all their state in the EngineContext, so the
-/// defaults are no-ops).
+/// One step of the flow. due() gates run() each iteration. A phase keeps
+/// all its state in the EngineContext, which is what engine checkpoints
+/// round-trip.
 class Phase {
  public:
   virtual ~Phase() = default;
   [[nodiscard]] virtual const char* name() const = 0;
   [[nodiscard]] virtual bool due(const EngineContext& ctx) const = 0;
   virtual void run(EngineContext& ctx) = 0;
-  virtual void save(std::ostream& os) const { (void)os; }
-  virtual void load(std::istream& is) { (void)is; }
 };
 
 /// Tracing hook. Observers are non-owning, never serialized, and must not

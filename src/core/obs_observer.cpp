@@ -65,11 +65,11 @@ void ObsObserver::on_phase_end(const Phase& phase, const EngineContext& ctx) {
   stat.runs_metric.add();
   stat.ns_metric.add(dur_ns);
   phase_ns_histogram().observe(static_cast<double>(dur_ns));
-  // Detection rounds are the paper's unit of "on-line" progress: force a
-  // timeseries sample right after each one so precision/recall gauges are
-  // captured per round even with a coarse sampling period.
+  // Detection rounds are the paper's unit of "on-line" progress: take an
+  // extra timeseries sample right after each one so precision/recall
+  // gauges are captured at the round, not only at the iteration's end.
   if (std::strcmp(phase.name(), "detection") == 0) {
-    obs::TimeseriesRecorder::global().sample_now(ctx.iteration);
+    obs::TimeseriesRecorder::global().sample(ctx.iteration);
   }
 }
 
@@ -77,7 +77,7 @@ void ObsObserver::on_iteration_end(const EngineContext& ctx) {
   static obs::Counter iters_metric =
       obs::MetricsRegistry::instance().counter("engine.iterations", "iters");
   iters_metric.add();
-  obs::TimeseriesRecorder::global().poll(ctx.iteration);
+  obs::TimeseriesRecorder::global().sample(ctx.iteration);
 }
 
 void ObsObserver::on_run_end(const EngineContext& ctx) {

@@ -15,7 +15,7 @@
 namespace refit::obs {
 
 // ---------------------------------------------------------------------------
-// Failure-hook slot (compiled in both REFIT_OBS halves — see failure_hook.hpp).
+// Failure-hook slot (see failure_hook.hpp).
 
 namespace {
 std::atomic<FailureHook> g_failure_hook{nullptr};
@@ -62,8 +62,6 @@ const char* event_severity_name(EventSeverity severity) {
   }
   return "unknown";
 }
-
-#if REFIT_OBS_ENABLED
 
 namespace {
 
@@ -230,13 +228,5 @@ void EventLog::reset_for_tests() {
     cell.published.store(0, std::memory_order_relaxed);
   }
 }
-
-#else  // !REFIT_OBS_ENABLED
-
-void EventLog::write_jsonl(std::ostream&) const {}
-
-void EventLog::dump_tail(std::ostream&, std::size_t) const {}
-
-#endif  // REFIT_OBS_ENABLED
 
 }  // namespace refit::obs

@@ -17,8 +17,7 @@
 // Like Tracer, collect()/write_jsonl() must not race live emit() calls —
 // call them when the instrumented work is quiescent.
 //
-// Compile-time gate REFIT_OBS (default ON) stubs the layer out; at
-// runtime the log starts disabled and emit() is a relaxed load until
+// The log starts disabled and emit() is a relaxed load until
 // set_enabled(true). The state is intentionally leaked (never destroyed).
 #pragma once
 
@@ -27,10 +26,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#ifndef REFIT_OBS_ENABLED
-#define REFIT_OBS_ENABLED 1
-#endif
 
 namespace refit::obs {
 
@@ -63,8 +58,6 @@ struct Event {
   std::string detail;  // optional free-text tag (e.g. a phase name)
   std::vector<std::pair<std::string, double>> fields;
 };
-
-#if REFIT_OBS_ENABLED
 
 class EventLog {
  public:
@@ -115,31 +108,5 @@ class EventLog {
   struct Impl;
   Impl* impl_;
 };
-
-#else  // !REFIT_OBS_ENABLED — inert stub with the identical surface.
-
-class EventLog {
- public:
-  static constexpr std::size_t kCapacity = 4096;
-  static constexpr std::size_t kMaxFields = 8;
-  static constexpr std::size_t kDefaultTail = 32;
-
-  static EventLog& global() {
-    static EventLog log;
-    return log;
-  }
-  void set_enabled(bool) {}
-  [[nodiscard]] bool enabled() const { return false; }
-  void emit(EventKind, EventSeverity, const char*,
-            std::initializer_list<EventField>) {}
-  void emit(EventKind, EventSeverity, std::initializer_list<EventField>) {}
-  [[nodiscard]] std::uint64_t emitted() const { return 0; }
-  [[nodiscard]] std::vector<Event> collect() const { return {}; }
-  void write_jsonl(std::ostream& os) const;
-  void dump_tail(std::ostream& os, std::size_t n = kDefaultTail) const;
-  void reset_for_tests() {}
-};
-
-#endif  // REFIT_OBS_ENABLED
 
 }  // namespace refit::obs

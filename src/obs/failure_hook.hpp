@@ -6,9 +6,6 @@
 // last events before a broken invariant survive into the post-mortem.
 // This header lives in obs (not common) because the module layering only
 // permits common → obs includes, never the reverse.
-//
-// Available in both REFIT_OBS builds — with the layer compiled out the
-// hook slot simply stays empty.
 #pragma once
 
 namespace refit::obs {

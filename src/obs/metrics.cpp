@@ -12,8 +12,8 @@
 
 namespace refit::obs {
 
-// Defined outside the REFIT_OBS gate: a pure function of snapshot data,
-// used by both the writers here and the timeseries sampler.
+// A pure function of snapshot data, used by both the writers here and the
+// timeseries sampler.
 double MetricSnapshot::percentile(double q) const {
   if (type != MetricType::kHistogram || count == 0) return 0.0;
   q = std::min(1.0, std::max(0.0, q));
@@ -34,8 +34,6 @@ double MetricSnapshot::percentile(double q) const {
   }
   return bounds.empty() ? 0.0 : bounds.back();
 }
-
-#if REFIT_OBS_ENABLED
 
 namespace {
 
@@ -232,17 +230,5 @@ void MetricsRegistry::write_csv(std::ostream& os) const {
     os << "\n";
   }
 }
-
-#else  // !REFIT_OBS_ENABLED
-
-void MetricsRegistry::write_json(std::ostream& os) const {
-  os << "{\"metrics\":[]}\n";
-}
-
-void MetricsRegistry::write_csv(std::ostream& os) const {
-  os << "name,type,unit,value,count,p50,p95,p99,buckets\n";
-}
-
-#endif  // REFIT_OBS_ENABLED
 
 }  // namespace refit::obs

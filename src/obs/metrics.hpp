@@ -15,9 +15,8 @@
 // entries sorted by metric name, which makes the JSON/CSV output
 // deterministic for golden tests.
 //
-// Cost model: compile-time gate REFIT_OBS (default ON) stubs the whole
-// layer out; at runtime the layer starts disabled and every handle
-// operation is a single relaxed load until set_enabled(true). The
+// Cost model: the layer starts disabled and every handle operation is a
+// single relaxed load until set_enabled(true). The
 // registry is intentionally leaked (never destroyed) so instrumented
 // threads may record during process teardown.
 #pragma once
@@ -29,10 +28,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#ifndef REFIT_OBS_ENABLED
-#define REFIT_OBS_ENABLED 1
-#endif
 
 namespace refit::obs {
 
@@ -55,8 +50,6 @@ struct MetricSnapshot {
   /// Returns 0 for empty histograms and non-histogram types.
   [[nodiscard]] double percentile(double q) const;
 };
-
-#if REFIT_OBS_ENABLED
 
 namespace detail {
 
@@ -174,51 +167,5 @@ class MetricsRegistry {
   struct Impl;
   Impl* impl_;
 };
-
-#else  // !REFIT_OBS_ENABLED — inert stubs with the identical surface.
-
-inline bool metrics_enabled() { return false; }
-
-class MetricsRegistry;
-
-class Counter {
- public:
-  Counter() = default;
-  void add(std::uint64_t = 1) {}
-};
-
-class Gauge {
- public:
-  Gauge() = default;
-  void set(double) {}
-};
-
-class Histogram {
- public:
-  Histogram() = default;
-  void observe(double) {}
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& instance() {
-    static MetricsRegistry registry;
-    return registry;
-  }
-  Counter counter(const std::string&, const std::string& = "") { return {}; }
-  Gauge gauge(const std::string&, const std::string& = "") { return {}; }
-  Histogram histogram(const std::string&, std::vector<double>,
-                      const std::string& = "") {
-    return {};
-  }
-  void set_enabled(bool) {}
-  [[nodiscard]] bool enabled() const { return false; }
-  [[nodiscard]] std::vector<MetricSnapshot> snapshot() const { return {}; }
-  void write_json(std::ostream& os) const;
-  void write_csv(std::ostream& os) const;
-  void reset_for_tests() {}
-};
-
-#endif  // REFIT_OBS_ENABLED
 
 }  // namespace refit::obs

@@ -1,4 +1,4 @@
-// Ring-buffered periodic sampler behind obs/timeseries.hpp: snapshots
+// Ring-buffered sampler behind obs/timeseries.hpp: snapshots
 // the MetricsRegistry through the Clock seam so JSONL output is
 // byte-stable at any thread count under ManualClock.
 #include "obs/timeseries.hpp"
@@ -14,8 +14,6 @@
 
 namespace refit::obs {
 
-#if REFIT_OBS_ENABLED
-
 namespace {
 
 /// %.12g, matching the metrics writers so goldens share one format.
@@ -25,24 +23,17 @@ void append_double(std::string& out, double v) {
   out += buf;
 }
 
-bool excluded(const std::string& name,
-              const std::vector<std::string>& prefixes) {
-  for (const std::string& p : prefixes) {
-    if (name.compare(0, p.size(), p) == 0) return true;
-  }
-  return false;
-}
+/// The pool's per-lane host-performance counters, whose *names* depend
+/// on the worker-thread count.
+bool excluded(const std::string& name) { return name.starts_with("pool."); }
 
 }  // namespace
 
 struct TimeseriesRecorder::Impl {
   std::atomic<bool> enabled{false};
   mutable std::mutex mu;
-  TimeseriesConfig config;
   std::deque<TimeseriesSample> ring;
   std::uint64_t next_seq = 0;
-  std::uint64_t last_sample_ns = 0;
-  bool have_sample = false;
 
   // Sampling is cold (once per engine iteration); a mutex is fine here —
   // the lock-free discipline only matters on metric/event hot paths.
@@ -51,7 +42,7 @@ struct TimeseriesRecorder::Impl {
     sample.t_ns = t_ns;
     sample.iteration = iteration;
     for (const MetricSnapshot& s : MetricsRegistry::instance().snapshot()) {
-      if (excluded(s.name, config.exclude_prefixes)) continue;
+      if (excluded(s.name)) continue;
       TimeseriesValue v;
       v.name = s.name;
       v.type = s.type;
@@ -66,10 +57,8 @@ struct TimeseriesRecorder::Impl {
     }
     std::lock_guard<std::mutex> lk(mu);
     sample.seq = next_seq++;
-    last_sample_ns = t_ns;
-    have_sample = true;
     ring.push_back(std::move(sample));
-    while (ring.size() > config.capacity) ring.pop_front();
+    if (ring.size() > kCapacity) ring.pop_front();
   }
 };
 
@@ -80,12 +69,6 @@ TimeseriesRecorder& TimeseriesRecorder::global() {
   return *recorder;
 }
 
-void TimeseriesRecorder::configure(TimeseriesConfig config) {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  if (config.capacity == 0) config.capacity = 1;
-  impl_->config = std::move(config);
-}
-
 void TimeseriesRecorder::set_enabled(bool on) {
   impl_->enabled.store(on, std::memory_order_relaxed);
 }
@@ -94,21 +77,8 @@ bool TimeseriesRecorder::enabled() const {
   return impl_->enabled.load(std::memory_order_relaxed);
 }
 
-void TimeseriesRecorder::poll(std::uint64_t iteration) {
+void TimeseriesRecorder::sample(std::uint64_t iteration) {
   if (!enabled()) return;  // no clock read when disabled
-  const std::uint64_t t = now_ns();
-  {
-    std::lock_guard<std::mutex> lk(impl_->mu);
-    if (impl_->have_sample && impl_->config.period_ns > 0 &&
-        t - impl_->last_sample_ns < impl_->config.period_ns) {
-      return;
-    }
-  }
-  impl_->record(iteration, t);
-}
-
-void TimeseriesRecorder::sample_now(std::uint64_t iteration) {
-  if (!enabled()) return;
   impl_->record(iteration, now_ns());
 }
 
@@ -171,14 +141,6 @@ void TimeseriesRecorder::reset_for_tests() {
   std::lock_guard<std::mutex> lk(impl_->mu);
   impl_->ring.clear();
   impl_->next_seq = 0;
-  impl_->last_sample_ns = 0;
-  impl_->have_sample = false;
 }
-
-#else  // !REFIT_OBS_ENABLED
-
-void TimeseriesRecorder::write_jsonl(std::ostream&) const {}
-
-#endif  // REFIT_OBS_ENABLED
 
 }  // namespace refit::obs

@@ -1,23 +1,22 @@
-// Time-series telemetry: a periodic sampler over MetricsRegistry driven
-// through the obs Clock seam.
+// Time-series telemetry: a sampler over MetricsRegistry driven through
+// the obs Clock seam.
 //
-// The engine observer calls poll() once per iteration (clock-gated by
-// TimeseriesConfig::period_ns) and sample_now() at the end of each
-// detection round, so detection quality — precision/recall, accuracy,
-// wear — is visible *as a function of training time*, not just as an
-// end-of-run snapshot. Samples land in a bounded ring (the most recent
-// `capacity` are kept) and flush as JSONL via write_jsonl().
+// The engine observer calls sample() at the end of every iteration and
+// once more at the end of each detection round, so detection quality —
+// precision/recall, accuracy, wear — is visible *as a function of
+// training time*, not just as an end-of-run snapshot. Samples land in a
+// bounded ring (the most recent kCapacity are kept) and flush as JSONL
+// via write_jsonl().
 //
 // Determinism: sampling happens on the calling thread and reads the
-// injected clock a fixed number of times per poll, so under ManualClock
-// the JSONL output is byte-identical at any worker-thread count —
-// provided thread-count-dependent metric *names* are excluded, which is
-// why exclude_prefixes defaults to {"pool."} (pool.worker.<lane>.busy_ns
-// changes name set with the lane count and measures the host, not the
-// model). Golden-tested in tests/test_timeseries.cpp.
+// injected clock once per sample, so under ManualClock the JSONL output
+// is byte-identical at any worker-thread count — provided
+// thread-count-dependent metric *names* are excluded, which is why
+// metrics under "pool." are skipped (pool.worker.<lane>.busy_ns changes
+// name set with the lane count and measures the host, not the model).
+// Golden-tested in tests/test_timeseries.cpp.
 //
-// Compile-time gate REFIT_OBS (default ON) stubs the layer out; at
-// runtime the recorder starts disabled and poll() is a relaxed load until
+// The recorder starts disabled and sample() is a relaxed load until
 // set_enabled(true). State is intentionally leaked (never destroyed).
 #pragma once
 
@@ -28,22 +27,7 @@
 
 #include "obs/metrics.hpp"
 
-#ifndef REFIT_OBS_ENABLED
-#define REFIT_OBS_ENABLED 1
-#endif
-
 namespace refit::obs {
-
-struct TimeseriesConfig {
-  /// Minimum nanoseconds between poll() samples; 0 samples every poll.
-  std::uint64_t period_ns = 0;
-  /// Ring bound: the most recent `capacity` samples are retained.
-  std::size_t capacity = 4096;
-  /// Metrics whose name starts with any of these prefixes are skipped.
-  /// Default excludes the pool's per-lane host-performance counters,
-  /// whose *names* depend on the worker-thread count.
-  std::vector<std::string> exclude_prefixes = {"pool."};
-};
 
 /// One sampled metric, condensed: histograms keep count/sum/percentiles,
 /// not the full bucket array (the end-of-run snapshot has those).
@@ -62,26 +46,20 @@ struct TimeseriesSample {
   std::vector<TimeseriesValue> values;  // name-sorted (registry order)
 };
 
-#if REFIT_OBS_ENABLED
-
 class TimeseriesRecorder {
  public:
+  /// Ring capacity: the recorder keeps the most recent kCapacity samples.
+  static constexpr std::size_t kCapacity = 4096;
+
   static TimeseriesRecorder& global();
 
-  /// Replace the sampling config. Call while no polls are live.
-  void configure(TimeseriesConfig config);
-
-  /// Runtime gate (starts disabled). A disabled poll() never reads the
+  /// Runtime gate (starts disabled). A disabled sample() never reads the
   /// clock, so leaving the recorder off cannot perturb golden traces.
   void set_enabled(bool on);
   [[nodiscard]] bool enabled() const;
 
-  /// Clock-gated sample: records a snapshot if period_ns has elapsed
-  /// since the last sample (always, when period_ns is 0).
-  void poll(std::uint64_t iteration);
-
-  /// Unconditional sample — used at detection-round boundaries.
-  void sample_now(std::uint64_t iteration);
+  /// Record one snapshot of every metric outside "pool." at now_ns().
+  void sample(std::uint64_t iteration);
 
   /// Total samples ever taken (including any the ring has dropped).
   [[nodiscard]] std::uint64_t sampled() const;
@@ -92,7 +70,7 @@ class TimeseriesRecorder {
   /// One JSON object per line, one line per sample.
   void write_jsonl(std::ostream& os) const;
 
-  /// Drop retained samples, reset the sequence counter and period gate.
+  /// Drop retained samples and reset the sequence counter.
   void reset_for_tests();
 
  private:
@@ -101,26 +79,5 @@ class TimeseriesRecorder {
   struct Impl;
   Impl* impl_;
 };
-
-#else  // !REFIT_OBS_ENABLED — inert stub with the identical surface.
-
-class TimeseriesRecorder {
- public:
-  static TimeseriesRecorder& global() {
-    static TimeseriesRecorder recorder;
-    return recorder;
-  }
-  void configure(TimeseriesConfig) {}
-  void set_enabled(bool) {}
-  [[nodiscard]] bool enabled() const { return false; }
-  void poll(std::uint64_t) {}
-  void sample_now(std::uint64_t) {}
-  [[nodiscard]] std::uint64_t sampled() const { return 0; }
-  [[nodiscard]] std::vector<TimeseriesSample> samples() const { return {}; }
-  void write_jsonl(std::ostream& os) const;
-  void reset_for_tests() {}
-};
-
-#endif  // REFIT_OBS_ENABLED
 
 }  // namespace refit::obs

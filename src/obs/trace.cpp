@@ -12,8 +12,6 @@
 
 namespace refit::obs {
 
-#if REFIT_OBS_ENABLED
-
 namespace {
 
 struct ThreadBuf;
@@ -167,13 +165,5 @@ TraceSpan::~TraceSpan() {
   Tracer::global().emit_complete(name_, category_, start_ns_,
                                  now_ns() - start_ns_);
 }
-
-#else  // !REFIT_OBS_ENABLED
-
-void Tracer::write_chrome_json(std::ostream& os) const {
-  os << "{\"traceEvents\":[]}\n";
-}
-
-#endif  // REFIT_OBS_ENABLED
 
 }  // namespace refit::obs

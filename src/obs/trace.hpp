@@ -11,18 +11,13 @@
 // Timestamps come from the obs::Clock seam (clock.hpp); tests inject a
 // ManualClock to get byte-stable golden traces. The tracer is runtime-
 // disabled by default: a TraceSpan constructed while disabled performs no
-// clock read and records nothing. Compile-time REFIT_OBS=OFF stubs the
-// whole surface out.
+// clock read and records nothing.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
-
-#ifndef REFIT_OBS_ENABLED
-#define REFIT_OBS_ENABLED 1
-#endif
 
 namespace refit::obs {
 
@@ -34,8 +29,6 @@ struct TraceEvent {
   std::uint64_t dur_ns = 0;
   std::uint32_t tid = 0;
 };
-
-#if REFIT_OBS_ENABLED
 
 class Tracer {
  public:
@@ -85,31 +78,5 @@ class TraceSpan {
   const char* category_ = nullptr;
   std::uint64_t start_ns_ = 0;
 };
-
-#else  // !REFIT_OBS_ENABLED — inert stubs with the identical surface.
-
-class Tracer {
- public:
-  static Tracer& global() {
-    static Tracer tracer;
-    return tracer;
-  }
-  void set_enabled(bool) {}
-  [[nodiscard]] bool enabled() const { return false; }
-  void emit_complete(const char*, const char*, std::uint64_t, std::uint64_t) {}
-  static void set_thread_tid(std::uint32_t) {}
-  [[nodiscard]] std::vector<TraceEvent> collect() const { return {}; }
-  void write_chrome_json(std::ostream& os) const;
-  void reset() {}
-};
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*, const char* = "") {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-};
-
-#endif  // REFIT_OBS_ENABLED
 
 }  // namespace refit::obs

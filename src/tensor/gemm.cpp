@@ -2,8 +2,6 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -16,31 +14,7 @@
 #define REFIT_GEMM_X86 0
 #endif
 
-namespace refit {
-
-namespace {
-
-std::atomic<ReductionMode>& mode_cell() {
-  static std::atomic<ReductionMode> mode{[] {
-    const char* env = std::getenv("REFIT_FAST_REDUCE");
-    return (env != nullptr && env[0] == '1' && env[1] == '\0')
-               ? ReductionMode::kFast
-               : ReductionMode::kDeterministic;
-  }()};
-  return mode;
-}
-
-}  // namespace
-
-ReductionMode reduction_mode() {
-  return mode_cell().load(std::memory_order_relaxed);
-}
-
-void set_reduction_mode(ReductionMode mode) {
-  mode_cell().store(mode, std::memory_order_relaxed);
-}
-
-namespace gemm {
+namespace refit::gemm {
 
 namespace {
 
@@ -53,9 +27,8 @@ using MicroFn = void (*)(std::size_t k, const float* a, std::size_t lda,
                          const float* bp, float* c, std::size_t ldc,
                          std::size_t nvalid);
 
-/// One kernel family: fn[mr - 1] computes an mr-row block, mr ≤ rows.
+/// One kernel family: fn[mr - 1] computes an mr-row block, mr ≤ kMR.
 struct MicroSet {
-  std::size_t rows;
   MicroFn fn[kMR];
 };
 
@@ -84,7 +57,7 @@ void micro_portable(std::size_t k, const float* a, std::size_t lda,
 }
 template <bool ZeroSkip, std::size_t... R>
 constexpr MicroSet portable_set(std::index_sequence<R...>) {
-  return {sizeof...(R), {&micro_portable<R + 1, ZeroSkip>...}};
+  return {{&micro_portable<R + 1, ZeroSkip>...}};
 }
 
 #if REFIT_GEMM_X86
@@ -141,46 +114,9 @@ __attribute__((target("avx"))) void micro_avx(
 }
 template <bool ZeroSkip, std::size_t... R>
 constexpr MicroSet avx_set(std::index_sequence<R...>) {
-  return {sizeof...(R), {&micro_avx<R + 1, ZeroSkip>...}};
+  return {{&micro_avx<R + 1, ZeroSkip>...}};
 }
 #endif
-
-/// Fast micro-kernel: k split across two interleaved partial accumulators
-/// (reassociation → more latency overlap), no zero skip. Four rows: its
-/// two scalar accumulator blocks would spill at kMR.
-template <std::size_t MR>
-void micro_fast(std::size_t k, const float* a, std::size_t lda, const float* bp,
-                float* c, std::size_t ldc, std::size_t nvalid) {
-  float acc0[MR][kNR] = {};
-  float acc1[MR][kNR] = {};
-  std::size_t kk = 0;
-  for (; kk + 2 <= k; kk += 2) {
-    const float* b0 = bp + kk * kNR;
-    const float* b1 = b0 + kNR;
-    for (std::size_t r = 0; r < MR; ++r) {
-      const float av0 = a[r * lda + kk];
-      const float av1 = a[r * lda + kk + 1];
-      for (std::size_t j = 0; j < kNR; ++j) {
-        acc0[r][j] += av0 * b0[j];
-        acc1[r][j] += av1 * b1[j];
-      }
-    }
-  }
-  if (kk < k) {
-    const float* b0 = bp + kk * kNR;
-    for (std::size_t r = 0; r < MR; ++r) {
-      const float av = a[r * lda + kk];
-      for (std::size_t j = 0; j < kNR; ++j) acc0[r][j] += av * b0[j];
-    }
-  }
-  for (std::size_t r = 0; r < MR; ++r)
-    for (std::size_t j = 0; j < nvalid; ++j)
-      c[r * ldc + j] = acc0[r][j] + acc1[r][j];
-}
-template <std::size_t... R>
-constexpr MicroSet fast_set(std::index_sequence<R...>) {
-  return {sizeof...(R), {&micro_fast<R + 1>...}};
-}
 
 /// The deterministic kernels of one ISA, indexed by zero_skip.
 struct DetKernels {
@@ -192,8 +128,6 @@ constexpr DetKernels kPortable = {
     "portable",
     {portable_set<false>(std::make_index_sequence<kMR>{}),
      portable_set<true>(std::make_index_sequence<kMR>{})}};
-
-constexpr MicroSet kFastSet = fast_set(std::make_index_sequence<4>{});
 
 /// Chosen once per process: AVX when the CPU (and OS) support it.
 const DetKernels& dispatched() {
@@ -212,7 +146,7 @@ const DetKernels& dispatched() {
 
 /// Lanes own contiguous C row blocks; within a lane the mid loop holds a
 /// kMC-row A slab against every (L1-resident) packed strip, which the
-/// micro-kernels walk `ks.rows` rows at a time.
+/// micro-kernels walk kMR rows at a time.
 void drive(const MicroSet& ks, std::size_t m, std::size_t k, std::size_t n,
            const float* a, std::size_t lda, const float* bp, float* c,
            std::size_t ldc) {
@@ -224,8 +158,8 @@ void drive(const MicroSet& ks, std::size_t m, std::size_t k, std::size_t n,
         const float* strip = bp + s * k * kNR;
         const std::size_t j0 = s * kNR;
         const std::size_t nvalid = std::min(kNR, n - j0);
-        for (std::size_t i = ic; i < ie; i += ks.rows) {
-          const std::size_t mr = std::min(ks.rows, ie - i);
+        for (std::size_t i = ic; i < ie; i += kMR) {
+          const std::size_t mr = std::min(kMR, ie - i);
           ks.fn[mr - 1](k, a + i * lda, lda, strip, c + i * ldc + j0, ldc,
                         nvalid);
         }
@@ -286,10 +220,7 @@ void pack_at(const float* a, std::size_t k, std::size_t m, float* at) {
 void run(std::size_t m, std::size_t k, std::size_t n, const float* a,
          std::size_t lda, const float* bp, float* c, std::size_t ldc,
          bool zero_skip) {
-  const MicroSet& ks = reduction_mode() == ReductionMode::kFast
-                           ? kFastSet
-                           : dispatched().det[zero_skip ? 1 : 0];
-  drive(ks, m, k, n, a, lda, bp, c, ldc);
+  drive(dispatched().det[zero_skip ? 1 : 0], m, k, n, a, lda, bp, c, ldc);
 }
 
 const char* kernel_isa() { return dispatched().isa; }
@@ -308,5 +239,4 @@ void run_portable(std::size_t m, std::size_t k, std::size_t n, const float* a,
 }
 
 }  // namespace detail
-}  // namespace gemm
-}  // namespace refit
+}  // namespace refit::gemm

@@ -10,34 +10,16 @@
 //
 // Determinism: each output element is an independent dot product whose
 // additions run in k-ascending order from a zero accumulator — exactly the
-// sequence the pre-blocking naive kernels performed — so deterministic-mode
-// results are bit-identical to them (and across thread counts; lanes write
-// disjoint C rows). On AVX hosts the zero skip of matmul/matmul_tn is a
-// mask rather than a branch, with the same bits (docs/kernels.md).
-// ReductionMode::kFast (opt-in via
-// refit::set_reduction_mode or REFIT_FAST_REDUCE=1) permits reassociation:
-// the micro-kernel splits k across two interleaved partial accumulators,
-// which changes the rounding sequence but stays within ~1e-4 relative
-// error on normalized data.
+// sequence the pre-blocking naive kernels performed — so results are
+// bit-identical to them (and across thread counts; lanes write disjoint C
+// rows). On AVX hosts the zero skip of matmul/matmul_tn is a mask rather
+// than a branch, with the same bits (docs/kernels.md).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-namespace refit {
-
-/// Floating-point reduction contract of the GEMM kernels.
-enum class ReductionMode {
-  kDeterministic,  ///< bit-identical to the serial k-ascending sum (default)
-  kFast            ///< reassociated accumulators (faster, ~1e-4 rel error)
-};
-
-/// Process-wide reduction mode. Initialized from REFIT_FAST_REDUCE=1 on
-/// first query; set_reduction_mode overrides the environment.
-[[nodiscard]] ReductionMode reduction_mode();
-void set_reduction_mode(ReductionMode mode);
-
-namespace gemm {
+namespace refit::gemm {
 
 /// Micro-kernel register block: kMR C rows × kNR C columns held in
 /// registers across the whole k extent (one 256-bit vector per C row in
@@ -76,9 +58,9 @@ void pack_bt(const float* bt, std::size_t n, std::size_t k, float* bp);
 void pack_at(const float* a, std::size_t k, std::size_t m, float* at);
 
 /// C[m,n] (row-major, ldc) = A[m,k] (row-major, lda) · packed B. Fans C
-/// rows across the pool with grain control; honors reduction_mode().
-/// `zero_skip` replicates the naive kernels' `if (a == 0) continue` (the
-/// post-ReLU sparsity shortcut) in deterministic mode; kFast ignores it.
+/// rows across the pool with grain control. `zero_skip` replicates the
+/// naive kernels' `if (a == 0) continue` (the post-ReLU sparsity
+/// shortcut) without changing any bit.
 void run(std::size_t m, std::size_t k, std::size_t n, const float* a,
          std::size_t lda, const float* bp, float* c, std::size_t ldc,
          bool zero_skip);
@@ -94,13 +76,12 @@ void run(std::size_t m, std::size_t k, std::size_t n, const float* a,
 
 namespace detail {
 
-/// run() pinned to the portable scalar micro-kernel in deterministic mode,
-/// whatever kernel_isa() and reduction_mode() say — lets the tests hold
-/// both kernels to the same bit-identity contract on one host.
+/// run() pinned to the portable scalar micro-kernel, whatever kernel_isa()
+/// says — lets the tests hold both kernels to the same bit-identity
+/// contract on one host.
 void run_portable(std::size_t m, std::size_t k, std::size_t n, const float* a,
                   std::size_t lda, const float* bp, float* c, std::size_t ldc,
                   bool zero_skip);
 
 }  // namespace detail
-}  // namespace gemm
-}  // namespace refit
+}  // namespace refit::gemm

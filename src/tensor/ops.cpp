@@ -31,9 +31,8 @@ void count_gemm_flops(std::size_t m, std::size_t k, std::size_t n) {
 // right-hand side is packed into kNR-wide column strips once per call, then
 // a kMR×kNR register-blocked micro-kernel streams each strip against blocks
 // of A rows. Lanes own contiguous C row blocks and every element keeps its
-// serial k-ascending accumulation order, so deterministic-mode results are
-// bit-identical to the pre-blocking kernels at any thread count (kFast
-// reassociates — see docs/kernels.md).
+// serial k-ascending accumulation order, so results are bit-identical to
+// the pre-blocking kernels at any thread count (see docs/kernels.md).
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   check_rank2(a, "a");

@@ -14,7 +14,6 @@
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "rcs/rcs_system.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
 namespace refit {
@@ -223,11 +222,6 @@ TEST(RcsSystem, AggregateWriteStats) {
 
 // ---- Fused faulty forward -------------------------------------------------
 
-struct ReductionModeGuard {
-  ReductionMode prev = reduction_mode();
-  ~ReductionModeGuard() { set_reduction_mode(prev); }
-};
-
 struct PoolGuard {
   ~PoolGuard() { ThreadPool::set_global_threads(1); }
 };
@@ -238,9 +232,7 @@ bool same_bits(const Tensor& x, const Tensor& y) {
 }
 
 TEST(CrossbarStore, FusedForwardBitExactUnderInjectedFaults) {
-  ReductionModeGuard mode_guard;
   PoolGuard pool_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   // 40×24 on 16×16 tiles: a 3×2 grid with shrunken edge tiles, so the
   // packed scatter crosses tile boundaries in both dimensions.
   const Tensor init = ramp(40, 24, 0.03f);
@@ -262,9 +254,7 @@ TEST(CrossbarStore, FusedForwardBitExactUnderInjectedFaults) {
 }
 
 TEST(CrossbarStore, FusedForwardTracksWritesAndPermutations) {
-  ReductionModeGuard mode_guard;
   PoolGuard pool_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   const Tensor init = ramp(32, 32, 0.02f);
   CrossbarWeightStore store(clean_config(), init, Rng(23));
   Rng rng(24);
@@ -305,9 +295,7 @@ std::uint64_t fused_pack_tiles() {
 }
 
 TEST(CrossbarStore, WriteThroughKeepsThePanelCurrent) {
-  ReductionModeGuard mode_guard;
   PoolGuard pool_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
   const bool metrics_were_on = reg.enabled();
   reg.set_enabled(true);
@@ -350,8 +338,6 @@ TEST(CrossbarStore, WriteThroughKeepsThePanelCurrent) {
 }
 
 TEST(CrossbarStore, FusedForwardSurvivesCheckpointRestore) {
-  ReductionModeGuard mode_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   const Tensor init = ramp(20, 20, 0.02f);
   CrossbarWeightStore store(clean_config(), init, Rng(25));
   store.tile(0, 0).force_fault(2, 2, FaultKind::kStuckAt1);

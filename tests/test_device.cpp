@@ -16,7 +16,6 @@
 #include "device/noise_model.hpp"
 #include "rcs/crossbar_store.hpp"
 #include "rram/faults.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
 namespace refit {
@@ -166,12 +165,7 @@ TEST(DeviceEncoding, ExpectedGMatchesTheEncoderPerLeg) {
 }
 
 TEST(DeviceEncoding, FusedForwardBitExactOnDifferentialPairs) {
-  struct ReductionModeGuard {
-    ReductionMode prev = reduction_mode();
-    ~ReductionModeGuard() { set_reduction_mode(prev); }
-  } mode_guard;
   PoolGuard pool_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   // 40×24 on 16×16 tiles (ragged edges) with faults on both legs: the
   // fused kernel's per-tile re-pack must decode exactly like effective().
   const Tensor init = ramp(40, 24, 0.03f);

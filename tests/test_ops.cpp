@@ -268,13 +268,6 @@ Tensor naive_matmul_nt(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-/// Restores the process reduction mode (tests may run under
-/// REFIT_FAST_REDUCE=1, so never assume the entry mode).
-struct ReductionModeGuard {
-  ReductionMode prev = reduction_mode();
-  ~ReductionModeGuard() { set_reduction_mode(prev); }
-};
-
 struct PoolGuard {
   ~PoolGuard() { ThreadPool::set_global_threads(1); }
 };
@@ -342,9 +335,7 @@ Tensor portable_matmul_nt(const Tensor& a, const Tensor& bt) {
 }
 
 TEST(GemmBlocked, DeterministicBitIdenticalToNaiveAcrossShapes) {
-  ReductionModeGuard mode_guard;
   PoolGuard pool_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   Rng rng(11);
   for (const auto& sh : kOddShapes) {
     const Tensor a = sparse_randn({sh.m, sh.k}, rng);
@@ -374,33 +365,6 @@ TEST(GemmBlocked, DeterministicBitIdenticalToNaiveAcrossShapes) {
           << threads;
     }
   }
-}
-
-TEST(GemmBlocked, FastModeWithinRelativeTolerance) {
-  ReductionModeGuard mode_guard;
-  Rng rng(12);
-  for (const auto& sh : kOddShapes) {
-    const Tensor a = Tensor::randn({sh.m, sh.k}, rng);
-    const Tensor b = Tensor::randn({sh.k, sh.n}, rng);
-    set_reduction_mode(ReductionMode::kDeterministic);
-    const Tensor ref = matmul(a, b);
-    set_reduction_mode(ReductionMode::kFast);
-    const Tensor fast = matmul(a, b);
-    ASSERT_EQ(fast.shape(), ref.shape());
-    for (std::size_t i = 0; i < ref.numel(); ++i) {
-      const double tol =
-          1e-4 * std::max(1.0, static_cast<double>(std::fabs(ref[i])));
-      EXPECT_NEAR(fast[i], ref[i], tol) << "element " << i;
-    }
-  }
-}
-
-TEST(GemmBlocked, ReductionModeSetterOverrides) {
-  ReductionModeGuard mode_guard;
-  set_reduction_mode(ReductionMode::kFast);
-  EXPECT_EQ(reduction_mode(), ReductionMode::kFast);
-  set_reduction_mode(ReductionMode::kDeterministic);
-  EXPECT_EQ(reduction_mode(), ReductionMode::kDeterministic);
 }
 
 TEST(GemmBlocked, PackedIndexMatchesPackB) {
@@ -442,9 +406,7 @@ void plant_skip_specials(Tensor& a, Tensor& b) {
 }
 
 TEST(GemmBlocked, MaskedZeroSkipIsExact) {
-  ReductionModeGuard mode_guard;
   PoolGuard pool_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   Rng rng(15);
   // k = 2 leaves every C element a skipped term plus a −0 product.
   const GemmShape shapes[] = {{8, 2, 8},   {13, 10, 19}, {3, 4, 5},
@@ -471,9 +433,7 @@ TEST(GemmBlocked, MaskedZeroSkipIsExact) {
 }
 
 TEST(GemmBlocked, FusedForwardMaskedSkipMatchesMatmul) {
-  ReductionModeGuard mode_guard;
   PoolGuard pool_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   // Zero weight rows program to exactly-zero effective rows, so negative
   // activations facing them produce −0 products; ±0 activations are
   // skipped. 40×24 on 16×16 tiles crosses tile edges both ways.

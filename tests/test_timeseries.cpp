@@ -1,19 +1,22 @@
-// Tests for the periodic metrics sampler (src/obs/timeseries.hpp):
+// Tests for the metrics sampler (src/obs/timeseries.hpp):
 //
-//   * ring capacity, period gating through the Clock seam, and the
-//     exclude-prefix filter (pool.* metrics vary with the lane count, so
-//     they are excluded by default),
+//   * ring capacity and the pool.* filter (pool.* metrics vary with the
+//     lane count, so they are never sampled),
 //   * JSONL serialization parses and carries the histogram percentiles,
 //   * the headline golden property — under a fresh ManualClock per run
 //     the JSONL emitted by a full engine run is byte-identical at 1 and
-//     at 4 threads, because sampling happens only on the caller thread.
+//     at 4 threads, because sampling happens only on the caller thread —
+//     and the observer's sample schedule (every iteration, plus one extra
+//     after each detection round).
 //
 // The fixture mirrors ObsTest in test_obs.cpp: reset + enable on setup,
 // restore the steady clock and the 1-thread pool on teardown.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
@@ -29,7 +32,6 @@ namespace refit {
 namespace {
 
 using obs::MetricsRegistry;
-using obs::TimeseriesConfig;
 using obs::TimeseriesRecorder;
 
 class TimeseriesTest : public ::testing::Test {
@@ -57,7 +59,7 @@ TEST_F(TimeseriesTest, SampleNowSnapshotsRegistryValues) {
       .histogram("ts.hist", {1.0, 10.0}, "units")
       .observe(5.0);
 
-  TimeseriesRecorder::global().sample_now(7);
+  TimeseriesRecorder::global().sample(7);
   const auto samples = TimeseriesRecorder::global().samples();
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_EQ(samples[0].seq, 0u);
@@ -74,25 +76,10 @@ TEST_F(TimeseriesTest, SampleNowSnapshotsRegistryValues) {
   EXPECT_NE(line.find("\"p95\":"), std::string::npos);
 }
 
-TEST_F(TimeseriesTest, PollHonorsThePeriodThroughTheClockSeam) {
-  obs::ManualClock clock(1000);
-  obs::set_clock(&clock);
-  TimeseriesConfig cfg;
-  cfg.period_ns = 5000;  // one sample per 5 ticks
-  TimeseriesRecorder::global().configure(cfg);
-  TimeseriesRecorder::global().set_enabled(true);
-
-  MetricsRegistry::instance().counter("ts.count").add(1);
-  for (std::size_t i = 0; i < 20; ++i) TimeseriesRecorder::global().poll(i);
-  // 20 polls, each advancing the manual clock 1000 ns, sample every
-  // 5000 ns: the recorder takes a quarter of them.
-  EXPECT_EQ(TimeseriesRecorder::global().sampled(), 4u);
-}
-
 TEST_F(TimeseriesTest, ExcludePrefixesDropPoolMetrics) {
   MetricsRegistry::instance().counter("pool.lane0.tasks").add(2);
   MetricsRegistry::instance().counter("ts.kept").add(1);
-  TimeseriesRecorder::global().sample_now(0);
+  TimeseriesRecorder::global().sample(0);
   std::ostringstream os;
   TimeseriesRecorder::global().write_jsonl(os);
   EXPECT_EQ(os.str().find("pool.lane0.tasks"), std::string::npos)
@@ -101,24 +88,24 @@ TEST_F(TimeseriesTest, ExcludePrefixesDropPoolMetrics) {
 }
 
 TEST_F(TimeseriesTest, RingDropsOldestBeyondCapacity) {
-  TimeseriesConfig cfg;
-  cfg.capacity = 4;
-  TimeseriesRecorder::global().configure(cfg);
-  TimeseriesRecorder::global().set_enabled(true);
-  for (std::size_t i = 0; i < 10; ++i) {
-    TimeseriesRecorder::global().sample_now(i);
+  constexpr std::size_t kCapacity = TimeseriesRecorder::kCapacity;
+  constexpr std::size_t kExtra = 6;
+  for (std::size_t i = 0; i < kCapacity + kExtra; ++i) {
+    TimeseriesRecorder::global().sample(i);
   }
   const auto samples = TimeseriesRecorder::global().samples();
-  ASSERT_EQ(samples.size(), 4u);
-  EXPECT_EQ(samples.front().iteration, 6u);  // oldest retained
-  EXPECT_EQ(samples.back().iteration, 9u);
-  EXPECT_EQ(TimeseriesRecorder::global().sampled(), 10u);  // total taken
+  ASSERT_EQ(samples.size(), kCapacity);
+  EXPECT_EQ(samples.front().iteration, kExtra);  // oldest retained
+  EXPECT_EQ(samples.front().seq, kExtra);
+  EXPECT_EQ(samples.back().iteration, kCapacity + kExtra - 1);
+  EXPECT_EQ(TimeseriesRecorder::global().sampled(),
+            kCapacity + kExtra);  // total taken
 }
 
 TEST_F(TimeseriesTest, DisabledRecorderTakesNoSamples) {
   TimeseriesRecorder::global().set_enabled(false);
-  TimeseriesRecorder::global().sample_now(0);
-  TimeseriesRecorder::global().poll(1);
+  TimeseriesRecorder::global().sample(0);
+  TimeseriesRecorder::global().sample(1);
   EXPECT_EQ(TimeseriesRecorder::global().sampled(), 0u);
 }
 
@@ -193,6 +180,16 @@ TEST_F(TimeseriesTest, GoldenJsonlIsByteStableAcrossRunsAndThreadCounts) {
   EXPECT_FALSE(d1.empty());
   EXPECT_EQ(d1, d1b) << "same-thread-count repeat must be byte-identical";
   EXPECT_EQ(d1, d4) << "timeseries must not depend on the pool size";
+
+  // The schedule ObsObserver drives: one sample at the end of every
+  // iteration, plus one right after each detection round (iterations 3
+  // and 6), taken before that iteration's own sample.
+  std::vector<std::uint64_t> schedule;
+  for (const auto& s : TimeseriesRecorder::global().samples()) {
+    schedule.push_back(s.iteration);
+  }
+  EXPECT_EQ(schedule,
+            (std::vector<std::uint64_t>{1, 2, 3, 3, 4, 5, 6, 6}));
 }
 
 // Histogram percentiles are pure functions of the snapshot, so repeated

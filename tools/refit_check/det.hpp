@@ -23,8 +23,8 @@
 //                                pointer-to-integer cast reaches a sink
 //   wallclock-to-output          a raw wall-clock read (outside the
 //                                obs::Clock seam) reaches a sink
-//   threadcount-value-dependence hardware_concurrency / thread-id /
-//                                kFast-reduction values reach a sink
+//   threadcount-value-dependence hardware_concurrency / thread-id values
+//                                reach a sink
 //
 // The family's scope is the determinism-contract code: files under tests/
 // and tools/ construct nondeterminism on purpose and are left out, so a

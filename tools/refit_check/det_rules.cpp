@@ -153,7 +153,7 @@ Taint source_bits(const std::vector<Token>& toks, std::size_t i,
   static const std::set<std::string> kEntropyNames = {"random_device",
                                                       "getpid", "getentropy"};
   static const std::set<std::string> kThreadNames = {"hardware_concurrency",
-                                                     "this_thread", "kFast"};
+                                                     "this_thread"};
   const std::string& name = toks[i].text;
   if (kWallclockNames.count(name)) {
     *desc = "raw wall-clock read outside the obs::Clock seam";
@@ -164,9 +164,7 @@ Taint source_bits(const std::vector<Token>& toks, std::size_t i,
     return kNondetSeed;
   }
   if (kThreadNames.count(name)) {
-    *desc = name == "kFast"
-                ? "kFast reduction mode (result depends on partitioning)"
-                : "worker-thread count / thread identity";
+    *desc = "worker-thread count / thread identity";
     return kThreadCount;
   }
   // time(...) as a call — the classic nondeterministic seed.
@@ -325,9 +323,9 @@ std::string message_for(const std::string& rule, const std::string& subject,
     return "'" + subject + "' carries a raw wall-clock read into " + sink +
            " — route timing through the obs::Clock seam or keep it out of "
            "deterministic artifacts";
-  return "'" + subject + "' depends on the worker-thread count (or the "
-         "kFast reduction mode) and reaches " + sink + " — serialized "
-         "results must be identical at any REFIT_THREADS";
+  return "'" + subject + "' depends on the worker-thread count and "
+         "reaches " + sink + " — serialized results must be identical at "
+         "any REFIT_THREADS";
 }
 
 /// Consume a tainted value at a sink: rule bits become findings (reported
@@ -1239,9 +1237,9 @@ Family det_family() {
                "a raw wall-clock read outside the obs::Clock seam reaches a "
                "deterministic sink"},
               {"threadcount-value-dependence",
-               "hardware_concurrency / thread identity / the kFast reduction "
-               "mode reaches a deterministic sink — results must not depend "
-               "on REFIT_THREADS"},
+               "hardware_concurrency / thread identity reaches a "
+               "deterministic sink — results must not depend on "
+               "REFIT_THREADS"},
           },
           [](const Program& program, std::vector<Finding>& out) {
             det::Files files;
