@@ -93,7 +93,7 @@ bool same_bits(const Tensor& a, const Tensor& b) {
 }
 
 /// FNV-1a 64-bit over the tensor's float bytes — the golden hash asserted
-/// by the bench-smoke CI stage.
+/// by the Gate.GemmGoldenHash ctest.
 std::uint64_t fnv1a64(const Tensor& t) {
   std::uint64_t h = 1469598103934665603ULL;
   const auto* p = reinterpret_cast<const unsigned char*>(t.data());
@@ -330,7 +330,7 @@ int main(int argc, char** argv) {
   geom.kernel = 3;
   geom.pad = 1;
 
-  // Golden hash (the bench-smoke CI ratchet): stable across hosts and
+  // Golden hash (the Gate.GemmGoldenHash ratchet): stable across hosts and
   // thread counts because the kernel is bit-exact and Rng is portable.
   ThreadPool::set_global_threads(1);
   const std::uint64_t gemm_hash = fnv1a64(refit::matmul(a, b));
@@ -524,7 +524,7 @@ int main(int argc, char** argv) {
   // hardware_threads and scaling_valid depend on the thread count on
   // purpose: they are provenance — they describe the host the numbers were
   // measured on and are excluded from the deterministic comparison surface
-  // (check.sh compares gemm_output_hash and result rows, never provenance).
+  // (the gates compare gemm_output_hash and result rows, never provenance).
   // refit-check: allow(threadcount-value-dependence)
   os << "    \"hardware_threads\": " << hw_threads << ",\n";
   os << "    \"cpu_model\": \"" << json_escape(prov.cpu_model) << "\",\n";

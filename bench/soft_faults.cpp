@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
     // The provenance header and scaling_valid depend on the thread count
     // on purpose: they describe the measuring host and are excluded from
     // the deterministic comparison surface (result rows and bit_identical
-    // are what check.sh compares).
+    // are what the gate ctests compare).
     // refit-check: allow(threadcount-value-dependence)
     write_provenance_header(os, "device", prov);
     const bool scaling_valid = prov.hardware_threads >= max_threads;
