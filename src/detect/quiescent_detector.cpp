@@ -127,7 +127,7 @@ void QuiescentVoltageDetector::run_pass(
     for (std::size_t r = 0; r < rows && !any; ++r) any = candidate[r * cols + c];
     if (any) sel_cols.push_back(c);
   }
-  for (const auto& group : make_groups(sel_cols, cfg_.tc())) {
+  for (const auto& group : make_groups(sel_cols, cfg_.test_rows_per_cycle)) {
     ++out.cycles;
     for (std::size_t r = 0; r < rows; ++r) {
       Segment seg;
@@ -285,64 +285,54 @@ DetectionOutcome QuiescentVoltageDetector::detect_store(
   // of the store-level map. The grid's for_each_tile fans the per-tile
   // detections across the pool; outcomes are kept in slots and merged in
   // tile order below, so totals are deterministic at any thread count. A
-  // differential store's two leg planes cover the same physical block, so
-  // one lane tests both serially.
+  // differential store's leg planes cover the same physical block, so one
+  // lane tests them serially. Slots are plane-major, like the store's tiles.
   const std::size_t legs = store.legs();
   const TileGrid& grid = store.grid();
-  std::vector<DetectionOutcome> tile_p(grid.tile_count());
-  std::vector<DetectionOutcome> tile_n(legs == 2 ? grid.tile_count() : 0);
+  const std::size_t count = grid.tile_count();
+  std::vector<DetectionOutcome> per_tile(legs * count);
   grid.for_each_tile([&](const TileSpan& span) {
-    tile_p[span.index] = detect(store.tile(span.ti, span.tj));
-    if (legs == 2) {
-      tile_n[span.index] = detect(store.tile_n(span.ti, span.tj));
+    for (std::size_t leg = 0; leg < legs; ++leg) {
+      per_tile[leg * count + span.index] =
+          detect(store.tile(span.ti, span.tj, leg));
     }
   });
-  for (std::size_t t = 0; t < grid.tile_count(); ++t) {
+  for (std::size_t t = 0; t < count; ++t) {
     const TileSpan span = grid.span(t);
+    const DetectionOutcome* o[kMaxEncodingLegs] = {};
+    for (std::size_t leg = 0; leg < legs; ++leg)
+      o[leg] = &per_tile[leg * count + t];
     for (std::size_t r = 0; r < span.rows; ++r) {
       for (std::size_t c = 0; c < span.cols; ++c) {
         const std::size_t pr = span.row0 + r, pc = span.col0 + c;
-        const FaultKind pp = tile_p[t].predicted.at(r, c);
-        const FaultKind pn =
-            legs == 2 ? tile_n[t].predicted.at(r, c) : FaultKind::kNone;
-        out.predicted.set(pr, pc, pp != FaultKind::kNone ? pp : pn);
+        // Per leg: the prediction, the truth snapshot, and the prediction
+        // as the re-test judged it (soft if scrubbed, else hard).
+        FaultKind pred[kMaxEncodingLegs] = {}, truth[kMaxEncodingLegs] = {},
+                  judged[kMaxEncodingLegs] = {};
+        for (std::size_t leg = 0; leg < legs; ++leg) {
+          pred[leg] = o[leg]->predicted.at(r, c);
+          if (!classify) continue;
+          truth[leg] = o[leg]->truth_before.at(r, c);
+          judged[leg] = o[leg]->classified_soft.faulty(r, c)
+                            ? o[leg]->classified_soft.at(r, c)
+                            : pred[leg];
+        }
+        out.predicted.set(pr, pc, merge_leg_faults(pred, legs));
         if (!classify) continue;
-        // Truth merge mirrors CrossbarWeightStore::true_fault: hard > soft
-        // > none, G_p leg breaks ties.
-        const FaultKind tp = tile_p[t].truth_before.at(r, c);
-        const FaultKind tn = legs == 2 ? tile_n[t].truth_before.at(r, c)
-                                       : FaultKind::kNone;
-        out.truth_before.set(
-            pr, pc,
-            fault_is_hard(tp) ? tp
-            : fault_is_hard(tn) ? tn
-            : (tp != FaultKind::kNone ? tp : tn));
+        out.truth_before.set(pr, pc, merge_leg_faults(truth, legs));
         // The weight is only transiently impaired if every leg that tripped
         // the detector was classified soft — one hard leg pins it for good.
-        const bool p_pred = pp != FaultKind::kNone;
-        const bool n_pred = pn != FaultKind::kNone;
-        const bool p_soft = p_pred && tile_p[t].classified_soft.faulty(r, c);
-        const bool n_soft = n_pred && tile_n[t].classified_soft.faulty(r, c);
-        if ((p_pred || n_pred) && (!p_pred || p_soft) && (!n_pred || n_soft)) {
-          out.classified_soft.set(pr, pc,
-                                  p_pred
-                                      ? tile_p[t].classified_soft.at(r, c)
-                                      : tile_n[t].classified_soft.at(r, c));
-        }
+        const FaultKind weight = merge_leg_faults(judged, legs);
+        if (fault_is_soft(weight)) out.classified_soft.set(pr, pc, weight);
       }
     }
-    out.cycles += tile_p[t].cycles;
-    out.cells_tested += tile_p[t].cells_tested;
-    out.device_writes += tile_p[t].device_writes;
-    out.adc_reads += tile_p[t].adc_reads;
-    out.cells_retested += tile_p[t].cells_retested;
-    if (legs == 2) {
-      out.cycles += tile_n[t].cycles;
-      out.cells_tested += tile_n[t].cells_tested;
-      out.device_writes += tile_n[t].device_writes;
-      out.adc_reads += tile_n[t].adc_reads;
-      out.cells_retested += tile_n[t].cells_retested;
-    }
+  }
+  for (const DetectionOutcome& o : per_tile) {
+    out.cycles += o.cycles;
+    out.cells_tested += o.cells_tested;
+    out.device_writes += o.device_writes;
+    out.adc_reads += o.adc_reads;
+    out.cells_retested += o.cells_retested;
   }
   static obs::Counter rounds_metric =
       obs::MetricsRegistry::instance().counter("detector.rounds", "rounds");

@@ -33,10 +33,9 @@ namespace refit {
 
 /// Detector knobs.
 struct DetectorConfig {
-  /// Rows driven per test cycle (Tr). Columns per cycle in the transpose
-  /// direction (Tc) defaults to the same value when 0.
+  /// Rows driven per test cycle (Tr); the transpose direction drives as
+  /// many columns per cycle (Tc = Tr).
   std::size_t test_rows_per_cycle = 16;
-  std::size_t test_cols_per_cycle = 0;
   /// Modulo divisor for the reference-voltage comparison (paper uses 16).
   std::size_t modulo_divisor = 16;
   /// Selected-cell testing (§4.3).
@@ -49,11 +48,6 @@ struct DetectorConfig {
   /// and reported in DetectionOutcome::classified_soft instead of being
   /// handed to re-mapping. Off by default (extra pulses cost endurance).
   bool classify_soft = false;
-
-  [[nodiscard]] std::size_t tc() const {
-    return test_cols_per_cycle == 0 ? test_rows_per_cycle
-                                    : test_cols_per_cycle;
-  }
 };
 
 /// Result of one detection run over one crossbar (or one store).

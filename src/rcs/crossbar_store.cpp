@@ -30,6 +30,9 @@ double rms(const Tensor& t) {
   return std::sqrt(s / static_cast<double>(std::max<std::size_t>(1, t.numel())));
 }
 
+/// weight_max = this multiple × RMS(initial weights); weights clip there.
+constexpr double kWeightClipMultiplier = 4.0;
+
 /// Scalar-op units of one cell write (encode, endurance bookkeeping, a
 /// Gaussian noise draw, the panel write-through) for the pool's grain: a
 /// full 128×128 tile amortizes a lane, so write passes fan out one tile
@@ -46,7 +49,7 @@ CrossbarWeightStore::CrossbarWeightStore(const RcsConfig& cfg, Tensor init,
   REFIT_CHECK_MSG(target_.rank() == 2, "crossbar store needs a 2-D matrix");
   REFIT_CHECK(cfg_.tile_rows > 0 && cfg_.tile_cols > 0);
   const std::size_t r = rows(), c = cols();
-  weight_max_ = std::max(1e-6, cfg_.weight_clip_multiplier * rms(target_));
+  weight_max_ = std::max(1e-6, kWeightClipMultiplier * rms(target_));
 
   grid_ = TileGrid(r, c, cfg_.tile_rows, cfg_.tile_cols);
   const std::size_t tile_count = grid_.tile_count();
@@ -61,20 +64,13 @@ CrossbarWeightStore::CrossbarWeightStore(const RcsConfig& cfg, Tensor init,
     xc.wire_resistance_ratio = cfg_.wire_resistance_ratio;
     return xc;
   };
-  tiles_.reserve(tile_count);
-  for (std::size_t t = 0; t < tile_count; ++t) {
-    tiles_.push_back(std::make_unique<Crossbar>(
-        make_config(grid_.span(t)), cfg_.endurance, rng.split(t + 1)));
-  }
-  if (enc_->legs() == 2) {
-    // The G_n plane's seeds continue past the G_p plane's (split() is pure,
-    // so the extra draws cannot perturb the single-leg stream).
-    tiles_n_.reserve(tile_count);
-    for (std::size_t t = 0; t < tile_count; ++t) {
-      tiles_n_.push_back(std::make_unique<Crossbar>(
-          make_config(grid_.span(t)), cfg_.endurance,
-          rng.split(tile_count + t + 1)));
-    }
+  // A later plane's seeds continue past the earlier planes' (split() is
+  // pure, so the extra draws cannot perturb the single-leg stream).
+  const std::size_t total_tiles = legs() * tile_count;
+  tiles_.reserve(total_tiles);
+  for (std::size_t k = 0; k < total_tiles; ++k) {
+    tiles_.emplace_back(make_config(grid_.span(k % tile_count)),
+                        cfg_.endurance, rng.split(k + 1));
   }
   noise_rng_ = rng.split(0x6e6f6973ULL);  // "nois"
 
@@ -82,13 +78,9 @@ CrossbarWeightStore::CrossbarWeightStore(const RcsConfig& cfg, Tensor init,
     Rng fab_rng = rng.split(0xfabfabULL);
     // Salt by tile index (NOT the tile's heap address, which made fault
     // patterns irreproducible across stores built from the same seed).
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
-      Rng tile_rng = fab_rng.split(t + 1);
-      inject_fabrication_faults(*tiles_[t], cfg_.fabrication, tile_rng);
-    }
-    for (std::size_t t = 0; t < tiles_n_.size(); ++t) {
-      Rng tile_rng = fab_rng.split(tile_count + t + 1);
-      inject_fabrication_faults(*tiles_n_[t], cfg_.fabrication, tile_rng);
+    for (std::size_t k = 0; k < tiles_.size(); ++k) {
+      Rng tile_rng = fab_rng.split(k + 1);
+      inject_fabrication_faults(tiles_[k], cfg_.fabrication, tile_rng);
     }
   }
 
@@ -96,7 +88,7 @@ CrossbarWeightStore::CrossbarWeightStore(const RcsConfig& cfg, Tensor init,
   // Zero-filled once: tail panel lanes past the last column are never
   // touched by any tile and must stay zero for the micro-kernel.
   packed_eff_.assign(gemm::packed_size(r, c), 0.0f);
-  pack_dirty_.assign(tiles_.size(), 1);
+  pack_dirty_.assign(tile_count, 1);
   any_pack_dirty_ = true;
 
   // Program the initial weights onto the chip (identity permutations).
@@ -110,28 +102,18 @@ CrossbarWeightStore::CrossbarWeightStore(const RcsConfig& cfg, Tensor init,
   (void)program_tiles([](auto&&...) { return true; });
 }
 
-Crossbar& CrossbarWeightStore::tile(std::size_t ti, std::size_t tj) {
-  REFIT_CHECK(ti < grid_.grid_rows() && tj < grid_.grid_cols());
-  return *tiles_[grid_.index_of(ti, tj)];
+Crossbar& CrossbarWeightStore::tile(std::size_t ti, std::size_t tj,
+                                    std::size_t leg) {
+  REFIT_CHECK(ti < grid_.grid_rows() && tj < grid_.grid_cols() &&
+              leg < legs());
+  return tiles_[leg * grid_.tile_count() + grid_.index_of(ti, tj)];
 }
 
-const Crossbar& CrossbarWeightStore::tile(std::size_t ti,
-                                          std::size_t tj) const {
-  REFIT_CHECK(ti < grid_.grid_rows() && tj < grid_.grid_cols());
-  return *tiles_[grid_.index_of(ti, tj)];
-}
-
-Crossbar& CrossbarWeightStore::tile_n(std::size_t ti, std::size_t tj) {
-  REFIT_CHECK(ti < grid_.grid_rows() && tj < grid_.grid_cols());
-  REFIT_CHECK_MSG(!tiles_n_.empty(), "tile_n(): encoding has a single leg");
-  return *tiles_n_[grid_.index_of(ti, tj)];
-}
-
-const Crossbar& CrossbarWeightStore::tile_n(std::size_t ti,
-                                            std::size_t tj) const {
-  REFIT_CHECK(ti < grid_.grid_rows() && tj < grid_.grid_cols());
-  REFIT_CHECK_MSG(!tiles_n_.empty(), "tile_n(): encoding has a single leg");
-  return *tiles_n_[grid_.index_of(ti, tj)];
+const Crossbar& CrossbarWeightStore::tile(std::size_t ti, std::size_t tj,
+                                          std::size_t leg) const {
+  REFIT_CHECK(ti < grid_.grid_rows() && tj < grid_.grid_cols() &&
+              leg < legs());
+  return tiles_[leg * grid_.tile_count() + grid_.index_of(ti, tj)];
 }
 
 template <class Select>
@@ -140,11 +122,13 @@ CrossbarWeightStore::WriteTally CrossbarWeightStore::program_tiles(
   const std::uint64_t writes0 = writes_agg_;
   const std::size_t wearout0 = wearout_agg_;
   const std::size_t k = rows();
-  std::vector<WriteTally> per_tile(tiles_.size());
+  const std::size_t legs = this->legs(), tile_count = grid_.tile_count();
+  std::vector<WriteTally> per_tile(tile_count);
   grid_.for_each_tile(
       [&](const TileSpan& span) {
-        Crossbar& xb = *tiles_[span.index];
-        Crossbar* xn = tiles_n_.empty() ? nullptr : tiles_n_[span.index].get();
+        Crossbar* xs[kMaxEncodingLegs] = {};
+        for (std::size_t leg = 0; leg < legs; ++leg)
+          xs[leg] = &tiles_[leg * tile_count + span.index];
         // The tile hosts the product of these logical rows and columns;
         // sorted, they replay the order of a serial logical row-major sweep.
         std::vector<std::size_t> li(span.rows), lj(span.cols);
@@ -163,17 +147,17 @@ CrossbarWeightStore::WriteTally CrossbarWeightStore::program_tiles(
           const std::size_t lr = map_.physical_row(i) - span.row0;
           for (const std::size_t j : lj) {
             const std::size_t lc = map_.physical_col(j) - span.col0;
-            if (!select(i, j, span, lr, lc, tally.update)) continue;
+            if (!select(i, j, span, xs, lr, lc, tally.update)) continue;
             ++tally.cells;
             const float target = target_.at(i, j);
             enc_->encode(target, weight_max_, g);
-            xb.write(lr, lc, g[0]);
-            if (xn != nullptr) xn->write(lr, lc, g[1]);
+            for (std::size_t leg = 0; leg < legs; ++leg)
+              xs[leg]->write(lr, lc, g[leg]);
             // Re-decoded even when a stuck cell suppressed the write: the
             // single-cell sign register follows the target.
             if (through) {
               packed_eff_[gemm::packed_index(k, i, j)] =
-                  read_cell(xb, xn, lr, lc, target);
+                  read_cell(xs, legs, lr, lc, target);
             }
           }
         }
@@ -200,16 +184,17 @@ void CrossbarWeightStore::publish(const WriteTally& t) {
   wearout_metric.add(t.wearout);
 }
 
-float CrossbarWeightStore::read_cell(const Crossbar& xb, const Crossbar* xn,
-                                     std::size_t lr, std::size_t lc,
-                                     float target) const {
+float CrossbarWeightStore::read_cell(const Crossbar* const* xs,
+                                     std::size_t legs, std::size_t lr,
+                                     std::size_t lc, float target) const {
   // The compute path is analog: each leg's contribution includes its
   // IR-drop attenuation (identity when the model is disabled). The decode
   // undoes the encoding — single-cell reapplies the peripheral sign
   // register (SA1 cells saturate at ±weight_max, SA0 read as 0);
   // differential subtracts the legs.
-  double g[kMaxEncodingLegs] = {xb.effective_conductance(lr, lc), 0.0};
-  if (xn != nullptr) g[1] = xn->effective_conductance(lr, lc);
+  double g[kMaxEncodingLegs] = {};
+  for (std::size_t leg = 0; leg < legs; ++leg)
+    g[leg] = xs[leg]->effective_conductance(lr, lc);
   return enc_->decode(g, target, weight_max_);
 }
 
@@ -232,23 +217,11 @@ void CrossbarWeightStore::resync_counters() {
   writes_agg_ = 0;
   faults_agg_ = 0;
   wearout_agg_ = 0;
-  for (const auto& t : tiles_) {
-    writes_agg_ += t->total_writes();
-    faults_agg_ += t->fault_count();
-    wearout_agg_ += t->wearout_fault_count();
+  for (const Crossbar& t : tiles_) {
+    writes_agg_ += t.total_writes();
+    faults_agg_ += t.fault_count();
+    wearout_agg_ += t.wearout_fault_count();
   }
-  for (const auto& t : tiles_n_) {
-    writes_agg_ += t->total_writes();
-    faults_agg_ += t->fault_count();
-    wearout_agg_ += t->wearout_fault_count();
-  }
-}
-
-std::size_t CrossbarWeightStore::soft_fault_count() const {
-  std::size_t n = 0;
-  for (const auto& t : tiles_) n += t->soft_fault_count();
-  for (const auto& t : tiles_n_) n += t->soft_fault_count();
-  return n;
 }
 
 void CrossbarWeightStore::tick_noise() {
@@ -261,21 +234,21 @@ void CrossbarWeightStore::tick_noise() {
   static obs::Counter ticks_metric =
       obs::MetricsRegistry::instance().counter("device.ticks", "ticks");
   ticks_metric.add();
+  const std::size_t legs = this->legs(), tile_count = grid_.tile_count();
   grid_.for_each_tile([&](const TileSpan& span) {
-    Rng leg_p = tick_rng.split(span.index * 2 + 1);
-    model.tick_tile(*tiles_[span.index], leg_p);
-    if (!tiles_n_.empty()) {
-      Rng leg_n = tick_rng.split(span.index * 2 + 2);
-      model.tick_tile(*tiles_n_[span.index], leg_n);
+    for (std::size_t leg = 0; leg < legs; ++leg) {
+      Rng leg_rng = tick_rng.split(span.index * 2 + leg + 1);
+      model.tick_tile(tiles_[leg * tile_count + span.index], leg_rng);
     }
   });
   invalidate();
 }
 
 void CrossbarWeightStore::pack_tile(const TileSpan& span) {
-  const Crossbar& xb = *tiles_[span.index];
-  const Crossbar* xn =
-      tiles_n_.empty() ? nullptr : tiles_n_[span.index].get();
+  const std::size_t legs = this->legs();
+  const Crossbar* xs[kMaxEncodingLegs] = {};
+  for (std::size_t leg = 0; leg < legs; ++leg)
+    xs[leg] = &tiles_[leg * grid_.tile_count() + span.index];
   const std::size_t k = rows();
   for (std::size_t lr = 0; lr < span.rows; ++lr) {
     const std::size_t i = map_.logical_row(span.row0 + lr);
@@ -285,7 +258,7 @@ void CrossbarWeightStore::pack_tile(const TileSpan& span) {
       // so the fused path and matmul(x, effective()) feed the micro-kernel
       // identical bits.
       packed_eff_[gemm::packed_index(k, i, j)] =
-          read_cell(xb, xn, lr, lc, target_.at(i, j));
+          read_cell(xs, legs, lr, lc, target_.at(i, j));
     }
   }
 }
@@ -293,8 +266,8 @@ void CrossbarWeightStore::pack_tile(const TileSpan& span) {
 void CrossbarWeightStore::refresh_packed_effective() {
   if (!any_pack_dirty_) return;
   std::vector<std::size_t> dirty;
-  dirty.reserve(tiles_.size());
-  for (std::size_t t = 0; t < tiles_.size(); ++t) {
+  dirty.reserve(pack_dirty_.size());
+  for (std::size_t t = 0; t < pack_dirty_.size(); ++t) {
     if (pack_dirty_[t] != 0) dirty.push_back(t);
   }
   static obs::Counter pack_tiles_metric = obs::MetricsRegistry::instance()
@@ -339,6 +312,7 @@ UpdateStats CrossbarWeightStore::apply_update(const Tensor& delta,
   const float wmax = static_cast<float>(weight_max_);
   // Wear-leveling compares each leg's own write count with the mean per
   // physical cell (write_count() counts both legs of a pair).
+  const std::size_t legs = this->legs();
   const double mean_writes =
       policy.wear_beta > 0.0
           ? static_cast<double>(write_count()) /
@@ -346,14 +320,14 @@ UpdateStats CrossbarWeightStore::apply_update(const Tensor& delta,
                     std::max<std::size_t>(1, physical_cell_count()))
           : 0.0;
   const WriteTally t = program_tiles([&](std::size_t i, std::size_t j,
-                                         const TileSpan& span, std::size_t lr,
+                                         const TileSpan& span,
+                                         Crossbar* const* xs, std::size_t lr,
                                          std::size_t lc, UpdateStats& st) {
     double thr = policy.threshold;
     if (mean_writes > 0.0) {
-      std::uint64_t w = tiles_[span.index]->write_count(lr, lc);
-      if (!tiles_n_.empty()) {
-        w = std::max(w, tiles_n_[span.index]->write_count(lr, lc));
-      }
+      std::uint64_t w = 0;
+      for (std::size_t leg = 0; leg < legs; ++leg)
+        w = std::max(w, xs[leg]->write_count(lr, lc));
       const double ratio = static_cast<double>(w) / mean_writes;
       thr *= 1.0 + policy.wear_beta * std::max(0.0, ratio - 1.0);
     }
@@ -397,13 +371,12 @@ double CrossbarWeightStore::expected_g(std::size_t r, std::size_t c,
 
 FaultKind CrossbarWeightStore::true_fault(std::size_t r, std::size_t c) const {
   const TileGrid::Coord tc = grid_.locate(r, c);
-  const FaultKind fp = tiles_[tc.tile]->fault(tc.lr, tc.lc);
-  if (tiles_n_.empty()) return fp;
-  const FaultKind fn = tiles_n_[tc.tile]->fault(tc.lr, tc.lc);
-  // Merge for evaluation: hard > soft > none, G_p leg breaks ties.
-  if (fault_is_hard(fp)) return fp;
-  if (fault_is_hard(fn)) return fn;
-  return fp != FaultKind::kNone ? fp : fn;
+  // Walks the planes by stride: true_fault() runs once per cell.
+  FaultKind f[kMaxEncodingLegs] = {};
+  std::size_t legs = 0;
+  for (std::size_t k = tc.tile; k < tiles_.size(); k += grid_.tile_count())
+    f[legs++] = tiles_[k].fault(tc.lr, tc.lc);
+  return merge_leg_faults(f, legs);
 }
 
 FaultMatrix CrossbarWeightStore::true_fault_matrix() const {
@@ -411,34 +384,6 @@ FaultMatrix CrossbarWeightStore::true_fault_matrix() const {
   for (std::size_t r = 0; r < rows(); ++r)
     for (std::size_t c = 0; c < cols(); ++c) fm.set(r, c, true_fault(r, c));
   return fm;
-}
-
-double CrossbarWeightStore::actual_g(std::size_t r, std::size_t c,
-                                     std::size_t leg) const {
-  REFIT_CHECK(leg < legs());
-  const TileGrid::Coord tc = grid_.locate(r, c);
-  const Crossbar& xb = leg == 0 ? *tiles_[tc.tile] : *tiles_n_[tc.tile];
-  return xb.conductance(tc.lr, tc.lc);
-}
-
-void CrossbarWeightStore::pulse_physical(std::size_t r, std::size_t c,
-                                         double delta_g, std::size_t leg) {
-  REFIT_CHECK(leg < legs());
-  const TileGrid::Coord tc = grid_.locate(r, c);
-  Crossbar& xb = leg == 0 ? *tiles_[tc.tile] : *tiles_n_[tc.tile];
-  const std::uint64_t writes0 = writes_agg_;
-  const std::size_t wearout0 = wearout_agg_;
-  xb.write(tc.lr, tc.lc, xb.conductance(tc.lr, tc.lc) + delta_g);
-  resync_counters();
-  publish({{}, 0, writes_agg_ - writes0, wearout_agg_ - wearout0});
-  pack_dirty_[tc.tile] = 1;
-  any_pack_dirty_ = true;
-}
-
-void CrossbarWeightStore::sync_target_from_device() {
-  target_ = effective();
-  // The single-cell decode reads its sign register from the target.
-  mark_pack_dirty();
 }
 
 void CrossbarWeightStore::sync_targets_where(
@@ -498,7 +443,7 @@ Tensor read_tensor(std::istream& is) {
 }
 }  // namespace
 
-void CrossbarWeightStore::save(std::ostream& os) const {
+void CrossbarWeightStore::save_state(std::ostream& os) const {
   ser::write_tag(os, kStoreTag);
   ser::write_pod(os, cfg_);
   write_tensor(os, target_);
@@ -506,68 +451,49 @@ void CrossbarWeightStore::save(std::ostream& os) const {
   ser::write_pod<std::uint64_t>(os, grid_.grid_rows());
   ser::write_pod<std::uint64_t>(os, grid_.grid_cols());
   map_.save(os);
-  for (const auto& t : tiles_) t->save(os);
-  // The G_n plane's presence is implied by cfg_.encoding (already written).
-  for (const auto& t : tiles_n_) t->save(os);
+  // Plane-major like tiles_; the plane count is implied by cfg_.encoding.
+  for (const Crossbar& t : tiles_) t.save(os);
   ser::write_pod(os, noise_rng_.state());
   ser::write_pod(os, noise_ticks_);
 }
 
-void CrossbarWeightStore::read_from(std::istream& is) {
+void CrossbarWeightStore::restore_state(std::istream& is) {
   ser::expect_tag(is, kStoreTag);
-  cfg_ = ser::read_pod<RcsConfig>(is);
-  target_ = read_tensor(is);
-  REFIT_CHECK_MSG(target_.rank() == 2, "corrupt store checkpoint");
-  weight_max_ = ser::read_pod<double>(is);
+  const auto cfg = ser::read_pod<RcsConfig>(is);
+  REFIT_CHECK_MSG(cfg.tile_rows == cfg_.tile_rows &&
+                      cfg.tile_cols == cfg_.tile_cols &&
+                      cfg.levels == cfg_.levels &&
+                      cfg.encoding == cfg_.encoding,
+                  "store checkpoint has another tile geometry, level count "
+                  "or encoding");
+  Tensor target = read_tensor(is);
+  REFIT_CHECK_MSG(target.shape() == target_.shape(),
+                  "store checkpoint shape mismatch");
+  const auto weight_max = ser::read_pod<double>(is);
   const auto grid_rows = ser::read_pod<std::uint64_t>(is);
   const auto grid_cols = ser::read_pod<std::uint64_t>(is);
-  grid_ = TileGrid(rows(), cols(), cfg_.tile_rows, cfg_.tile_cols);
-  REFIT_CHECK_MSG(grid_.grid_rows() == grid_rows && grid_.grid_cols() == grid_cols,
+  REFIT_CHECK_MSG(grid_rows == grid_.grid_rows() &&
+                      grid_cols == grid_.grid_cols(),
                   "corrupt store checkpoint (tile grid)");
-  map_ = LogicalMapping::load(is);
-  REFIT_CHECK_MSG(map_.rows() == rows() && map_.cols() == cols(),
+  LogicalMapping map = LogicalMapping::load(is);
+  REFIT_CHECK_MSG(map.rows() == rows() && map.cols() == cols(),
                   "corrupt store checkpoint (permutations)");
-  enc_ = &CellEncoding::of(cfg_.encoding);
-  tiles_.clear();
-  tiles_.reserve(grid_.tile_count());
-  for (std::size_t t = 0; t < grid_.tile_count(); ++t) {
-    tiles_.push_back(std::make_unique<Crossbar>(Crossbar::load(is)));
-  }
-  tiles_n_.clear();
-  if (enc_->legs() == 2) {
-    tiles_n_.reserve(grid_.tile_count());
-    for (std::size_t t = 0; t < grid_.tile_count(); ++t) {
-      tiles_n_.push_back(std::make_unique<Crossbar>(Crossbar::load(is)));
-    }
-  }
+  cfg_ = cfg;
+  target_ = std::move(target);
+  weight_max_ = weight_max;
+  map_ = std::move(map);
+  for (Crossbar& t : tiles_) t.restore(is);
   noise_rng_.set_state(ser::read_pod<Rng::State>(is));
   noise_ticks_ = ser::read_pod<std::uint64_t>(is);
-  packed_eff_.assign(gemm::packed_size(rows(), cols()), 0.0f);
-  pack_dirty_.assign(tiles_.size(), 1);
-  any_pack_dirty_ = true;
+  mark_pack_dirty();
   resync_counters();
-}
-
-std::unique_ptr<CrossbarWeightStore> CrossbarWeightStore::load(
-    std::istream& is) {
-  // NOLINTNEXTLINE(*-owning-memory): private ctor, make_unique unavailable
-  std::unique_ptr<CrossbarWeightStore> store(new CrossbarWeightStore());
-  store->read_from(is);
-  return store;
-}
-
-void CrossbarWeightStore::restore(std::istream& is) {
-  const Shape before = target_.shape();
-  read_from(is);
-  REFIT_CHECK_MSG(target_.shape() == before,
-                  "restore() checkpoint shape mismatch");
 }
 
 std::uint64_t CrossbarWeightStore::cell_write_count(std::size_t i,
                                                     std::size_t j) const {
   const TileGrid::Coord tc =
       grid_.locate(map_.physical_row(i), map_.physical_col(j));
-  return tiles_[tc.tile]->write_count(tc.lr, tc.lc);
+  return tiles_[tc.tile].write_count(tc.lr, tc.lc);
 }
 
 double CrossbarWeightStore::fault_fraction() const {

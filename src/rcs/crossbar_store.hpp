@@ -13,6 +13,8 @@
 //   - kDifferentialPair: two tile planes (G_p and G_n legs, identical
 //     geometry); w = (g_p − g_n)·weight_max, no sign register, a stuck-at
 //     fault pins one leg.
+// Every leg's plane lives in one plane-major tile list: tile t of plane
+// `leg` is tiles_[leg·tile_count + t].
 // Time-dependent effects (drift, transient soft faults) come from the
 // DeviceNoiseModel (device/noise_model.hpp) through tick_noise().
 //
@@ -28,7 +30,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <vector>
 
 #include "device/cell_encoding.hpp"
@@ -59,8 +60,6 @@ struct RcsConfig {
   /// Fabrication defects injected at construction when true.
   bool inject_fabrication = true;
   FaultInjectionConfig fabrication{};
-  /// weight_max = multiplier × RMS(initial weights); weights clip there.
-  double weight_clip_multiplier = 4.0;
   /// Weight→conductance mapping (device/cell_encoding.hpp).
   EncodingKind encoding = EncodingKind::kSingleCell;
   /// Time-dependent device effects (device/noise_model.hpp); the defaults
@@ -92,10 +91,13 @@ class CrossbarWeightStore final : public WeightStore {
   [[nodiscard]] std::uint64_t write_count() const override {
     return writes_agg_;
   }
-  /// Full device-state checkpointing through the WeightStore seam (the
-  /// engine checkpoints stores without knowing the backend).
-  void save_state(std::ostream& os) const override { save(os); }
-  void restore_state(std::istream& is) override { restore(is); }
+  /// Checkpointing through the WeightStore seam: the off-chip targets,
+  /// physical permutations and every tile's device state. restore_state()
+  /// overwrites this store in place (engine resume keeps the network's
+  /// store pointers intact) and rejects, before reading any tile, a
+  /// checkpoint of another shape, tile geometry, level count or encoding.
+  void save_state(std::ostream& os) const override;
+  void restore_state(std::istream& is) override;
 
   // ---- Geometry ----------------------------------------------------------
   [[nodiscard]] std::size_t rows() const { return target_.dim(0); }
@@ -107,11 +109,12 @@ class CrossbarWeightStore final : public WeightStore {
   [[nodiscard]] std::size_t tile_grid_cols() const {
     return grid_.grid_cols();
   }
-  [[nodiscard]] Crossbar& tile(std::size_t ti, std::size_t tj);
-  [[nodiscard]] const Crossbar& tile(std::size_t ti, std::size_t tj) const;
-  /// The second (G_n) tile plane; only valid when legs() == 2.
-  [[nodiscard]] Crossbar& tile_n(std::size_t ti, std::size_t tj);
-  [[nodiscard]] const Crossbar& tile_n(std::size_t ti, std::size_t tj) const;
+  /// Tile (ti, tj) of plane `leg` (0 = the single/G_p plane, 1 = the G_n
+  /// plane).
+  [[nodiscard]] Crossbar& tile(std::size_t ti, std::size_t tj,
+                               std::size_t leg = 0);
+  [[nodiscard]] const Crossbar& tile(std::size_t ti, std::size_t tj,
+                                     std::size_t leg = 0) const;
   [[nodiscard]] const RcsConfig& config() const { return cfg_; }
   [[nodiscard]] double weight_max() const { return weight_max_; }
   [[nodiscard]] const CellEncoding& encoding() const { return *enc_; }
@@ -123,15 +126,11 @@ class CrossbarWeightStore final : public WeightStore {
   /// `leg` (0 = the single/G_p plane, 1 = the G_n plane).
   [[nodiscard]] double expected_g(std::size_t r, std::size_t c,
                                   std::size_t leg = 0) const;
-  /// Ground-truth fault of the physical cell, merged across legs (for
-  /// detector evaluation): a hard fault on either leg wins over a soft
-  /// one, and the G_p leg breaks ties.
+  /// Ground-truth fault of the physical cell, merged across legs by
+  /// merge_leg_faults (for detector evaluation).
   [[nodiscard]] FaultKind true_fault(std::size_t r, std::size_t c) const;
   /// Assembled ground-truth fault matrix (physical space).
   [[nodiscard]] FaultMatrix true_fault_matrix() const;
-  /// Actual conductance of the physical cell on `leg`.
-  [[nodiscard]] double actual_g(std::size_t r, std::size_t c,
-                                std::size_t leg = 0) const;
 
   // ---- Permutations (re-mapping) ----------------------------------------
   /// Install logical→physical permutations; rewrites moved cells.
@@ -159,9 +158,6 @@ class CrossbarWeightStore final : public WeightStore {
   [[nodiscard]] std::size_t wearout_fault_count() const {
     return wearout_agg_;
   }
-  /// Currently active transient faults across all tile planes (subset of
-  /// fault_count(); O(#tiles), not cached — callers poll it rarely).
-  [[nodiscard]] std::size_t soft_fault_count() const;
   /// Logical weight count.
   [[nodiscard]] std::size_t cell_count() const { return rows() * cols(); }
   /// Physical device cells backing those weights (logical × legs()).
@@ -177,25 +173,15 @@ class CrossbarWeightStore final : public WeightStore {
     resync_counters();
   }
 
-  /// Overwrite the off-chip target copy with the device's actual effective
-  /// weights (the "read RRAM values, store off-chip" step of the paper's
-  /// Fig. 3). Pure read — costs no device writes. After this call the
-  /// target of an SA0-hosted weight is exactly 0, so magnitude pruning
-  /// becomes fault-aware automatically.
-  void sync_target_from_device();
-
-  /// Targeted variant: re-read only the logical weights currently hosted on
-  /// cells flagged in `physical_faults`. Healthy weights keep their full-
-  /// precision off-chip accumulation; fault-hosted weights collapse to what
-  /// the device actually computes (0 for SA0, ±weight_max for SA1), so a
-  /// later re-mapping relocates real values instead of stale garbage and
-  /// magnitude pruning naturally reuses SA0 cells as zeros.
+  /// The "read RRAM values, store off-chip" step of the paper's Fig. 3,
+  /// for the logical weights currently hosted on cells flagged in
+  /// `physical_faults`. Pure read — costs no device writes. Healthy
+  /// weights keep their full-precision off-chip accumulation; fault-hosted
+  /// weights collapse to what the device actually computes (0 for SA0,
+  /// ±weight_max for SA1), so a later re-mapping relocates real values
+  /// instead of stale garbage and magnitude pruning naturally reuses SA0
+  /// cells as zeros.
   void sync_targets_where(const FaultMatrix& physical_faults);
-
-  /// Issue a raw ±one-level pulse to a physical cell on `leg` (detection
-  /// writes).
-  void pulse_physical(std::size_t r, std::size_t c, double delta_g,
-                      std::size_t leg = 0);
 
   /// Advance device time by one tick: soft faults decay, conductances
   /// drift, and new transient faults may strike (device/noise_model.hpp).
@@ -206,19 +192,7 @@ class CrossbarWeightStore final : public WeightStore {
   /// Device-time ticks issued so far (serialized with the store).
   [[nodiscard]] std::uint64_t noise_ticks() const { return noise_ticks_; }
 
-  /// Checkpointing: serialize the full store (off-chip targets, physical
-  /// permutations, and every tile's device state).
-  void save(std::ostream& os) const;
-  static std::unique_ptr<CrossbarWeightStore> load(std::istream& is);
-  /// In-place variant of load(): overwrite this store's state with a
-  /// checkpoint of a same-shaped store (engine resume keeps the network's
-  /// store pointers intact).
-  void restore(std::istream& is);
-
  private:
-  /// Uninitialized shell used by load().
-  CrossbarWeightStore() = default;
-
   /// Totals of one write pass.
   struct WriteTally {
     UpdateStats update;        ///< what the select callbacks recorded
@@ -227,20 +201,20 @@ class CrossbarWeightStore final : public WeightStore {
     std::size_t wearout = 0;   ///< cells the pass wore out
   };
 
-  /// Shared body of load()/restore().
-  void read_from(std::istream& is);
   /// The one per-cell write loop, one pool lane per tile, each visiting
   /// its cells in a serial logical row-major sweep's order (bit-identical
-  /// at any thread count). `select(i, j, span, lr, lc, stats)` may update
-  /// target_(i, j) and returns whether to program the cell from it;
-  /// programmed cells of clean tiles are written through to the panel.
+  /// at any thread count). `select(i, j, span, xs, lr, lc, stats)` — `xs`
+  /// the tile on each leg plane — may update target_(i, j) and returns
+  /// whether to program the cell from it; programmed cells of clean tiles
+  /// are written through to the panel.
   template <class Select>
   WriteTally program_tiles(const Select& select);
   /// Add a pass's writes to the store.* metrics.
   static void publish(const WriteTally& t);
-  /// Effective weight of one tile cell read back through the encoding —
-  /// the decode shared by the re-pack and the write-through.
-  [[nodiscard]] float read_cell(const Crossbar& xb, const Crossbar* xn,
+  /// Effective weight of one cell of the tile whose leg planes are
+  /// xs[0..legs-1], read back through the encoding — the decode shared by
+  /// the re-pack and the write-through.
+  [[nodiscard]] float read_cell(const Crossbar* const* xs, std::size_t legs,
                                 std::size_t lr, std::size_t lc,
                                 float target) const;
   /// Re-read the tile covering `span` into the packed GEMM panels.
@@ -254,15 +228,14 @@ class CrossbarWeightStore final : public WeightStore {
 
   RcsConfig cfg_;
   /// The configured encoding singleton (device/cell_encoding.hpp); set in
-  /// the ctor and in read_from(), never null afterwards.
+  /// the ctor, never null afterwards.
   const CellEncoding* enc_ = nullptr;
   Tensor target_;
   double weight_max_ = 1.0;
   TileGrid grid_;
   LogicalMapping map_;
-  std::vector<std::unique_ptr<Crossbar>> tiles_;
-  /// G_n tile plane, same geometry as tiles_; empty when legs() == 1.
-  std::vector<std::unique_ptr<Crossbar>> tiles_n_;
+  /// legs() planes of grid_.tile_count() tiles each, plane-major.
+  std::vector<Crossbar> tiles_;
   /// Device-time noise state (tick_noise); serialized for bit-exact resume.
   Rng noise_rng_{0};
   std::uint64_t noise_ticks_ = 0;

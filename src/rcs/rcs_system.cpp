@@ -34,12 +34,6 @@ std::size_t RcsSystem::physical_cell_count() const {
   return n;
 }
 
-std::size_t RcsSystem::soft_fault_count() const {
-  std::size_t n = 0;
-  for (const auto* s : stores_) n += s->soft_fault_count();
-  return n;
-}
-
 std::size_t RcsSystem::fault_count() const {
   std::size_t n = 0;
   for (const auto* s : stores_) n += s->fault_count();

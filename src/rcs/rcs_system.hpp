@@ -47,8 +47,6 @@ class RcsSystem {
   [[nodiscard]] std::size_t physical_cell_count() const;
   [[nodiscard]] std::size_t fault_count() const;
   [[nodiscard]] std::size_t wearout_fault_count() const;
-  /// Currently active transient faults (subset of fault_count()).
-  [[nodiscard]] std::size_t soft_fault_count() const;
   /// fault_count() over physical cells (identical to the logical ratio for
   /// single-leg encodings).
   [[nodiscard]] double fault_fraction() const;

@@ -216,35 +216,36 @@ void Crossbar::save(std::ostream& os) const {
   ser::write_pod<std::uint64_t>(os, soft_faults_);
 }
 
-Crossbar Crossbar::load(std::istream& is) {
+void Crossbar::restore(std::istream& is) {
   ser::expect_tag(is, kCrossbarTag);
   const auto cfg = ser::read_pod<CrossbarConfig>(is);
-  const auto endurance = ser::read_pod<EnduranceModel>(is);
-  const auto rng_state = ser::read_pod<Rng::State>(is);
-  Crossbar xb(cfg, endurance, Rng(0));
-  xb.rng_.set_state(rng_state);
-  xb.g_ = ser::read_vec<double>(is);
-  xb.faults_ = ser::read_vec<FaultKind>(is);
-  xb.writes_ = ser::read_vec<std::uint32_t>(is);
-  xb.endurance_limit_ = ser::read_vec<std::uint32_t>(is);
-  const std::size_t n = cfg.rows * cfg.cols;
-  REFIT_CHECK_MSG(xb.g_.size() == n && xb.faults_.size() == n &&
-                      xb.writes_.size() == n &&
-                      xb.endurance_limit_.size() == n,
+  // Checked before any per-cell vector is read: a corrupt header must not
+  // size an allocation.
+  REFIT_CHECK_MSG(cfg.rows == cfg_.rows && cfg.cols == cfg_.cols &&
+                      cfg.levels == cfg_.levels &&
+                      cfg.write_noise_sigma >= 0.0,
+                  "crossbar checkpoint has another geometry or a bad config");
+  cfg_ = cfg;
+  endurance_ = ser::read_pod<EnduranceModel>(is);
+  rng_.set_state(ser::read_pod<Rng::State>(is));
+  g_ = ser::read_vec<double>(is);
+  faults_ = ser::read_vec<FaultKind>(is);
+  writes_ = ser::read_vec<std::uint32_t>(is);
+  endurance_limit_ = ser::read_vec<std::uint32_t>(is);
+  const std::size_t n = cfg_.rows * cfg_.cols;
+  REFIT_CHECK_MSG(g_.size() == n && faults_.size() == n &&
+                      writes_.size() == n && endurance_limit_.size() == n,
                   "corrupt crossbar checkpoint");
-  xb.total_writes_ = ser::read_pod<std::uint64_t>(is);
-  xb.suppressed_writes_ = ser::read_pod<std::uint64_t>(is);
-  xb.fault_count_ =
+  total_writes_ = ser::read_pod<std::uint64_t>(is);
+  suppressed_writes_ = ser::read_pod<std::uint64_t>(is);
+  fault_count_ = static_cast<std::size_t>(ser::read_pod<std::uint64_t>(is));
+  wearout_faults_ =
       static_cast<std::size_t>(ser::read_pod<std::uint64_t>(is));
-  xb.wearout_faults_ =
-      static_cast<std::size_t>(ser::read_pod<std::uint64_t>(is));
-  xb.soft_ttl_ = ser::read_vec<std::uint32_t>(is);
-  xb.soft_restore_ = ser::read_vec<double>(is);
-  REFIT_CHECK_MSG(xb.soft_ttl_.size() == n && xb.soft_restore_.size() == n,
+  soft_ttl_ = ser::read_vec<std::uint32_t>(is);
+  soft_restore_ = ser::read_vec<double>(is);
+  REFIT_CHECK_MSG(soft_ttl_.size() == n && soft_restore_.size() == n,
                   "corrupt crossbar checkpoint (soft-fault state)");
-  xb.soft_faults_ =
-      static_cast<std::size_t>(ser::read_pod<std::uint64_t>(is));
-  return xb;
+  soft_faults_ = static_cast<std::size_t>(ser::read_pod<std::uint64_t>(is));
 }
 
 }  // namespace refit

@@ -41,6 +41,18 @@ enum class FaultKind : std::uint8_t {
   return k == FaultKind::kSoftStuck0 || k == FaultKind::kSoftStuck1;
 }
 
+/// The fault of a weight whose `legs` cells hold faults f[0..legs-1]:
+/// hard > soft > none, and the lower leg breaks ties.
+[[nodiscard]] constexpr FaultKind merge_leg_faults(const FaultKind* f,
+                                                   std::size_t legs) {
+  FaultKind merged = FaultKind::kNone;
+  for (std::size_t leg = 0; leg < legs; ++leg) {
+    if (fault_is_hard(f[leg])) return f[leg];
+    if (merged == FaultKind::kNone) merged = f[leg];
+  }
+  return merged;
+}
+
 /// Geometry and write-physics knobs of a crossbar.
 struct CrossbarConfig {
   std::size_t rows = 128;
@@ -168,7 +180,9 @@ class Crossbar {
   /// Checkpointing: serialize the full device state (conductances, faults,
   /// per-cell wear, RNG) so a simulation can resume bit-exactly.
   void save(std::ostream& os) const;
-  static Crossbar load(std::istream& is);
+  /// Overwrite this tile's state with a checkpoint of a tile of the same
+  /// rows, cols and levels (checked before any cell state is read).
+  void restore(std::istream& is);
 
  private:
   [[nodiscard]] std::size_t idx(std::size_t r, std::size_t c) const;

@@ -250,7 +250,7 @@ std::string scripted_update_bytes(EncodingKind kind) {
   }
   EXPECT_GT(store.wearout_fault_count(), 0u) << "script should wear cells out";
   std::ostringstream os;
-  store.save(os);
+  store.save_state(os);
   return os.str().substr(8 + sizeof(RcsConfig));
 }
 

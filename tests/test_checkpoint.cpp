@@ -2,7 +2,11 @@
 // weight stores, and network weights.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/serialize.hpp"
 #include "nn/models.hpp"
@@ -39,7 +43,8 @@ TEST(CrossbarCheckpoint, RoundtripPreservesEverything) {
 
   std::stringstream ss;
   a.save(ss);
-  Crossbar b = Crossbar::load(ss);
+  Crossbar b(cfg, EnduranceModel::unlimited(), Rng(9));
+  b.restore(ss);
   ASSERT_EQ(b.rows(), a.rows());
   ASSERT_EQ(b.cols(), a.cols());
   EXPECT_EQ(b.total_writes(), a.total_writes());
@@ -62,7 +67,8 @@ TEST(CrossbarCheckpoint, ResumedWritesMatchOriginal) {
 
   std::stringstream ss;
   a.save(ss);
-  Crossbar b = Crossbar::load(ss);
+  Crossbar b(cfg, EnduranceModel::unlimited(), Rng(9));
+  b.restore(ss);
   for (int i = 0; i < 50; ++i) {
     a.write(1, 1, 0.3);
     b.write(1, 1, 0.3);
@@ -100,7 +106,28 @@ TEST(Serialize, HugeLengthPrefixFailsCleanly) {
 TEST(CrossbarCheckpoint, CorruptTagThrows) {
   std::stringstream ss;
   ss << "not a checkpoint at all";
-  EXPECT_THROW(Crossbar::load(ss), CheckError);
+  Crossbar b(CrossbarConfig{}, EnduranceModel::unlimited(), Rng(1));
+  EXPECT_THROW(b.restore(ss), CheckError);
+}
+
+TEST(CrossbarCheckpoint, HugeGeometryFailsBeforeAllocating) {
+  // A header claiming 2^20×2^20 cells must be rejected by the geometry
+  // check, not by an allocation of its cell vectors.
+  CrossbarConfig cfg;
+  cfg.rows = cfg.cols = 4;
+  Crossbar a(cfg, EnduranceModel::unlimited(), Rng(1));
+  std::stringstream saved;
+  a.save(saved);
+  std::string bytes = saved.str();
+  const std::uint64_t huge = std::uint64_t{1} << 20;
+  static_assert(sizeof(cfg.rows) == sizeof(huge));
+  std::memcpy(&bytes[8 + offsetof(CrossbarConfig, rows)], &huge, sizeof huge);
+  std::memcpy(&bytes[8 + offsetof(CrossbarConfig, cols)], &huge, sizeof huge);
+  std::stringstream corrupt(bytes);
+  Crossbar b(cfg, EnduranceModel::unlimited(), Rng(2));
+  EXPECT_THROW(b.restore(corrupt), CheckError);
+  EXPECT_EQ(b.rows(), 4u);
+  EXPECT_EQ(b.cols(), 4u);
 }
 
 TEST(StoreCheckpoint, RoundtripPreservesEffectiveWeights) {
@@ -120,19 +147,48 @@ TEST(StoreCheckpoint, RoundtripPreservesEffectiveWeights) {
   a.apply_delta(delta);
 
   std::stringstream ss;
-  a.save(ss);
-  const auto b = CrossbarWeightStore::load(ss);
-  ASSERT_EQ(b->rows(), a.rows());
-  ASSERT_EQ(b->cols(), a.cols());
-  EXPECT_EQ(b->write_count(), a.write_count());
-  EXPECT_EQ(b->fault_count(), a.fault_count());
-  EXPECT_EQ(b->row_perm(), a.row_perm());
+  a.save_state(ss);
+  CrossbarWeightStore b(cfg, Tensor::randn({20, 12}, wrng, 0.05f), Rng(6));
+  b.restore_state(ss);
+  ASSERT_EQ(b.rows(), a.rows());
+  ASSERT_EQ(b.cols(), a.cols());
+  EXPECT_EQ(b.write_count(), a.write_count());
+  EXPECT_EQ(b.fault_count(), a.fault_count());
+  EXPECT_EQ(b.row_perm(), a.row_perm());
   const Tensor& ea = a.effective();
-  const Tensor& eb = b->effective();
+  const Tensor& eb = b.effective();
   for (std::size_t i = 0; i < ea.numel(); ++i) EXPECT_EQ(ea[i], eb[i]);
   // Targets too.
   for (std::size_t i = 0; i < ea.numel(); ++i)
-    EXPECT_EQ(a.target()[i], b->target()[i]);
+    EXPECT_EQ(a.target()[i], b.target()[i]);
+}
+
+TEST(StoreCheckpoint, OtherTileGeometryIsRejected) {
+  // A 20×12 matrix is 2×1 tiles of 16×16 or of 12×12, but 3×2 tiles of
+  // 8×8. Restoring a 16×16 checkpoint into either other store must fail
+  // before any state is overwritten — even where the grids agree.
+  RcsConfig cfg16;
+  cfg16.tile_rows = cfg16.tile_cols = 16;
+  Rng wrng(4);
+  const Tensor init = Tensor::randn({20, 12}, wrng, 0.05f);
+  CrossbarWeightStore a(cfg16, init, Rng(5));
+  a.apply_delta(Tensor::randn({20, 12}, wrng, 0.01f));
+  std::stringstream saved;
+  a.save_state(saved);
+  for (const std::size_t edge : {std::size_t{8}, std::size_t{12}}) {
+    RcsConfig cfg = cfg16;
+    cfg.tile_rows = cfg.tile_cols = edge;
+    CrossbarWeightStore b(cfg, init, Rng(5));
+    const std::size_t grid_rows = b.tile_grid_rows();
+    const std::size_t grid_cols = b.tile_grid_cols();
+    const std::vector<float> target = b.target().vec();
+    std::stringstream ss(saved.str());
+    EXPECT_THROW(b.restore_state(ss), CheckError) << edge;
+    EXPECT_EQ(b.tile_grid_rows(), grid_rows) << edge;
+    EXPECT_EQ(b.tile_grid_cols(), grid_cols) << edge;
+    EXPECT_EQ(b.config().tile_rows, edge);
+    EXPECT_EQ(b.target().vec(), target) << edge;
+  }
 }
 
 TEST(NetworkCheckpoint, RoundtripRestoresOutputs) {

@@ -347,9 +347,9 @@ TEST(CrossbarStore, FusedForwardSurvivesCheckpointRestore) {
   (void)store.forward_matmul(x);  // warm the packed cache
 
   std::stringstream ss;
-  store.save(ss);
+  store.save_state(ss);
   CrossbarWeightStore restored(clean_config(), init, Rng(27));
-  restored.restore(ss);
+  restored.restore_state(ss);
   EXPECT_TRUE(same_bits(restored.forward_matmul(x),
                         matmul(x, restored.effective())));
   EXPECT_TRUE(same_bits(restored.forward_matmul(x), store.forward_matmul(x)));

@@ -141,12 +141,25 @@ TEST(DeviceEncoding, DifferentialStuckFaultPinsOneLegOnly) {
   store.tile(0, 0).force_fault(1, 1, FaultKind::kStuckAt0);
   // ...and SA1 on the empty (G_n) leg drives another weight negative.
   ASSERT_GT(init.at(1, 2), 0.0f);
-  store.tile_n(0, 0).force_fault(1, 2, FaultKind::kStuckAt1);
+  store.tile(0, 0, 1).force_fault(1, 2, FaultKind::kStuckAt1);
   store.invalidate();
   EXPECT_FLOAT_EQ(store.effective().at(1, 1), 0.0f);
   EXPECT_LT(store.effective().at(1, 2), 0.0f);
   EXPECT_EQ(store.true_fault(1, 1), FaultKind::kStuckAt0);
   EXPECT_EQ(store.true_fault(1, 2), FaultKind::kStuckAt1);
+}
+
+TEST(DeviceEncoding, LegMergeIsHardThenSoftThenLowerLeg) {
+  using K = FaultKind;
+  const K soft_then_hard[] = {K::kSoftStuck1, K::kStuckAt0};
+  EXPECT_EQ(merge_leg_faults(soft_then_hard, 2), K::kStuckAt0);
+  const K two_hard[] = {K::kStuckAt1, K::kStuckAt0};
+  EXPECT_EQ(merge_leg_faults(two_hard, 2), K::kStuckAt1);
+  const K two_soft[] = {K::kSoftStuck0, K::kSoftStuck1};
+  EXPECT_EQ(merge_leg_faults(two_soft, 2), K::kSoftStuck0);
+  const K none_then_soft[] = {K::kNone, K::kSoftStuck1};
+  EXPECT_EQ(merge_leg_faults(none_then_soft, 2), K::kSoftStuck1);
+  EXPECT_EQ(merge_leg_faults(none_then_soft, 1), K::kNone);
 }
 
 TEST(DeviceEncoding, ExpectedGMatchesTheEncoderPerLeg) {
@@ -173,9 +186,9 @@ TEST(DeviceEncoding, FusedForwardBitExactOnDifferentialPairs) {
   cfg.encoding = EncodingKind::kDifferentialPair;
   CrossbarWeightStore store(cfg, init, Rng(21));
   store.tile(0, 0).force_fault(1, 2, FaultKind::kStuckAt0);
-  store.tile_n(0, 1).force_fault(3, 3, FaultKind::kStuckAt1);
+  store.tile(0, 1, 1).force_fault(3, 3, FaultKind::kStuckAt1);
   store.tile(1, 0).force_fault(0, 0, FaultKind::kStuckAt1);
-  store.tile_n(2, 1).force_fault(5, 7, FaultKind::kStuckAt0);
+  store.tile(2, 1, 1).force_fault(5, 7, FaultKind::kStuckAt0);
   store.invalidate();
 
   Rng rng(22);
@@ -282,11 +295,11 @@ TEST(DeviceNoise, StoreTickIsANoOpWhenInactive) {
   CrossbarWeightStore store(clean_config(), init, Rng(3));
   ASSERT_FALSE(store.config().noise.active());
   std::ostringstream before;
-  store.save(before);
+  store.save_state(before);
   store.tick_noise();
   EXPECT_EQ(store.noise_ticks(), 0u);
   std::ostringstream after;
-  store.save(after);
+  store.save_state(after);
   EXPECT_EQ(before.str(), after.str());
 }
 
@@ -302,7 +315,7 @@ TEST(DeviceNoise, StoreTickTrajectoryIsThreadCountInvariant) {
     CrossbarWeightStore store(cfg, init, Rng(21));
     for (int t = 0; t < 5; ++t) store.tick_noise();
     std::ostringstream os;
-    store.save(os);
+    store.save_state(os);
     return os.str();
   };
   EXPECT_EQ(run(1), run(4));
@@ -324,20 +337,20 @@ TEST(DeviceCheckpoint, NoiseStateRoundTripsBitExactly) {
   for (int t = 0; t < 3; ++t) store.tick_noise();
 
   std::stringstream snap;
-  store.save(snap);
-  auto loaded = CrossbarWeightStore::load(snap);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->noise_ticks(), store.noise_ticks());
-  EXPECT_EQ(loaded->legs(), 2u);
+  store.save_state(snap);
+  CrossbarWeightStore loaded(cfg, init, Rng(32));
+  loaded.restore_state(snap);
+  EXPECT_EQ(loaded.noise_ticks(), store.noise_ticks());
+  EXPECT_EQ(loaded.legs(), 2u);
 
   // The restored store must continue the exact same trajectory: tick both
   // and compare the full serialized device state.
   store.tick_noise();
-  loaded->tick_noise();
+  loaded.tick_noise();
   std::ostringstream a;
   std::ostringstream b;
-  store.save(a);
-  loaded->save(b);
+  store.save_state(a);
+  loaded.save_state(b);
   EXPECT_EQ(a.str(), b.str());
 }
 
@@ -347,14 +360,18 @@ TEST(DeviceCheckpoint, EncodingKindIsRestored) {
   cfg.encoding = EncodingKind::kDifferentialPair;
   CrossbarWeightStore store(cfg, init, Rng(13));
   std::stringstream snap;
-  store.save(snap);
-  auto loaded = CrossbarWeightStore::load(snap);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->config().encoding, EncodingKind::kDifferentialPair);
-  EXPECT_EQ(loaded->legs(), 2u);
-  const Tensor& eff = loaded->effective();
+  store.save_state(snap);
+  CrossbarWeightStore loaded(cfg, init, Rng(14));
+  loaded.restore_state(snap);
+  EXPECT_EQ(loaded.config().encoding, EncodingKind::kDifferentialPair);
+  EXPECT_EQ(loaded.legs(), 2u);
+  const Tensor& eff = loaded.effective();
   for (std::size_t i = 0; i < init.numel(); ++i)
     EXPECT_FLOAT_EQ(eff[i], store.effective()[i]);
+  // A store of the other encoding has another plane count: rejected.
+  CrossbarWeightStore single(clean_config(), init, Rng(14));
+  snap.seekg(0);
+  EXPECT_THROW(single.restore_state(snap), CheckError);
 }
 
 // ---------------------------------------------------------------------------
@@ -409,7 +426,7 @@ TEST(DeviceDetector, StoreClassificationIsThreadCountInvariant) {
     for (std::size_t ti = 0; ti < store.tile_grid_rows(); ++ti) {
       for (std::size_t tj = 0; tj < store.tile_grid_cols(); ++tj) {
         inject_soft_faults(store.tile(ti, tj), 0.02, 100, 0.5, soft_rng);
-        inject_soft_faults(store.tile_n(ti, tj), 0.02, 100, 0.5, soft_rng);
+        inject_soft_faults(store.tile(ti, tj, 1), 0.02, 100, 0.5, soft_rng);
       }
     }
     store.invalidate();

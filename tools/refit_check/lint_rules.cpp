@@ -261,8 +261,8 @@ void lint_file(const cfg::FileCfg& file, std::vector<Finding>& findings) {
       report("device-encoding", tok.line,
              tok.text +
                  "() mutates raw conductance outside src/device — thread "
-                 "the change through CellEncoding / DeviceNoiseModel (or "
-                 "the store's pulse_physical) so encodings stay swappable");
+                 "the change through CellEncoding / DeviceNoiseModel so "
+                 "encodings stay swappable");
     }
 
     // store.effective() / store->effective() on inference-side modules.

@@ -8,7 +8,7 @@ struct Tile {
   void drift_toward(double g, double rate);
 };
 struct Store {
-  Tile& tile(int ti, int tj);
+  Tile& tile(int ti, int tj, int leg = 0);
   void invalidate();
 };
 
@@ -49,4 +49,8 @@ void unpaired_strong_write(Store& store) {
 
 void unpaired_drift(Store* store) {
   store->tile(1, 1).drift_toward(0.0, 0.1);  // EXPECT: mutation-without-invalidate
+}
+
+void unpaired_second_leg(Store& s) {
+  s.tile(0, 0, 1).force_fault(3);  // EXPECT: mutation-without-invalidate
 }

@@ -11,7 +11,7 @@ struct TileGrid {
   void for_each_tile(bool only_dirty, F f);
 };
 struct Store {
-  Tile& tile(int ti, int tj);
+  Tile& tile(int ti, int tj, int leg = 0);
   void invalidate();
   void mark_pack_dirty(int ti, int tj);
 };
@@ -52,6 +52,11 @@ double reads_are_free(Store& s) {
 void paired_through_pointer(Store* store) {
   store->tile(0, 0).force_fault(1);
   store->invalidate();
+}
+
+void second_leg_then_invalidate(Store& s) {
+  s.tile(0, 0, 1).force_fault(3);
+  s.invalidate();
 }
 
 int read_only_tile_access(Store& store) { return store.tile(0, 0).rows(); }
