@@ -525,7 +525,6 @@ int main(int argc, char** argv) {
   // purpose: they are provenance — they describe the host the numbers were
   // measured on and are excluded from the deterministic comparison surface
   // (the gates compare gemm_output_hash and result rows, never provenance).
-  // refit-check: allow(threadcount-value-dependence)
   os << "    \"hardware_threads\": " << hw_threads << ",\n";
   os << "    \"cpu_model\": \"" << json_escape(prov.cpu_model) << "\",\n";
   os << "    \"compiler\": \"" << json_escape(prov.compiler) << "\",\n";
@@ -535,7 +534,6 @@ int main(int argc, char** argv) {
     os << "    \"build_type\": \"" << json_escape(prov.build_type) << "\",\n";
   os << "    \"gemm_isa\": \"" << refit::gemm::kernel_isa() << "\",\n";
   os << "    \"measured_peak_gflops\": " << peak_gflops << "\n  },\n";
-  // refit-check: allow(threadcount-value-dependence) — provenance, above
   os << "  \"scaling_valid\": " << (scaling_valid ? "true" : "false")
      << ",\n";
   os << "  \"gemm_output_hash\": \"" << std::hex << gemm_hash << std::dec

@@ -222,10 +222,8 @@ int main(int argc, char** argv) {
     // on purpose: they describe the measuring host and are excluded from
     // the deterministic comparison surface (result rows and bit_identical
     // are what the gate ctests compare).
-    // refit-check: allow(threadcount-value-dependence)
     write_provenance_header(os, "device", prov);
     const bool scaling_valid = prov.hardware_threads >= max_threads;
-    // refit-check: allow(threadcount-value-dependence) — provenance, above
     os << "  \"scaling_valid\": " << (scaling_valid ? "true" : "false")
        << ",\n";
     os << "  \"note\": \"family A: off-line vs on-line accuracy per "

@@ -114,7 +114,6 @@ bool DetectionPhase::due(const EngineContext& ctx) const {
 void DetectionPhase::run(EngineContext& ctx) {
   const FtFlowConfig& cfg = *ctx.cfg;
   Network& net = *ctx.net;
-  RcsSystem& rcs = *ctx.rcs;
   PhaseEvent ev;
   ev.iteration = ctx.iteration;
   ++ctx.phase_count;
@@ -125,7 +124,11 @@ void DetectionPhase::run(EngineContext& ctx) {
   const bool classify = cfg.detector.classify_soft;
   ConfusionCounts confusion;
   ClassifiedConfusion classified;
-  for (CrossbarWeightStore* store : rcs.stores()) {
+  const auto layers = net.matrix_layers();
+  ctx.detected.resize(layers.size());
+  for (std::size_t k = 0; k < layers.size(); ++k) {
+    auto* store = dynamic_cast<CrossbarWeightStore*>(&layers[k]->weights());
+    if (store == nullptr) continue;
     DetectionOutcome outcome = detector.detect_store(*store);
     if (classify) {
       // Classification scrubbed the transient pins, so score against the
@@ -153,7 +156,7 @@ void DetectionPhase::run(EngineContext& ctx) {
     } else {
       confusion += evaluate_detection(*store, outcome.predicted);
     }
-    ctx.detected[store] = std::move(outcome.predicted);
+    ctx.detected[k] = std::move(outcome.predicted);
     ev.cycles += outcome.cycles;
     ev.detection_writes += outcome.device_writes;
   }
@@ -223,8 +226,9 @@ void DetectionPhase::run(EngineContext& ctx) {
   // actually computes, so re-mapping relocates the functioning network
   // instead of stale off-chip values. Healthy cells keep their full-
   // precision off-chip accumulation.
-  for (CrossbarWeightStore* store : rcs.stores()) {
-    store->sync_targets_where(ctx.detected[store]);
+  for (std::size_t k = 0; k < layers.size(); ++k) {
+    if (auto* store = dynamic_cast<CrossbarWeightStore*>(&layers[k]->weights()))
+      store->sync_targets_where(ctx.detected[k]);
   }
 
   // Write the pruned zeros (the pruned network P of §5.2).
@@ -437,6 +441,8 @@ FaultMatrix read_fault_matrix(std::istream& is) {
   const auto raw = ser::read_vec<std::uint8_t>(is);
   std::vector<FaultKind> cells(raw.size());
   for (std::size_t i = 0; i < raw.size(); ++i) {
+    REFIT_CHECK_MSG(raw[i] <= static_cast<std::uint8_t>(FaultKind::kSoftStuck1),
+                    "corrupt engine checkpoint (fault kind)");
     cells[i] = static_cast<FaultKind>(raw[i]);
   }
   return FaultMatrix(rows, cols, std::move(cells));
@@ -524,19 +530,16 @@ bool FtEngine::save_checkpoint(std::ostream& os) const {
     }
   }
 
-  // Prune masks and detected-fault maps, keyed by matrix-layer index (the
-  // unordered_map key is a pointer — meaningless across processes).
-  auto layers = ctx_.net->matrix_layers();
-  ser::write_pod<std::uint64_t>(os, layers.size());
-  for (MatrixLayer* layer : layers) {
-    const WeightStore* store = &layer->weights();
-    const PruneMask* mask = ctx_.prune_state.mask_for(store);
+  // Prune masks and detected-fault maps, one optional pair per matrix layer.
+  const std::size_t nlayers = ctx_.net->matrix_layers().size();
+  ser::write_pod<std::uint64_t>(os, nlayers);
+  for (std::size_t k = 0; k < nlayers; ++k) {
+    const PruneMask* mask = ctx_.prune_state.mask_for(k);
     ser::write_pod<std::uint8_t>(os, mask != nullptr ? 1 : 0);
     if (mask != nullptr) write_prune_mask(os, *mask);
-    const auto it = ctx_.detected.find(store);
-    const bool has_fm = it != ctx_.detected.end();
-    ser::write_pod<std::uint8_t>(os, has_fm ? 1 : 0);
-    if (has_fm) write_fault_matrix(os, it->second);
+    const FaultMatrix* fm = detected_for(ctx_.detected, k);
+    ser::write_pod<std::uint8_t>(os, fm != nullptr ? 1 : 0);
+    if (fm != nullptr) write_fault_matrix(os, *fm);
   }
 
   obs::EventLog::global().emit(
@@ -606,13 +609,22 @@ bool FtEngine::load_checkpoint(Network& net, RcsSystem* rcs,
       static_cast<std::size_t>(ser::read_pod<std::uint64_t>(is));
   REFIT_CHECK_MSG(nlayers == layers.size(),
                   "engine checkpoint does not match the network");
-  for (MatrixLayer* layer : layers) {
-    const WeightStore* store = &layer->weights();
+  // A mask or fault map of another shape would be indexed past its end by
+  // the next update or remap, so both must match their layer's weights.
+  for (std::size_t k = 0; k < layers.size(); ++k) {
+    const Shape& shape = layers[k]->weights().shape();
     if (ser::read_pod<std::uint8_t>(is) != 0) {
-      ctx_.prune_state.merge_mask(store, read_prune_mask(is));
+      const PruneMask mask = read_prune_mask(is);
+      REFIT_CHECK_MSG(mask.rows == shape[0] && mask.cols == shape[1],
+                      "engine checkpoint prune mask does not match its layer");
+      ctx_.prune_state.merge_mask(k, mask);
     }
     if (ser::read_pod<std::uint8_t>(is) != 0) {
-      ctx_.detected[store] = read_fault_matrix(is);
+      FaultMatrix fm = read_fault_matrix(is);
+      REFIT_CHECK_MSG(fm.rows() == shape[0] && fm.cols() == shape[1],
+                      "engine checkpoint fault map does not match its layer");
+      ctx_.detected.resize(layers.size());
+      ctx_.detected[k] = std::move(fm);
     }
   }
 

@@ -157,7 +157,7 @@ struct EngineContext {
 
   // ---- Shared FT state --------------------------------------------------
   PruneState prune_state;
-  DetectedFaults detected;
+  DetectedFaults detected;  ///< empty until the first detection phase
 
   // ---- RNG streams (split off the run seed by begin()) ------------------
   Rng batch_rng{1};

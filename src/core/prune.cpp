@@ -10,7 +10,9 @@ namespace refit {
 PruneState PruneState::compute(Network& net, const PruneConfig& cfg) {
   PruneState state;
   if (!cfg.enabled) return state;
-  for (MatrixLayer* ml : net.matrix_layers()) {
+  const auto layers = net.matrix_layers();
+  for (std::size_t layer = 0; layer < layers.size(); ++layer) {
+    MatrixLayer* ml = layers[layer];
     const double sparsity =
         std::string(ml->kind()) == "conv" ? cfg.conv_sparsity
                                           : cfg.fc_sparsity;
@@ -48,19 +50,21 @@ PruneState PruneState::compute(Network& net, const PruneConfig& cfg) {
         ++pruned;
       }
     }
-    state.masks_.emplace(&ml->weights(), std::move(mask));
+    state.merge_mask(layer, mask);
   }
   return state;
 }
 
-const PruneMask* PruneState::mask_for(const WeightStore* store) const {
-  const auto it = masks_.find(store);
-  return it == masks_.end() ? nullptr : &it->second;
+const PruneMask* PruneState::mask_for(std::size_t layer) const {
+  return layer < masks_.size() && !masks_[layer].pruned.empty()
+             ? &masks_[layer]
+             : nullptr;
 }
 
 void PruneState::apply_to(Network& net) const {
+  std::size_t layer = 0;
   for (MatrixLayer* ml : net.matrix_layers()) {
-    const PruneMask* mask = mask_for(&ml->weights());
+    const PruneMask* mask = mask_for(layer++);
     if (mask == nullptr) continue;
     Tensor w = ml->weights().target();
     bool changed = false;
@@ -74,13 +78,13 @@ void PruneState::apply_to(Network& net) const {
   }
 }
 
-void PruneState::merge_mask(const WeightStore* store, const PruneMask& mask) {
-  auto it = masks_.find(store);
-  if (it == masks_.end()) {
-    masks_.emplace(store, mask);
+void PruneState::merge_mask(std::size_t layer, const PruneMask& mask) {
+  if (masks_.size() <= layer) masks_.resize(layer + 1);
+  PruneMask& existing = masks_[layer];
+  if (existing.pruned.empty()) {
+    existing = mask;
     return;
   }
-  PruneMask& existing = it->second;
   REFIT_CHECK(existing.pruned.size() == mask.pruned.size());
   for (std::size_t i = 0; i < mask.pruned.size(); ++i) {
     if (mask.pruned[i] != 0) existing.pruned[i] = 1;
@@ -89,7 +93,7 @@ void PruneState::merge_mask(const WeightStore* store, const PruneMask& mask) {
 
 std::size_t PruneState::total_pruned() const {
   std::size_t n = 0;
-  for (const auto& [store, mask] : masks_) n += mask.count_pruned();
+  for (const PruneMask& mask : masks_) n += mask.count_pruned();
   return n;
 }
 

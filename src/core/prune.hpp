@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "nn/network.hpp"
@@ -48,7 +47,8 @@ struct PruneMask {
   }
 };
 
-/// The per-store pruning state of a network.
+/// The pruning state of a network: one mask per matrix layer, indexed like
+/// Network::matrix_layers(), and empty until a mask is merged.
 class PruneState {
  public:
   PruneState() = default;
@@ -57,21 +57,21 @@ class PruneState {
   /// target weights.
   static PruneState compute(Network& net, const PruneConfig& cfg);
 
-  /// Mask for a given store, or nullptr when the store is not pruned.
-  [[nodiscard]] const PruneMask* mask_for(const WeightStore* store) const;
+  /// Mask of matrix layer `layer`, or nullptr when that layer is not pruned.
+  [[nodiscard]] const PruneMask* mask_for(std::size_t layer) const;
 
-  /// Write zeros into the pruned positions of every masked store.
+  /// Write zeros into the pruned positions of every masked layer.
   void apply_to(Network& net) const;
 
   [[nodiscard]] bool empty() const { return masks_.empty(); }
   [[nodiscard]] std::size_t total_pruned() const;
 
-  /// OR `mask` into the state (creating the entry if absent). Used by the
-  /// structured pruner, which touches one store from two interfaces.
-  void merge_mask(const WeightStore* store, const PruneMask& mask);
+  /// OR `mask` into layer `layer`'s mask (setting it if absent). Used by the
+  /// structured pruner, which touches one layer from two interfaces.
+  void merge_mask(std::size_t layer, const PruneMask& mask);
 
  private:
-  std::unordered_map<const WeightStore*, PruneMask> masks_;
+  std::vector<PruneMask> masks_;
 };
 
 }  // namespace refit

@@ -66,7 +66,7 @@ std::vector<RemapInterface> find_remap_interfaces(Network& net) {
         dynamic_cast<CrossbarWeightStore*>(&prod->weights()) != nullptr ||
         dynamic_cast<CrossbarWeightStore*>(&cons->weights()) != nullptr;
     if (!any_crossbar) continue;
-    out.push_back(RemapInterface{prod, cons, prod->out_neurons()});
+    out.push_back(RemapInterface{prod, cons, prod->out_neurons(), i});
   }
   return out;
 }
@@ -88,11 +88,8 @@ InterfaceCost build_interface_cost(const RemapInterface& iface,
   // Producer side: logical column j placed at physical column p.
   if (const auto* xp = dynamic_cast<const CrossbarWeightStore*>(
           &iface.producer->weights())) {
-    const auto it = detected.find(&iface.producer->weights());
-    const FaultMatrix* fm =
-        (it != detected.end() && !it->second.empty()) ? &it->second : nullptr;
-    if (fm != nullptr) {
-      const PruneMask* mask = prune.mask_for(&iface.producer->weights());
+    if (const FaultMatrix* fm = detected_for(detected, iface.layer)) {
+      const PruneMask* mask = prune.mask_for(iface.layer);
       const std::size_t rows = xp->rows();
       const auto& row_perm = xp->mapping().row_perm();
       for (std::size_t p = 0; p < m; ++p) {
@@ -118,11 +115,8 @@ InterfaceCost build_interface_cost(const RemapInterface& iface,
   // Consumer side: logical row-block j placed at physical block p.
   if (const auto* xc = dynamic_cast<const CrossbarWeightStore*>(
           &iface.consumer->weights())) {
-    const auto it = detected.find(&iface.consumer->weights());
-    const FaultMatrix* fm =
-        (it != detected.end() && !it->second.empty()) ? &it->second : nullptr;
-    if (fm != nullptr) {
-      const PruneMask* mask = prune.mask_for(&iface.consumer->weights());
+    if (const FaultMatrix* fm = detected_for(detected, iface.layer + 1)) {
+      const PruneMask* mask = prune.mask_for(iface.layer + 1);
       const std::size_t b = iface.consumer->rows_per_in_neuron();
       const std::size_t cols = xc->cols();
       const auto& col_perm = xc->mapping().col_perm();
@@ -361,8 +355,8 @@ PruneState compute_structured_pruning(Network& net, double neuron_sparsity) {
         for (std::size_t c = 0; c < cons_cols; ++c)
           cons_mask.pruned[(j * b + bb) * cons_cols + c] = 1;
     }
-    state.merge_mask(&iface.producer->weights(), prod_mask);
-    state.merge_mask(&iface.consumer->weights(), cons_mask);
+    state.merge_mask(iface.layer, prod_mask);
+    state.merge_mask(iface.layer + 1, cons_mask);
   }
   return state;
 }

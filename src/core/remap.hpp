@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "core/prune.hpp"
@@ -63,11 +62,18 @@ struct RemapInterface {
   MatrixLayer* producer = nullptr;  ///< its columns move
   MatrixLayer* consumer = nullptr;  ///< its input row-blocks move
   std::size_t neurons = 0;
+  std::size_t layer = 0;  ///< producer's matrix-layer index (consumer: +1)
 };
 
-/// Per-store detected fault maps (physical space), as produced by the
-/// on-line detector.
-using DetectedFaults = std::unordered_map<const WeightStore*, FaultMatrix>;
+/// Detected fault maps (physical space) from the on-line detector, indexed
+/// like Network::matrix_layers(); an empty matrix means "none detected".
+using DetectedFaults = std::vector<FaultMatrix>;
+
+/// Layer `layer`'s detected faults, or nullptr when none were detected.
+[[nodiscard]] inline const FaultMatrix* detected_for(const DetectedFaults& d,
+                                                     std::size_t layer) {
+  return layer < d.size() && !d[layer].empty() ? &d[layer] : nullptr;
+}
 
 /// Interfaces of `net` eligible for neuron re-ordering: neuron counts must
 /// match across the interface and at least one side must be on crossbars.

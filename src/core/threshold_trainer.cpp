@@ -8,9 +8,7 @@ namespace refit {
 
 ThresholdStepStats ThresholdTrainer::step(
     std::vector<Param>& params, std::size_t iteration,
-    const PruneState* prune,
-    const std::unordered_map<const WeightStore*, FaultMatrix>* detected)
-    const {
+    const PruneState* prune, const DetectedFaults* detected) const {
   const double lr = lr_.at(iteration);
   ThresholdStepStats stats;
 
@@ -29,7 +27,8 @@ ThresholdStepStats ThresholdTrainer::step(
     REFIT_CHECK(p.grad != nullptr);
     Tensor delta = *p.grad;
     delta *= static_cast<float>(-lr);
-    const PruneMask* mask = prune != nullptr ? prune->mask_for(p.store) : nullptr;
+    const PruneMask* mask =
+        prune != nullptr ? prune->mask_for(pending.size()) : nullptr;
     REFIT_CHECK(mask == nullptr || mask->pruned.size() == delta.numel());
     float local_max = 0.0f;
     for (std::size_t i = 0; i < delta.numel(); ++i) {
@@ -43,7 +42,8 @@ ThresholdStepStats ThresholdTrainer::step(
 
   // Pass 2: one fused filter-and-write pass per store (Algorithm 1's
   // threshold, the prune mask and the detected-fault skip).
-  for (auto& pd : pending) {
+  for (std::size_t layer = 0; layer < pending.size(); ++layer) {
+    Pending& pd = pending[layer];
     UpdatePolicy policy;
     policy.pruned = pd.mask != nullptr ? pd.mask->pruned.data() : nullptr;
     policy.threshold = cfg_.threshold_ratio *
@@ -52,13 +52,12 @@ ThresholdStepStats ThresholdTrainer::step(
     // The original (non-threshold) scheme programs the whole array each
     // update step — zero deltas included — which is what wears cells out.
     policy.full_write = cfg_.threshold_ratio <= 0.0;
-    if (detected != nullptr) {
-      const auto it = detected->find(pd.param->store);
-      if (it != detected->end() && !it->second.empty()) {
-        REFIT_CHECK(it->second.rows() == pd.delta.dim(0) &&
-                    it->second.cols() == pd.delta.dim(1));
-        policy.skip = it->second.bytes();
-      }
+    const FaultMatrix* fm =
+        detected != nullptr ? detected_for(*detected, layer) : nullptr;
+    if (fm != nullptr) {
+      REFIT_CHECK(fm->rows() == pd.delta.dim(0) &&
+                  fm->cols() == pd.delta.dim(1));
+      policy.skip = fm->bytes();
     }
     stats += pd.param->store->apply_update(pd.delta, policy);
   }

@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "core/prune.hpp"
+#include "core/remap.hpp"
 #include "nn/layer.hpp"
 #include "nn/optimizer.hpp"
-#include "rram/fault_map.hpp"
 
 namespace refit {
 
@@ -41,14 +41,12 @@ class ThresholdTrainer {
       : cfg_(cfg), lr_(lr) {}
 
   /// One update step over `params`. Pruned entries (if `prune` given) and
-  /// detected-faulty cells (if `detected` given, keyed like the trainer's
-  /// fault state) never receive writes. Bias (peripheral) parameters are
-  /// updated unfiltered.
-  ThresholdStepStats step(
-      std::vector<Param>& params, std::size_t iteration,
-      const PruneState* prune = nullptr,
-      const std::unordered_map<const WeightStore*, FaultMatrix>* detected =
-          nullptr) const;
+  /// detected-faulty cells (if `detected` given) never receive writes; the
+  /// k-th store-backed param is matrix layer k of both. Bias (peripheral)
+  /// parameters are updated unfiltered.
+  ThresholdStepStats step(std::vector<Param>& params, std::size_t iteration,
+                          const PruneState* prune = nullptr,
+                          const DetectedFaults* detected = nullptr) const;
 
   [[nodiscard]] const ThresholdConfig& config() const { return cfg_; }
   [[nodiscard]] const LrSchedule& schedule() const { return lr_; }

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -221,6 +224,67 @@ TEST(EngineCheckpoint, LoadRejectsMismatchedFlowConfig) {
   FtEngine engine(other);
   EXPECT_THROW((void)engine.load_checkpoint(rig.net, &rig.sys, data,
                                             checkpoint),
+               CheckError);
+}
+
+/// The per-layer tail of a checkpoint of the default Rig saved after the
+/// first detection with pruning on: a u64 layer count, then per layer a u8
+/// flag + prune mask and a u8 flag + fault map, each written as u64 rows,
+/// u64 cols, u64 byte count and the bytes. Returns the checkpoint and the
+/// offset of layer 0's prune-mask header.
+std::pair<std::string, std::size_t> checkpoint_with_layer_state(
+    const Dataset& data, const FtFlowConfig& flow) {
+  std::stringstream checkpoint;
+  Rig rig;
+  FtEngine engine(flow);
+  engine.begin(rig.net, &rig.sys, data, Rng(3));
+  while (engine.context().iteration < 100) engine.step();
+  EXPECT_TRUE(engine.save_checkpoint(checkpoint));
+  const std::string bytes = checkpoint.str();
+  constexpr std::size_t kCells0 = 784 * 24, kCells1 = 24 * 10;
+  const std::size_t tail =
+      8 + 2 * (1 + 24 + kCells0) + 2 * (1 + 24 + kCells1);
+  const std::size_t section = bytes.size() - tail;
+  std::uint64_t layers = 0;
+  std::memcpy(&layers, bytes.data() + section, sizeof layers);
+  EXPECT_EQ(layers, 2u);
+  EXPECT_EQ(bytes[section + 8], 1) << "layer 0 must carry a prune mask";
+  return {bytes, section + 9};
+}
+
+void put_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
+  std::memcpy(bytes.data() + at, &v, sizeof v);
+}
+
+TEST(EngineCheckpoint, MaskOfAnotherShapeIsRejected) {
+  // A transposed 24×784 mask has the same byte count as the 784×24 one, so
+  // only a shape check against the layer catches it; a later remap would
+  // read it past its end.
+  const Dataset data = small_mnist();
+  FtFlowConfig flow = ft_flow();
+  flow.prune.structured = true;
+  auto [bytes, mask] = checkpoint_with_layer_state(data, flow);
+  put_u64(bytes, mask, 24);
+  put_u64(bytes, mask + 8, 784);
+  std::stringstream corrupt(bytes);
+  Rig rig;
+  FtEngine engine(flow);
+  EXPECT_THROW((void)engine.load_checkpoint(rig.net, &rig.sys, data, corrupt),
+               CheckError);
+}
+
+TEST(EngineCheckpoint, FaultByteOutOfRangeIsRejected) {
+  const Dataset data = small_mnist();
+  auto [bytes, mask] = checkpoint_with_layer_state(data, ft_flow());
+  // Layer 0's fault map follows its mask and flag; its first cell byte sits
+  // after the rows, cols and byte-count words.
+  const std::size_t fm = mask + 24 + 784 * 24 + 1;
+  ASSERT_EQ(bytes[fm - 1], 1) << "layer 0 must carry a fault map";
+  bytes[fm + 24] = 5;  // one past FaultKind::kSoftStuck1
+  std::stringstream corrupt(bytes);
+  Rig rig;
+  FtEngine engine(ft_flow());
+  EXPECT_THROW((void)engine.load_checkpoint(rig.net, &rig.sys, data, corrupt),
                CheckError);
 }
 

@@ -210,7 +210,7 @@ TEST_P(PruneSweep, ExactFractionAndIdempotentApply) {
   cfg.fc_sparsity = sparsity;
   const PruneState st = PruneState::compute(net, cfg);
   MatrixLayer* ml = net.matrix_layers()[0];
-  const PruneMask* mask = st.mask_for(&ml->weights());
+  const PruneMask* mask = st.mask_for(0);
   ASSERT_NE(mask, nullptr);
   const auto expected =
       static_cast<std::size_t>(sparsity * 40 * 25);

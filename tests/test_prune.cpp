@@ -26,8 +26,8 @@ TEST(Prune, SparsityFractionRespected) {
   PruneConfig cfg;
   cfg.fc_sparsity = 0.6;
   const PruneState st = PruneState::compute(net, cfg);
-  for (MatrixLayer* ml : net.matrix_layers()) {
-    const PruneMask* m = st.mask_for(&ml->weights());
+  for (std::size_t i = 0; i < net.matrix_layers().size(); ++i) {
+    const PruneMask* m = st.mask_for(i);
     ASSERT_NE(m, nullptr);
     const double frac = static_cast<double>(m->count_pruned()) /
                         static_cast<double>(m->pruned.size());
@@ -42,7 +42,7 @@ TEST(Prune, PrunesSmallestMagnitudes) {
   cfg.fc_sparsity = 0.5;
   const PruneState st = PruneState::compute(net, cfg);
   MatrixLayer* ml = net.matrix_layers()[0];
-  const PruneMask* m = st.mask_for(&ml->weights());
+  const PruneMask* m = st.mask_for(0);
   const Tensor& w = ml->weights().target();
   // Every pruned weight must be ≤ every kept weight in magnitude.
   float max_pruned = 0.0f, min_kept = 1e30f;
@@ -65,7 +65,7 @@ TEST(Prune, ApplyZeroesWeights) {
   const PruneState st = PruneState::compute(net, cfg);
   st.apply_to(net);
   MatrixLayer* ml = net.matrix_layers()[0];
-  const PruneMask* m = st.mask_for(&ml->weights());
+  const PruneMask* m = st.mask_for(0);
   const Tensor& w = ml->weights().target();
   for (std::size_t i = 0; i < w.numel(); ++i) {
     if (m->pruned[i]) {
@@ -80,8 +80,7 @@ TEST(Prune, MaskDeltaZeroesPrunedEntries) {
   PruneConfig cfg;
   cfg.fc_sparsity = 0.5;
   const PruneState st = PruneState::compute(net, cfg);
-  MatrixLayer* ml = net.matrix_layers()[0];
-  const PruneMask* m = st.mask_for(&ml->weights());
+  const PruneMask* m = st.mask_for(0);
   // The byte mask is what the store's update pass reads.
   SoftwareWeightStore store(Tensor({8, 4}));
   UpdatePolicy policy;
@@ -106,8 +105,10 @@ TEST(Prune, ConvAndFcUseDifferentSparsity) {
   cfg.conv_sparsity = 0.2;
   cfg.fc_sparsity = 0.7;
   const PruneState st = PruneState::compute(net, cfg);
-  for (MatrixLayer* ml : net.matrix_layers()) {
-    const PruneMask* m = st.mask_for(&ml->weights());
+  const auto layers = net.matrix_layers();
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    MatrixLayer* ml = layers[i];
+    const PruneMask* m = st.mask_for(i);
     ASSERT_NE(m, nullptr);
     const double frac = static_cast<double>(m->count_pruned()) /
                         static_cast<double>(m->pruned.size());
@@ -125,7 +126,7 @@ TEST(Prune, ZeroSparsitySkipsLayer) {
   PruneConfig cfg;
   cfg.fc_sparsity = 0.0;
   const PruneState st = PruneState::compute(net, cfg);
-  EXPECT_EQ(st.mask_for(&net.matrix_layers()[0]->weights()), nullptr);
+  EXPECT_EQ(st.mask_for(0), nullptr);
 }
 
 TEST(Prune, TotalPrunedCountsAcrossLayers) {

@@ -129,8 +129,8 @@ TEST(Remap, MovesPrunedColumnsOntoSa0Columns) {
     store->tile(0, 0).force_fault(r, 0, FaultKind::kStuckAt0);
   store->invalidate();
 
-  DetectedFaults detected;
-  detected.emplace(store, store->true_fault_matrix());
+  DetectedFaults detected(2);
+  detected[0] = store->true_fault_matrix();
 
   // Hand-build a prune state via tiny weights in column 3.
   Tensor w = store->target();
@@ -161,8 +161,8 @@ TEST(Remap, ConsumerRowBlocksFollowPermutation) {
     consumer->tile(0, 0).force_fault(0, c, FaultKind::kStuckAt0);
   consumer->invalidate();
 
-  DetectedFaults detected;
-  detected.emplace(consumer, consumer->true_fault_matrix());
+  DetectedFaults detected(2);
+  detected[1] = consumer->true_fault_matrix();
   // Prune consumer row 2 (all 4 weights tiny).
   Tensor w = consumer->target();
   for (std::size_t c = 0; c < 4; ++c) w.at(2, c) = 0.0f;
@@ -205,8 +205,8 @@ TEST(Remap, PaperCostModelIgnoresSa1UnderPruned) {
       dynamic_cast<CrossbarWeightStore*>(&net.matrix_layers()[0]->weights());
   store->tile(0, 0).force_fault(0, 0, FaultKind::kStuckAt1);
   store->invalidate();
-  DetectedFaults detected;
-  detected.emplace(store, store->true_fault_matrix());
+  DetectedFaults detected(2);
+  detected[0] = store->true_fault_matrix();
   Tensor w = store->target();
   w.at(0, 0) = 0.0f;  // prune the colliding weight
   w.at(1, 0) = 1e-6f;

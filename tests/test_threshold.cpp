@@ -119,10 +119,10 @@ TEST(Threshold, DetectedFaultyCellsSkipWrites) {
   auto* store = dynamic_cast<CrossbarWeightStore*>(params[0].store);
   ASSERT_NE(store, nullptr);
 
-  DetectedFaults detected;
+  DetectedFaults detected(1);
   FaultMatrix fm(4, 4);
   fm.set(1, 1, FaultKind::kStuckAt0);
-  detected.emplace(params[0].store, fm);
+  detected[0] = fm;
 
   Tensor g({4, 4}, 1.0f);
   *params[0].grad = g;

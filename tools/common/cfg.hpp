@@ -1,7 +1,6 @@
 // Intraprocedural control-flow graphs over the analyzer lexer
 // (tools/common/lexer.hpp). refit-check builds each file's CFGs once and
-// hands them to both its per-function dataflow rules (flow_rules.cpp) and
-// its whole-program determinism taint rules (det_rules.cpp).
+// hands them to its per-function dataflow rules (flow_rules.cpp).
 //
 // build_file_cfg() lexes one translation unit, finds every function body
 // (free functions, member functions, TEST bodies — anything of the shape

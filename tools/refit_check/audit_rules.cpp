@@ -372,8 +372,7 @@ void check_include_cycles(const std::vector<FileFacts>& tus,
         walk.push_back(members[anchor]);
         findings.push_back({atu->path, at_line, "include-cycle",
                             "#include cycle: " + join(walk, ' ') +
-                                " (headers must form a DAG)",
-                            {}});
+                                " (headers must form a DAG)"});
         continue;
       }
       dfs(to);
@@ -422,8 +421,7 @@ void check_phase_purity(const std::vector<FileFacts>& tus,
              c.name + "::" + m.name + " holds a mutable " + m.type +
                  " — phases may only reach store/system state through the "
                  "EngineContext passed to run(), or checkpoint/resume "
-                 "silently drops it",
-             {}});
+                 "silently drops it"});
       }
     }
   }

@@ -12,7 +12,7 @@ namespace refit::check {
 
 const std::vector<Family>& families() {
   static const std::vector<Family> kFamilies = {
-      lint_family(), audit_family(), flow_family(), det_family()};
+      lint_family(), audit_family(), flow_family()};
   return kFamilies;
 }
 

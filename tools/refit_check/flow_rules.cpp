@@ -328,8 +328,7 @@ void rule_parallel_shared_write(const FileCfg& file,
                          fn.parallel_callee +
                          " lambda and written inside it without std::atomic, "
                          "a dominating lock, or per-lane indexing — a data "
-                         "race under static partitioning",
-                     {}});
+                         "race under static partitioning"});
     }
   }
 }
@@ -487,8 +486,7 @@ void rule_mutation_without_invalidate(const FileCfg& file,
                      "tile state is mutated through '" + m.root +
                          "' but a path reaches the end of '" + fn.name +
                          "' with no invalidate()/mark_pack_dirty() — the "
-                         "store's read-out panel goes stale",
-                     {}});
+                         "store's read-out panel goes stale"});
     }
   }
 }
@@ -555,8 +553,7 @@ void rule_unchecked_must_use(const FileCfg& file, std::vector<Finding>& out) {
             if (!used)
               out.push_back({file.path, toks[i].line, "unchecked-must-use",
                              "result of " + toks[i].text + "() is bound to '" +
-                                 var + "' but never read on any path",
-                             {}});
+                                 var + "' but never read on any path"});
           }
         }
       }
@@ -680,8 +677,7 @@ void rule_use_after_move(const FileCfg& file, std::vector<Finding>& out) {
         out.push_back({file.path, e.line, "use-after-move",
                        "'" + e.var +
                            "' is read after std::move() moved it out with "
-                           "no reassignment in between",
-                       {}});
+                           "no reassignment in between"});
       }
     }
   }

@@ -2,6 +2,7 @@
 // source. Each pattern-matches the token stream against a project
 // invariant that reviewers used to police by hand; path-based exemptions
 // let the module that owns a primitive use it.
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -24,6 +25,42 @@ bool path_contains(const std::string& path, const std::string& needle) {
   return path.find(needle) != std::string::npos;
 }
 
+/// The code the determinism contract covers (docs/determinism.md): every
+/// path outside tests/ and tools/, i.e. src/, bench/ and examples/. Tests
+/// and tools build nondeterminism on purpose.
+bool in_artifact_scope(const std::string& path) {
+  std::size_t b = 0;
+  while (b <= path.size()) {
+    const std::size_t e = std::min(path.find('/', b), path.size());
+    const std::string part = path.substr(b, e - b);
+    if (part == "tests" || part == "tools") return false;
+    b = e + 1;
+  }
+  return true;
+}
+
+/// The template at `i` (`map<`) has a key type — its first argument — that
+/// mentions a pointer, so it iterates in address order.
+bool pointer_keyed_at(const std::vector<Token>& t, std::size_t i) {
+  int depth = 0;
+  for (std::size_t j = i + 2; j < t.size(); ++j) {
+    if (t[j].kind != TokKind::kPunct) continue;
+    const std::string& p = t[j].text;
+    if (p == "*") return true;
+    if (p == "<") ++depth;
+    if (p == ">" || p == ">>") depth -= static_cast<int>(p.size());
+    if (depth < 0 || p == ";" || (depth == 0 && p == ",")) return false;
+  }
+  return false;
+}
+
+/// The cast at `i` (`reinterpret_cast<`) targets uintptr_t / intptr_t.
+bool casts_to_address_int(const std::vector<Token>& t, std::size_t i) {
+  for (std::size_t j = i + 2; j < t.size() && t[j].text != ">"; ++j)
+    if (t[j].text == "uintptr_t" || t[j].text == "intptr_t") return true;
+  return false;
+}
+
 const std::set<std::string> kConcurrencyNames = {
     "thread",        "jthread",
     "async",         "mutex",
@@ -38,8 +75,24 @@ const std::set<std::string> kStdEngineNames = {
     "minstd_rand", "minstd_rand0", "ranlux24", "ranlux48", "knuth_b",
 };
 
-const std::set<std::string> kCRandNames = {"rand", "srand", "drand48",
-                                           "lrand48", "mrand48", "random"};
+// Bare C calls that draw entropy: the rand family, and the process id and
+// wall-clock reads that ad-hoc seeds are made of.
+const std::set<std::string> kCRandNames = {
+    "rand",    "srand",  "drand48",    "lrand48", "mrand48",
+    "random",  "getpid", "getentropy", "time"};
+
+// Raw clock reads; src/obs owns them behind the Clock seam.
+const std::set<std::string> kClockNames = {
+    "steady_clock", "high_resolution_clock", "system_clock",
+    "clock_gettime", "gettimeofday"};
+
+// Ordered containers iterate in key order (address order for a pointer
+// key); hash containers in hash-seed and insertion order.
+const std::set<std::string> kOrderedContainers = {"map", "set", "multimap",
+                                                  "multiset"};
+const std::set<std::string> kUnorderedContainers = {
+    "unordered_map", "unordered_set", "unordered_multimap",
+    "unordered_multiset"};
 
 // Conductance-mutating Crossbar members: callable only from the modules
 // that own device physics (src/device, src/rram) and from the store that
@@ -104,6 +157,13 @@ void lint_file(const cfg::FileCfg& file, std::vector<Finding>& findings) {
   const bool owns_threads = path_contains(path, "common/thread_pool") ||
                             path_contains(path, "common/log") ||
                             path_contains(path, "src/obs/");
+  const bool artifact_code = in_artifact_scope(path);
+  // The thread count and thread identity differ between REFIT_THREADS=1 and
+  // 4 runs, so no artifact may carry them: the pool sizes itself, src/obs
+  // keys per-thread state, and bench_util records the host in provenance.
+  const bool owns_thread_queries = path_contains(path, "common/thread_pool") ||
+                                   path_contains(path, "src/obs/") ||
+                                   path_contains(path, "bench/bench_util");
   const bool owns_rng = path_contains(path, "common/rng");
   // src/device and src/rram own the conductance-mutation primitives; the
   // crossbar store mediates them for everyone else. Files outside src/
@@ -118,14 +178,14 @@ void lint_file(const cfg::FileCfg& file, std::vector<Finding>& findings) {
   // serialized sink; every other src/ module goes through events/REFIT_LOG.
   const bool owns_streams =
       mod.empty() || mod == "obs" || path_contains(path, "common/log");
-  // src/obs is the only module allowed to read a raw std::chrono clock —
-  // everything else must go through the Clock seam (obs/clock.hpp) so
-  // golden traces stay deterministic under ManualClock.
-  const bool owns_clocks = mod.empty() || mod == "obs";
+  // src/obs is the only module allowed to read a raw clock — everything
+  // else in the determinism scope must go through the Clock seam
+  // (obs/clock.hpp) so golden traces stay deterministic under ManualClock.
+  const bool owns_clocks = !artifact_code || mod == "obs";
 
   auto report = [&](const std::string& rule, int line,
                     const std::string& message) {
-    findings.push_back({path, line, rule, message, {}});
+    findings.push_back({path, line, rule, message});
   };
 
   // --- file-header: the first thing in the file is a `//` comment -----------
@@ -214,8 +274,9 @@ void lint_file(const cfg::FileCfg& file, std::vector<Finding>& findings) {
                      " outside common/thread_pool — route concurrency "
                      "through refit::ThreadPool");
       }
+      const bool is_call = i + 3 < t.size() && t[i + 3].text == "(";
       if (!owns_rng && (kStdEngineNames.count(name) || name == "rand" ||
-                        name == "srand")) {
+                        name == "srand" || (name == "time" && is_call))) {
         report("randomness", tok.line,
                "std::" + name +
                    " outside common/rng — draw from refit::Rng so runs "
@@ -278,16 +339,49 @@ void lint_file(const cfg::FileCfg& file, std::vector<Finding>& findings) {
              "read target(), not effective())");
     }
 
-    // Raw std::chrono clocks in src/ outside obs. Matching the bare
-    // identifier also catches `using std::chrono::steady_clock` and
-    // namespace-alias spellings.
-    if (!owns_clocks && (tok.text == "steady_clock" ||
-                         tok.text == "high_resolution_clock")) {
+    // Raw clocks outside obs. Matching the bare identifier also catches
+    // `using std::chrono::steady_clock` and namespace-alias spellings.
+    if (!owns_clocks && kClockNames.count(tok.text)) {
       report("obs-timing", tok.line,
-             "std::chrono::" + tok.text +
+             tok.text +
                  " outside src/obs — take timestamps through "
                  "refit::obs::now_ns() or obs::Stopwatch so ManualClock "
                  "test runs stay deterministic");
+    }
+
+    // Thread-count / thread-identity queries outside their owners.
+    if (artifact_code && !owns_thread_queries &&
+        (tok.text == "hardware_concurrency" || tok.text == "this_thread")) {
+      report("concurrency", tok.line,
+             tok.text +
+                 " outside common/thread_pool, src/obs and bench/bench_util "
+                 "— artifacts must be identical at any REFIT_THREADS, so "
+                 "they cannot depend on the worker count or thread identity");
+    }
+
+    // Containers and casts whose order is not a function of the seed.
+    if (artifact_code) {
+      const bool member = i > 0 && (t[i - 1].text == "." ||
+                                    t[i - 1].text == "->");
+      if (kUnorderedContainers.count(tok.text)) {
+        report("container-order", tok.line,
+               tok.text +
+                   " iterates in hash order — key by a stable index "
+                   "(a vector, or std::map over ids) so artifacts do not "
+                   "depend on the hash seed or insertion history");
+      } else if (!member && kOrderedContainers.count(tok.text) &&
+                 i + 1 < t.size() && t[i + 1].text == "<" &&
+                 pointer_keyed_at(t, i)) {
+        report("container-order", tok.line,
+               tok.text +
+                   " keyed by a pointer iterates in address order, which "
+                   "varies run to run — key it by a stable index");
+      } else if (tok.text == "reinterpret_cast" && i + 1 < t.size() &&
+                 t[i + 1].text == "<" && casts_to_address_int(t, i)) {
+        report("container-order", tok.line,
+               "pointer cast to an integer — addresses vary run to run, so "
+               "no hash, order or artifact may depend on one");
+      }
     }
 
     // using namespace in headers.
@@ -324,11 +418,13 @@ Family lint_family() {
           {
               {"concurrency",
                "std::thread/std::async/std::mutex and friends outside "
-               "common/thread_pool (std::thread::hardware_concurrency is "
-               "allowed)"},
+               "common/thread_pool; in src/, bench/ and examples/, "
+               "hardware_concurrency and this_thread outside "
+               "common/thread_pool, src/obs and bench/bench_util"},
               {"randomness",
                "rand()/std::random_device/std::mt19937 and other ad-hoc "
-               "generators outside common/rng"},
+               "generators, getpid()/getentropy()/time() seeds, outside "
+               "common/rng"},
               {"using-namespace-header", "`using namespace` in a header"},
               {"dcheck-side-effect",
                "++/--/assignment inside REFIT_DCHECK / REFIT_DCHECK_MSG, "
@@ -343,10 +439,16 @@ Family lint_family() {
                "(e.g. src/detect including core/, src/rcs including "
                "detect/)"},
               {"obs-timing",
-               "std::chrono::steady_clock / high_resolution_clock in src/ "
-               "outside src/obs — take timestamps through "
+               "std::chrono::steady_clock / high_resolution_clock / "
+               "system_clock, clock_gettime or gettimeofday in src/, bench/ "
+               "or examples/ outside src/obs — take timestamps through "
                "refit::obs::now_ns() or obs::Stopwatch so the Clock seam "
                "stays the single time source"},
+              {"container-order",
+               "in src/, bench/ and examples/: an unordered_* container, a "
+               "map/set/multimap/multiset keyed by a pointer type, or a "
+               "reinterpret_cast to uintptr_t/intptr_t — their order varies "
+               "run to run"},
               {"device-encoding",
                "direct conductance-mutator call (force_fault / "
                "force_soft_fault / strong_write / drift_toward / "

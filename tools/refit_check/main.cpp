@@ -1,14 +1,13 @@
 // refit-check CLI: runs every rule family (see check.hpp) over the given
 // files/directories and reports findings compiler-style (`path:line:
-// [rule] message`), with a det finding's source-to-sink chain indented
-// under it, so editors and CI can jump to them.
+// [rule] message`), so editors and CI can jump to them.
 //
 // Usage:
 //   refit_check [--list-rules] [--json] [--dump-cfg] [<file-or-dir>...]
 //
 // With no paths, the project roots are scanned: src tests bench examples
 // tools (run from the repo root). `--json` prints the findings as one flat
-// JSON array of {file, line, rule, message, chain} records (CI turns them
+// JSON array of {file, line, rule, message} records (CI turns them
 // into annotations); the human summary moves to stderr. `--dump-cfg`
 // prints every function's CFG instead of checking — the format of the
 // testdata/cfg/*.golden files.
@@ -169,16 +168,10 @@ int main(int argc, char** argv) {
                 << json_escape(f.file) << "\", \"line\": " << f.line
                 << ", \"rule\": \"" << json_escape(f.rule)
                 << "\", \"message\": \"" << json_escape(f.message)
-                << "\", \"chain\": [";
-      for (std::size_t k = 0; k < f.chain.size(); ++k)
-        std::cout << (k ? ", " : "") << "\"" << json_escape(f.chain[k])
-                  << "\"";
-      std::cout << "]}";
+                << "\"}";
     } else {
       std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
                 << f.message << "\n";
-      for (std::size_t k = 0; k < f.chain.size(); ++k)
-        std::cout << "    #" << k + 1 << " " << f.chain[k] << "\n";
     }
   }
   if (json) std::cout << (findings.empty() ? "]\n" : "\n]\n");

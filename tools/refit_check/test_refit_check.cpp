@@ -13,13 +13,13 @@
 // clean fixtures guard against false positives as much as the bad ones
 // guard against false negatives. Paths are case-relative to the family
 // directory, which keeps the path-based rules (layering's src/<module>/,
-// the det family's scope) seeing what they see on the tree.
+// the determinism scope of src/, bench/ and examples/) seeing what they
+// see on the tree.
 //
 // On top of the harness, the families' path exemptions and suppression
-// semantics are probed directly, the CFG dump is pinned by golden files
-// under testdata/cfg/ (regenerate with `build/tools/refit_check
-// --dump-cfg <file>` minus the `== ` header), and the det family's
-// interprocedural machinery is probed through det.hpp.
+// semantics are probed directly, and the CFG dump is pinned by golden
+// files under testdata/cfg/ (regenerate with `build/tools/refit_check
+// --dump-cfg <file>` minus the `== ` header).
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "check.hpp"
-#include "det.hpp"
 #include "gtest/gtest.h"
 
 namespace fs = std::filesystem;
@@ -106,13 +105,21 @@ std::vector<Finding> check_case(const Case& c) {
   return refit::check::check_program(program);
 }
 
-/// The harness: every case of `family` produces exactly its annotations.
-void expect_fixtures_match(const std::string& family) {
+/// The harness: every case of `family` produces exactly its annotations —
+/// counting only the rules in `only`, when it is not empty.
+void expect_fixtures_match(const std::string& family,
+                           const std::set<std::string>& only = {}) {
+  const auto kept = [&](const std::string& rule) {
+    return only.empty() || only.count(rule) > 0;
+  };
   for (const Case& c : cases(family)) {
     SCOPED_TRACE(family + "/" + c.front().first);
-    const std::set<FileLineRule> want = expectations(c);
+    std::set<FileLineRule> want;
+    for (const auto& [file, line, rule] : expectations(c))
+      if (kept(rule)) want.emplace(file, line, rule);
     std::set<FileLineRule> got;
-    for (const Finding& f : check_case(c)) got.emplace(f.file, f.line, f.rule);
+    for (const Finding& f : check_case(c))
+      if (kept(f.rule)) got.emplace(f.file, f.line, f.rule);
     for (const auto& [file, line, rule] : want)
       EXPECT_TRUE(got.count({file, line, rule}))
           << "expected finding [" << rule << "] at " << file << ":" << line
@@ -156,12 +163,6 @@ std::vector<Finding> check_source(const std::string& family_name,
   return out;
 }
 
-refit::det::Files pointers(const std::vector<refit::cfg::FileCfg>& files) {
-  refit::det::Files out;
-  for (const auto& f : files) out.push_back(&f);
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -176,23 +177,25 @@ TEST(RefitCheck, RuleNamesAreUniqueAcrossFamilies) {
       EXPECT_TRUE(seen.insert(r.name).second) << "duplicate rule " << r.name;
       ++total;
     }
-  EXPECT_EQ(total, 22u) << "lint 11 + audit 2 + flow 4 + det 5";
+  EXPECT_EQ(total, 18u) << "lint 12 + audit 2 + flow 4";
 }
 
 TEST(RefitCheck, DetScopeLeavesOutTestsAndTools) {
-  EXPECT_TRUE(refit::det::in_scope("src/rcs/crossbar_store.cpp"));
-  EXPECT_TRUE(refit::det::in_scope("bench/bench_backend.cpp"));
-  EXPECT_TRUE(refit::det::in_scope("examples/quickstart.cpp"));
-  EXPECT_FALSE(refit::det::in_scope("tests/test_backend.cpp"));
-  EXPECT_FALSE(refit::det::in_scope("tools/refit_check/main.cpp"));
-  // The same threadcount leak is a det finding in bench/, not in tests/.
+  // The determinism rules cover src/, bench/ and examples/; tests/ and
+  // tools/ build nondeterminism on purpose. The same thread-count leak is
+  // a finding in the first three only.
   const std::string src =
       "// impl\n"
       "void f(std::ostream& os) {\n"
       "  os << std::thread::hardware_concurrency();\n"
       "}\n";
-  EXPECT_EQ(check_source("det", "bench/x.cpp", src).size(), 1u);
-  EXPECT_TRUE(check_source("det", "tests/x.cpp", src).empty());
+  for (const char* path : {"src/rcs/crossbar_store.cpp",
+                           "bench/bench_backend.cpp",
+                           "examples/quickstart.cpp"})
+    EXPECT_EQ(check_source("lint", path, src).size(), 1u) << path;
+  for (const char* path :
+       {"tests/test_backend.cpp", "tools/refit_check/main.cpp"})
+    EXPECT_TRUE(check_source("lint", path, src).empty()) << path;
 }
 
 // ---------------------------------------------------------------------------
@@ -229,7 +232,7 @@ TEST(RefitLint, PathExemptionsApply) {
   const std::string clock_src =
       "// impl\nauto t = std::chrono::steady_clock::now();\n";
   EXPECT_TRUE(lint("src/obs/clock.cpp", clock_src).empty());
-  // Files outside src/ (tests, benches) may read clocks directly.
+  // Tests may read clocks directly.
   EXPECT_TRUE(lint("tests/x.cpp", clock_src).empty());
 
   // The same sources elsewhere are violations.
@@ -379,124 +382,122 @@ TEST(RefitFlow, LambdaParallelCalleeIsRecorded) {
 }
 
 // ---------------------------------------------------------------------------
-// det
+// det: the lint rules that keep every artifact a function of the seed
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Entropy seeds, thread-count queries, raw clocks, and hash- or
+/// address-ordered containers: each would let an artifact differ between
+/// two runs of the same seed.
+const std::set<std::string> kDeterminismRules = {
+    "randomness", "concurrency", "obs-timing", "container-order"};
+
+bool in_artifact_dir(const std::string& path) {
+  return path.starts_with("src/") || path.starts_with("bench/") ||
+         path.starts_with("examples/");
+}
+
+}  // namespace
+
 TEST(RefitDet, TestdataDirHasFixtures) {
-  EXPECT_GE(cases("det").size(), 10u)
-      << "testdata/det/ should hold a bad and a clean fixture per rule";
+  // A bad fixture per source of nondeterminism (entropy seed, thread
+  // count, wall clock, hash order, pointer order) in the directories it
+  // probes, and a clean counterpart for each owner and for tests/.
+  std::set<std::string> bad_files;
+  for (const Case& c : cases("lint"))
+    for (const auto& [file, line, rule] : expectations(c))
+      if (kDeterminismRules.count(rule) && in_artifact_dir(file))
+        bad_files.insert(file);
+  EXPECT_GE(bad_files.size(), 5u)
+      << "testdata/lint/{bench,src}/ should hold a determinism fixture per "
+         "source of nondeterminism";
+  for (const char* clean :
+       {"bench/bench_util.cpp", "src/core/clean_container_order.cpp",
+        "src/obs/clean_timing.cpp", "tests/clean_nondeterminism.cpp"})
+    EXPECT_TRUE(fs::is_regular_file(testdata("lint") / clean)) << clean;
 }
 
 TEST(RefitDet, FixturesProduceExactlyTheAnnotatedFindings) {
-  expect_fixtures_match("det");
+  expect_fixtures_match("lint", kDeterminismRules);
 }
 
-TEST(RefitDet, EveryRuleIsCoveredByAFixture) { expect_rules_covered("det"); }
-
-TEST(RefitDet, CallGraphConstruction) {
-  const std::string src =
-      "// impl\n"
-      "int c() { return 3; }\n"
-      "int b() { return c() + c(); }\n"
-      "int a() { return b(); }\n"
-      "int d() { return qsort(nullptr, 0, 0, nullptr); }\n";
-  std::vector<refit::cfg::FileCfg> files;
-  files.push_back(refit::cfg::build_file_cfg("src/x.cpp", src));
-  const refit::det::CallGraph cg =
-      refit::det::build_call_graph(pointers(files));
-  ASSERT_TRUE(cg.callees.count("a"));
-  EXPECT_EQ(cg.callees.at("a"), (std::set<std::string>{"b"}));
-  EXPECT_EQ(cg.callees.at("b"), (std::set<std::string>{"c"}));
-  EXPECT_TRUE(cg.callees.at("c").empty());
-  // Externals (qsort) are not edges: only functions defined in the set.
-  EXPECT_TRUE(cg.callees.at("d").empty());
-}
-
-TEST(RefitDet, SummaryPropagationTwoHops) {
-  const std::string src =
-      "// impl\n"
-      "unsigned leaf() {\n"
-      "  std::random_device rd;\n"
-      "  return rd();\n"
-      "}\n"
-      "unsigned mid() { return leaf(); }\n"
-      "unsigned relay(unsigned x, unsigned y) { return y; }\n";
-  std::vector<refit::cfg::FileCfg> files;
-  files.push_back(refit::cfg::build_file_cfg("src/x.cpp", src));
-  const auto sums = refit::det::compute_summaries(pointers(files));
-  ASSERT_TRUE(sums.count("leaf"));
-  EXPECT_TRUE(sums.at("leaf").ret_taint & refit::det::kNondetSeed)
-      << "the entropy source must taint leaf's return value";
-  ASSERT_TRUE(sums.count("mid"));
-  EXPECT_TRUE(sums.at("mid").ret_taint & refit::det::kNondetSeed)
-      << "leaf's return taint must propagate through mid's summary";
-  ASSERT_TRUE(sums.count("relay"));
-  EXPECT_EQ(sums.at("relay").param_to_ret, 2u)
-      << "only parameter 1 flows to relay's return";
-  EXPECT_EQ(sums.at("relay").ret_taint, 0u);
-}
-
-TEST(RefitDet, RecursionTerminates) {
-  const std::string src =
-      "// impl\n"
-      "unsigned spin(unsigned x) {\n"
-      "  if (x == 0) {\n"
-      "    std::random_device rd;\n"
-      "    return rd();\n"
-      "  }\n"
-      "  return spin(x - 1);\n"
-      "}\n"
-      "void use(std::ostream& os) { os << spin(3); }\n";
-  const auto findings = check_source("det", "src/x.cpp", src);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "nondet-seed-provenance");
-  EXPECT_EQ(findings[0].line, 9);
-}
-
-TEST(RefitDet, ExplainChainCoversSourceToSink) {
-  const auto findings =
-      check_source("det", "nondet_seed_bad.cpp",
-                   read_file(testdata("det/nondet_seed_bad.cpp")));
-  ASSERT_EQ(findings.size(), 1u);
-  const Finding& f = findings[0];
-  EXPECT_EQ(f.rule, "nondet-seed-provenance");
-  ASSERT_GE(f.chain.size(), 4u) << "source, two call hops, and the sink";
-  EXPECT_NE(f.chain.front().find("source:"), std::string::npos);
-  const auto mentions = [&](const std::string& needle) {
-    for (const auto& step : f.chain)
-      if (step.find(needle) != std::string::npos) return true;
-    return false;
-  };
-  EXPECT_TRUE(mentions("device_entropy")) << "the returning callee hop";
-  EXPECT_TRUE(mentions("mix_bits")) << "the pass-through hop";
-  EXPECT_NE(f.chain.back().find("seeds RNG stream"), std::string::npos);
+TEST(RefitDet, EveryRuleIsCoveredByAFixture) {
+  // Each determinism rule is a registered lint rule, and a fixture in the
+  // artifact-writing scope exercises it there.
+  std::set<std::string> registered;
+  for (const auto& r : family("lint").rules) registered.insert(r.name);
+  std::set<std::string> exercised;
+  for (const Case& c : cases("lint"))
+    for (const auto& [file, line, rule] : expectations(c))
+      if (in_artifact_dir(file)) exercised.insert(rule);
+  for (const std::string& rule : kDeterminismRules) {
+    EXPECT_TRUE(registered.count(rule)) << "no lint rule named " << rule;
+    EXPECT_TRUE(exercised.count(rule))
+        << "rule '" << rule << "' has no fixture under testdata/lint/ in "
+        << "src/, bench/ or examples/";
+  }
 }
 
 TEST(RefitDet, SuppressionCoversOwnAndNextLineOnly) {
   const std::string src =
       "// header\n"
       "void f(std::ostream& os) {\n"
+      "  // refit-check: allow(concurrency)\n"
       "  unsigned a = std::thread::hardware_concurrency();\n"
       "  unsigned b = std::thread::hardware_concurrency();\n"
-      "  // refit-check: allow(threadcount-value-dependence)\n"
-      "  os << a;\n"
-      "  os << b;\n"
+      "  unsigned c = std::thread::hardware_concurrency();  "
+      "// refit-check: allow(concurrency)\n"
+      "  os << a << b << c;\n"
       "}\n";
-  const auto findings = check_source("det", "src/x.cpp", src);
+  const auto findings = check_source("lint", "src/x.cpp", src);
   ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].line, 7);
-  EXPECT_EQ(findings[0].rule, "threadcount-value-dependence");
+  EXPECT_EQ(findings[0].line, 5);
+  EXPECT_EQ(findings[0].rule, "concurrency");
 }
 
 TEST(RefitDet, PathExemptionsApply) {
-  // The clock seam owns the wall-clock read by design; anywhere else the
-  // same code is a finding.
-  const std::string src =
+  const auto rules_at = [](const std::string& path, const std::string& src) {
+    std::vector<std::string> out;
+    for (const Finding& f : check_source("lint", path, src))
+      out.push_back(f.rule);
+    return out;
+  };
+  using Rules = std::vector<std::string>;
+
+  // The clock seam owns the wall-clock read by design; benches and
+  // examples write artifacts too, so they go through the seam like src/.
+  const std::string clock_src =
       "// impl\n"
       "void tick(std::ostream& os) {\n"
       "  auto t = std::chrono::steady_clock::now();\n"
       "  os << t.time_since_epoch().count();\n"
       "}\n";
-  EXPECT_TRUE(check_source("det", "src/obs/clock.cpp", src).empty());
-  EXPECT_FALSE(check_source("det", "src/obs/timer.cpp", src).empty());
+  EXPECT_TRUE(rules_at("src/obs/clock.cpp", clock_src).empty());
+  for (const char* path : {"src/core/x.cpp", "bench/x.cpp", "examples/x.cpp"})
+    EXPECT_EQ(rules_at(path, clock_src), Rules{"obs-timing"}) << path;
+
+  // The pool sizes itself and bench_util records the host as provenance;
+  // no other bench may ask for the thread count.
+  const std::string hw_src =
+      "// impl\nunsigned n = std::thread::hardware_concurrency();\n";
+  EXPECT_TRUE(rules_at("src/common/thread_pool.cpp", hw_src).empty());
+  EXPECT_TRUE(rules_at("bench/bench_util.cpp", hw_src).empty());
+  EXPECT_EQ(rules_at("bench/bench_backend.cpp", hw_src), Rules{"concurrency"});
+  EXPECT_EQ(rules_at("bench/soft_faults.cpp", hw_src), Rules{"concurrency"});
+
+  // Hash- and pointer-ordered containers are findings wherever artifacts
+  // are written.
+  const std::string order_src =
+      "// impl\n"
+      "std::unordered_map<int, double> counts;\n"
+      "std::map<const Tile*, int> hits;\n";
+  for (const char* path : {"src/core/x.cpp", "bench/x.cpp", "examples/x.cpp"})
+    EXPECT_EQ(rules_at(path, order_src),
+              (Rules{"container-order", "container-order"}))
+        << path;
+
+  // tests/ builds all three on purpose and writes no artifact.
+  for (const std::string* src : {&clock_src, &hw_src, &order_src})
+    EXPECT_TRUE(rules_at("tests/x.cpp", *src).empty());
 }
