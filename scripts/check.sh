@@ -7,7 +7,8 @@
 #               smoke, bench-diff and the observability captures
 #               (docs/tooling.md)
 #   asan-ubsan  the suite without the gates under AddressSanitizer + UBSan
-#   tsan        parallel-backend tests under ThreadSanitizer (REFIT_THREADS=4)
+#   tsan        parallel-backend, device, store and detector tests under
+#               ThreadSanitizer (REFIT_THREADS=4)
 #
 # All stages run even when an earlier one fails; a per-stage summary prints
 # at the end and the exit status is non-zero if any stage failed. Extra
@@ -40,18 +41,20 @@ asan() {
     ctest --test-dir build-asan --output-on-failure -j "$(nproc)" -LE gate
 }
 
-# Runs the same GEMM kernel the flows run. The Device suites cover the
-# tile-parallel tick_noise / classify_soft paths.
+# Runs the same GEMM kernel the flows run. The Device, CrossbarStore and
+# Detector suites cover the tile-parallel lanes that write cells and bump
+# per-tile mutation counts (tick_noise, program_tiles, detect_store).
 tsan() {
   cmake -B build-tsan -S . -DREFIT_SANITIZE=thread &&
-    cmake --build build-tsan -j --target test_backend test_device &&
-    (cd build-tsan &&
-     REFIT_THREADS=4 ctest --output-on-failure -R '^Backend|^Device')
+    cmake --build build-tsan -j --target test_backend test_device \
+      test_crossbar_store test_detector &&
+    (cd build-tsan && REFIT_THREADS=4 ctest --output-on-failure \
+       -R '^Backend|^Device|^CrossbarStore|^Detector')
 }
 
 stage tier1 "build (-Werror) + full test suite with gates" tier1 "$@"
 stage asan-ubsan "test suite under ASan + UBSan" asan
-stage tsan "backend + device tests under TSan (REFIT_THREADS=4)" tsan
+stage tsan "backend/device/store/detector tests under TSan (REFIT_THREADS=4)" tsan
 
 echo
 overall=0

@@ -400,20 +400,9 @@ TrainingResult FtEngine::run(Network& net, RcsSystem* rcs, const Dataset& data,
 namespace {
 
 constexpr std::uint64_t kEngineTag = 0x5245464954454E47ULL;  // "REFITENG"
-constexpr std::uint32_t kEngineVersion = 1;
-
-void write_tensor(std::ostream& os, const Tensor& t) {
-  std::vector<std::uint64_t> shape(t.shape().begin(), t.shape().end());
-  ser::write_vec(os, shape);
-  ser::write_vec(os, t.vec());
-}
-
-Tensor read_tensor(std::istream& is) {
-  const auto shape64 = ser::read_vec<std::uint64_t>(is);
-  Shape shape(shape64.begin(), shape64.end());
-  auto data = ser::read_vec<float>(is);
-  return Tensor(shape, std::move(data));
-}
+// 2: ThresholdConfig (inside the raw FtFlowConfig) lost its global_max
+// flag, which changed the struct's layout.
+constexpr std::uint32_t kEngineVersion = 2;
 
 void write_size_vec(std::ostream& os, const std::vector<std::size_t>& v) {
   std::vector<std::uint64_t> tmp(v.begin(), v.end());
@@ -501,7 +490,7 @@ TrainingResult read_result(std::istream& is) {
 
 }  // namespace
 
-bool FtEngine::save_checkpoint(std::ostream& os) const {
+void FtEngine::save_checkpoint(std::ostream& os) const {
   REFIT_CHECK_MSG(begun_, "save_checkpoint() outside an active run");
   ser::write_tag(os, kEngineTag);
   ser::write_pod(os, kEngineVersion);
@@ -544,12 +533,10 @@ bool FtEngine::save_checkpoint(std::ostream& os) const {
 
   obs::EventLog::global().emit(
       obs::EventKind::kCheckpoint, obs::EventSeverity::kInfo, "engine",
-      {{"iteration", static_cast<double>(ctx_.iteration)},
-       {"ok", os.good() ? 1.0 : 0.0}});
-  return os.good();
+      {{"iteration", static_cast<double>(ctx_.iteration)}});
 }
 
-bool FtEngine::load_checkpoint(Network& net, RcsSystem* rcs,
+void FtEngine::load_checkpoint(Network& net, RcsSystem* rcs,
                                const Dataset& data, std::istream& is) {
   ser::expect_tag(is, kEngineTag);
   const auto version = ser::read_pod<std::uint32_t>(is);
@@ -629,7 +616,6 @@ bool FtEngine::load_checkpoint(Network& net, RcsSystem* rcs,
   }
 
   begun_ = true;
-  return is.good();
 }
 
 }  // namespace refit

@@ -299,15 +299,15 @@ class FtEngine {
   // ---- Checkpoint / resume ---------------------------------------------
   /// Serialize the full mid-run context (progress, RNG streams, batcher,
   /// per-store device state, biases, prune/detected maps, trace so far).
-  /// Call between iterations (after step() returns). Returns false when
-  /// the stream went bad mid-write (partial checkpoint on disk).
-  [[nodiscard]] bool save_checkpoint(std::ostream& os) const;
+  /// Call between iterations (after step() returns). Throws CheckError
+  /// when the stream goes bad mid-write (partial checkpoint on disk).
+  void save_checkpoint(std::ostream& os) const;
   /// Resume a run saved by save_checkpoint into freshly constructed
   /// net/rcs/data (built the same way as the original run's); overwrites
-  /// their state in place. Continue with step()/finish(). Returns false
-  /// when the stream ran dry or went bad (truncated checkpoint).
-  [[nodiscard]] bool load_checkpoint(Network& net, RcsSystem* rcs,
-                                     const Dataset& data, std::istream& is);
+  /// their state in place. Continue with step()/finish(). Throws
+  /// CheckError on a truncated, corrupt or mismatched checkpoint.
+  void load_checkpoint(Network& net, RcsSystem* rcs, const Dataset& data,
+                       std::istream& is);
 
  private:
   void bind(Network& net, RcsSystem* rcs, const Dataset& data);

@@ -13,13 +13,13 @@ ThresholdStepStats ThresholdTrainer::step(
   ThresholdStepStats stats;
 
   // Pass 1: the raw deltas (δw·LR) of every matrix parameter and the
-  // iteration's maximum |δw| over the entries that may update (pruned ones
-  // never write, so they do not set the threshold's scale).
+  // iteration's maximum |δw| across all layers (Algorithm 1) over the
+  // entries that may update (pruned ones never write, so they do not set
+  // the threshold's scale).
   struct Pending {
     Param* param;
     Tensor delta;
     const PruneMask* mask;
-    double local_max;
   };
   std::vector<Pending> pending;
   for (auto& p : params) {
@@ -30,14 +30,13 @@ ThresholdStepStats ThresholdTrainer::step(
     const PruneMask* mask =
         prune != nullptr ? prune->mask_for(pending.size()) : nullptr;
     REFIT_CHECK(mask == nullptr || mask->pruned.size() == delta.numel());
-    float local_max = 0.0f;
     for (std::size_t i = 0; i < delta.numel(); ++i) {
       if (mask == nullptr || mask->pruned[i] == 0) {
-        local_max = std::max(local_max, std::fabs(delta[i]));
+        stats.dw_max =
+            std::max(stats.dw_max, static_cast<double>(std::fabs(delta[i])));
       }
     }
-    stats.dw_max = std::max(stats.dw_max, static_cast<double>(local_max));
-    pending.push_back({&p, std::move(delta), mask, local_max});
+    pending.push_back({&p, std::move(delta), mask});
   }
 
   // Pass 2: one fused filter-and-write pass per store (Algorithm 1's
@@ -46,8 +45,7 @@ ThresholdStepStats ThresholdTrainer::step(
     Pending& pd = pending[layer];
     UpdatePolicy policy;
     policy.pruned = pd.mask != nullptr ? pd.mask->pruned.data() : nullptr;
-    policy.threshold = cfg_.threshold_ratio *
-                       (cfg_.global_max ? stats.dw_max : pd.local_max);
+    policy.threshold = cfg_.threshold_ratio * stats.dw_max;
     policy.wear_beta = cfg_.wear_leveling_beta;
     // The original (non-threshold) scheme programs the whole array each
     // update step — zero deltas included — which is what wears cells out.

@@ -25,8 +25,6 @@ struct ThresholdConfig {
   /// more than the layer average get a proportionally higher threshold.
   /// 0 reproduces the paper's flat threshold.
   double wear_leveling_beta = 0.0;
-  /// δw_max is taken across all layers (true) or per layer (false).
-  bool global_max = true;
 };
 
 /// Statistics of one update step: the stores' write accounting summed.

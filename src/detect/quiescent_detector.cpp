@@ -352,7 +352,6 @@ DetectionOutcome QuiescentVoltageDetector::detect_store(
        {"predicted_faults", static_cast<double>(predicted_faults)},
        {"cycles", static_cast<double>(out.cycles)},
        {"device_writes", static_cast<double>(out.device_writes)}});
-  store.invalidate();
   return out;
 }
 

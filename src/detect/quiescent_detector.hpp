@@ -80,8 +80,7 @@ class QuiescentVoltageDetector {
   [[nodiscard]] DetectionOutcome detect(Crossbar& xbar) const;
 
   /// Run detection tile-by-tile over a crossbar-backed weight store and
-  /// assemble the predictions in the store's physical coordinates. The
-  /// store's cached effective weights are invalidated.
+  /// assemble the predictions in the store's physical coordinates.
   [[nodiscard]] DetectionOutcome detect_store(CrossbarWeightStore& store) const;
 
  private:

@@ -10,19 +10,6 @@ namespace refit {
 
 namespace {
 constexpr std::uint64_t kNetTag = 0x52454649544e4554ULL;  // "REFITNET"
-
-void write_tensor(std::ostream& os, const Tensor& t) {
-  std::vector<std::uint64_t> shape(t.shape().begin(), t.shape().end());
-  ser::write_vec(os, shape);
-  ser::write_vec(os, t.vec());
-}
-
-Tensor read_tensor(std::istream& is) {
-  const auto shape64 = ser::read_vec<std::uint64_t>(is);
-  Shape shape(shape64.begin(), shape64.end());
-  auto data = ser::read_vec<float>(is);
-  return Tensor(shape, std::move(data));
-}
 }  // namespace
 
 void save_network_weights(Network& net, std::ostream& os) {

@@ -88,8 +88,7 @@ CrossbarWeightStore::CrossbarWeightStore(const RcsConfig& cfg, Tensor init,
   // Zero-filled once: tail panel lanes past the last column are never
   // touched by any tile and must stay zero for the micro-kernel.
   packed_eff_.assign(gemm::packed_size(r, c), 0.0f);
-  pack_dirty_.assign(tile_count, 1);
-  any_pack_dirty_ = true;
+  packed_at_.assign(total_tiles, kStale);
 
   // Program the initial weights onto the chip (identity permutations).
   for (std::size_t i = 0; i < r; ++i) {
@@ -119,16 +118,20 @@ const Crossbar& CrossbarWeightStore::tile(std::size_t ti, std::size_t tj,
 template <class Select>
 CrossbarWeightStore::WriteTally CrossbarWeightStore::program_tiles(
     const Select& select) {
-  const std::uint64_t writes0 = writes_agg_;
-  const std::size_t wearout0 = wearout_agg_;
   const std::size_t k = rows();
   const std::size_t legs = this->legs(), tile_count = grid_.tile_count();
   std::vector<WriteTally> per_tile(tile_count);
   grid_.for_each_tile(
       [&](const TileSpan& span) {
         Crossbar* xs[kMaxEncodingLegs] = {};
-        for (std::size_t leg = 0; leg < legs; ++leg)
+        // The pass's writes and wear-outs are this tile's totals after the
+        // pass minus before it (unsigned wrap-around cancels in between).
+        WriteTally tally;
+        for (std::size_t leg = 0; leg < legs; ++leg) {
           xs[leg] = &tiles_[leg * tile_count + span.index];
+          tally.writes -= xs[leg]->total_writes();
+          tally.wearout -= xs[leg]->wearout_fault_count();
+        }
         // The tile hosts the product of these logical rows and columns;
         // sorted, they replay the order of a serial logical row-major sweep.
         std::vector<std::size_t> li(span.rows), lj(span.cols);
@@ -138,10 +141,9 @@ CrossbarWeightStore::WriteTally CrossbarWeightStore::program_tiles(
           lj[lc] = map_.logical_col(span.col0 + lc);
         std::sort(li.begin(), li.end());
         std::sort(lj.begin(), lj.end());
-        // Write-through keeps a clean tile's panel entries current; a dirty
-        // tile is re-packed whole before the next read anyway.
-        const bool through = pack_dirty_[span.index] == 0;
-        WriteTally tally;
+        // Write-through keeps a current tile's panel entries current; a
+        // stale tile is re-packed whole before the next read anyway.
+        const bool through = packed_current(span.index);
         double g[kMaxEncodingLegs] = {};
         for (const std::size_t i : li) {
           const std::size_t lr = map_.physical_row(i) - span.row0;
@@ -161,6 +163,11 @@ CrossbarWeightStore::WriteTally CrossbarWeightStore::program_tiles(
             }
           }
         }
+        for (std::size_t leg = 0; leg < legs; ++leg) {
+          tally.writes += xs[leg]->total_writes();
+          tally.wearout += xs[leg]->wearout_fault_count();
+        }
+        if (through) mark_packed(span.index);
         per_tile[span.index] = tally;
       },
       kWriteCost);
@@ -168,10 +175,9 @@ CrossbarWeightStore::WriteTally CrossbarWeightStore::program_tiles(
   for (const WriteTally& t : per_tile) {
     total.update += t.update;
     total.cells += t.cells;
+    total.writes += t.writes;
+    total.wearout += t.wearout;
   }
-  resync_counters();
-  total.writes = writes_agg_ - writes0;
-  total.wearout = wearout_agg_ - wearout0;
   return total;
 }
 
@@ -208,20 +214,15 @@ Tensor CrossbarWeightStore::effective() {
   return w;
 }
 
-void CrossbarWeightStore::mark_pack_dirty() {
-  std::fill(pack_dirty_.begin(), pack_dirty_.end(), 1);
-  any_pack_dirty_ = true;
+bool CrossbarWeightStore::packed_current(std::size_t t) const {
+  for (std::size_t k = t; k < tiles_.size(); k += grid_.tile_count())
+    if (packed_at_[k] != tiles_[k].mutations()) return false;
+  return true;
 }
 
-void CrossbarWeightStore::resync_counters() {
-  writes_agg_ = 0;
-  faults_agg_ = 0;
-  wearout_agg_ = 0;
-  for (const Crossbar& t : tiles_) {
-    writes_agg_ += t.total_writes();
-    faults_agg_ += t.fault_count();
-    wearout_agg_ += t.wearout_fault_count();
-  }
+void CrossbarWeightStore::mark_packed(std::size_t t) {
+  for (std::size_t k = t; k < tiles_.size(); k += grid_.tile_count())
+    packed_at_[k] = tiles_[k].mutations();
 }
 
 void CrossbarWeightStore::tick_noise() {
@@ -241,7 +242,6 @@ void CrossbarWeightStore::tick_noise() {
       model.tick_tile(tiles_[leg * tile_count + span.index], leg_rng);
     }
   });
-  invalidate();
 }
 
 void CrossbarWeightStore::pack_tile(const TileSpan& span) {
@@ -264,24 +264,21 @@ void CrossbarWeightStore::pack_tile(const TileSpan& span) {
 }
 
 void CrossbarWeightStore::refresh_packed_effective() {
-  if (!any_pack_dirty_) return;
-  std::vector<std::size_t> dirty;
-  dirty.reserve(pack_dirty_.size());
-  for (std::size_t t = 0; t < pack_dirty_.size(); ++t) {
-    if (pack_dirty_[t] != 0) dirty.push_back(t);
-  }
+  std::vector<std::size_t> stale;
+  for (std::size_t t = 0; t < grid_.tile_count(); ++t)
+    if (!packed_current(t)) stale.push_back(t);
+  if (stale.empty()) return;
   static obs::Counter pack_tiles_metric = obs::MetricsRegistry::instance()
       .counter("store.fused_pack_tiles", "tiles");
-  pack_tiles_metric.add(dirty.size());
+  pack_tiles_metric.add(stale.size());
   // Span recorded on the caller only (per-tile timing would land on pool
   // workers and make traces depend on the thread count — the pool's
   // busy_ns counters carry the per-lane breakdown instead).
   obs::TraceSpan span("fused_forward.pack", "rcs");
-  grid_.for_each_tile(dirty, [&](const TileSpan& s) {
+  grid_.for_each_tile(stale, [&](const TileSpan& s) {
     pack_tile(s);
-    pack_dirty_[s.index] = 0;
+    mark_packed(s.index);
   });
-  any_pack_dirty_ = false;
 }
 
 Tensor CrossbarWeightStore::forward_matmul(const Tensor& x) {
@@ -396,8 +393,9 @@ void CrossbarWeightStore::sync_targets_where(
       const std::size_t r = map_.physical_row(i), c = map_.physical_col(j);
       if (physical_faults.faulty(r, c)) {
         target_.at(i, j) = eff.at(i, j);
-        pack_dirty_[grid_.locate(r, c).tile] = 1;
-        any_pack_dirty_ = true;
+        // Only the target moved, not a tile count: a stale plane-0 entry
+        // forces the tile's re-pack.
+        packed_at_[grid_.locate(r, c).tile] = kStale;
       }
     }
   }
@@ -428,19 +426,6 @@ void CrossbarWeightStore::set_permutations(std::vector<std::size_t> row_perm,
 
 namespace {
 constexpr std::uint64_t kStoreTag = 0x5245464954535452ULL;  // "REFITSTR"
-
-void write_tensor(std::ostream& os, const Tensor& t) {
-  std::vector<std::uint64_t> shape(t.shape().begin(), t.shape().end());
-  ser::write_vec(os, shape);
-  ser::write_vec(os, t.vec());
-}
-
-Tensor read_tensor(std::istream& is) {
-  const auto shape64 = ser::read_vec<std::uint64_t>(is);
-  Shape shape(shape64.begin(), shape64.end());
-  auto data = ser::read_vec<float>(is);
-  return Tensor(shape, std::move(data));
-}
 }  // namespace
 
 void CrossbarWeightStore::save_state(std::ostream& os) const {
@@ -485,8 +470,6 @@ void CrossbarWeightStore::restore_state(std::istream& is) {
   for (Crossbar& t : tiles_) t.restore(is);
   noise_rng_.set_state(ser::read_pod<Rng::State>(is));
   noise_ticks_ = ser::read_pod<std::uint64_t>(is);
-  mark_pack_dirty();
-  resync_counters();
 }
 
 std::uint64_t CrossbarWeightStore::cell_write_count(std::size_t i,
@@ -497,7 +480,7 @@ std::uint64_t CrossbarWeightStore::cell_write_count(std::size_t i,
 }
 
 double CrossbarWeightStore::fault_fraction() const {
-  // faults_agg_ spans every tile plane, so normalize by physical cells
+  // fault_count() spans every tile plane, so normalize by physical cells
   // (identical to the logical count for single-leg encodings).
   return static_cast<double>(fault_count()) /
          static_cast<double>(physical_cell_count());

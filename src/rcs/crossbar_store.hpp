@@ -17,6 +17,8 @@
 // `leg` is tiles_[leg·tile_count + t].
 // Time-dependent effects (drift, transient soft faults) come from the
 // DeviceNoiseModel (device/noise_model.hpp) through tick_noise().
+// The read-out panel follows each tile's mutation count and the counters
+// sum the tiles, so a tile mutated through tile() needs no store call.
 //
 // The tile geometry lives in a TileGrid (rcs/tile_grid.hpp) and the
 // logical↔physical permutations in a LogicalMapping
@@ -79,17 +81,18 @@ class CrossbarWeightStore final : public WeightStore {
   [[nodiscard]] const Tensor& target() const override { return target_; }
   /// Fused faulty forward from the one read-out cache: a panel in the
   /// GEMM's packed layout, decoded from conductances, sign registers and
-  /// the mapping, that store writes update in place; only tiles dirtied out
-  /// of band re-pack. Same micro-kernel as matmul(x, effective()), so the
-  /// result is bit-identical to it at any thread count and permutation.
+  /// the mapping, that store writes update in place; only tiles mutated
+  /// out of band re-pack. Same micro-kernel as matmul(x, effective()), so
+  /// the result is bit-identical to it at any thread count and permutation.
   [[nodiscard]] Tensor forward_matmul(const Tensor& x) override;
   /// The fused update pass (program_tiles): mask, threshold with
   /// wear-leveling and fault skip, clamp, encode, write, write through.
   UpdateStats apply_update(const Tensor& delta,
                            const UpdatePolicy& policy) override;
   void assign(const Tensor& w) override;
+  /// Device writes landed on every tile (sums the tiles).
   [[nodiscard]] std::uint64_t write_count() const override {
-    return writes_agg_;
+    return sum_tiles(&Crossbar::total_writes);
   }
   /// Checkpointing through the WeightStore seam: the off-chip targets,
   /// physical permutations and every tile's device state. restore_state()
@@ -150,27 +153,19 @@ class CrossbarWeightStore final : public WeightStore {
   [[nodiscard]] std::uint64_t cell_write_count(std::size_t i,
                                                std::size_t j) const;
   [[nodiscard]] double fault_fraction() const;
-  /// write_count() / fault_count() / wearout_fault_count() are running
-  /// aggregates maintained on every store-issued write — O(1) per call even
-  /// inside training loops. Direct tile manipulation must be followed by
-  /// invalidate(), which resynchronizes them from the tiles.
-  [[nodiscard]] std::size_t fault_count() const { return faults_agg_; }
+  /// Faulty physical cells and the wear-out subset, summed from the tiles'
+  /// own totals (O(tiles × legs)).
+  [[nodiscard]] std::size_t fault_count() const {
+    return sum_tiles(&Crossbar::fault_count);
+  }
   [[nodiscard]] std::size_t wearout_fault_count() const {
-    return wearout_agg_;
+    return sum_tiles(&Crossbar::wearout_fault_count);
   }
   /// Logical weight count.
   [[nodiscard]] std::size_t cell_count() const { return rows() * cols(); }
   /// Physical device cells backing those weights (logical × legs()).
   [[nodiscard]] std::size_t physical_cell_count() const {
     return cell_count() * legs();
-  }
-
-  /// Mark the read-out panel stale and resync the aggregate counters (call
-  /// after any direct tile manipulation, e.g. a detection pass or fault
-  /// injection through tile()).
-  void invalidate() {
-    mark_pack_dirty();
-    resync_counters();
   }
 
   /// The "read RRAM values, store off-chip" step of the paper's Fig. 3,
@@ -187,7 +182,7 @@ class CrossbarWeightStore final : public WeightStore {
   /// drift, and new transient faults may strike (device/noise_model.hpp).
   /// No-op unless cfg().noise.active(). Tile-parallel with per-tile RNG
   /// streams salted by (tick, tile, leg) — deterministic at any thread
-  /// count. Marks the read-out panel stale.
+  /// count.
   void tick_noise();
   /// Device-time ticks issued so far (serialized with the store).
   [[nodiscard]] std::uint64_t noise_ticks() const { return noise_ticks_; }
@@ -205,8 +200,8 @@ class CrossbarWeightStore final : public WeightStore {
   /// its cells in a serial logical row-major sweep's order (bit-identical
   /// at any thread count). `select(i, j, span, xs, lr, lc, stats)` — `xs`
   /// the tile on each leg plane — may update target_(i, j) and returns
-  /// whether to program the cell from it; programmed cells of clean tiles
-  /// are written through to the panel.
+  /// whether to program the cell from it; programmed cells of tiles whose
+  /// panel block was current at the start of the pass are written through.
   template <class Select>
   WriteTally program_tiles(const Select& select);
   /// Add a pass's writes to the store.* metrics.
@@ -219,12 +214,19 @@ class CrossbarWeightStore final : public WeightStore {
                                 float target) const;
   /// Re-read the tile covering `span` into the packed GEMM panels.
   void pack_tile(const TileSpan& span);
-  /// Bring packed_eff_ up to date, repacking only dirty tiles.
+  /// One per-tile total (a Crossbar getter) summed over every plane.
+  template <class Total>
+  [[nodiscard]] std::uint64_t sum_tiles(Total total) const {
+    std::uint64_t n = 0;
+    for (const Crossbar& t : tiles_) n += (t.*total)();
+    return n;
+  }
+  /// Is tile `t`'s panel block current on every leg?
+  [[nodiscard]] bool packed_current(std::size_t t) const;
+  /// Record tile `t`'s leg counts: its panel block is current.
+  void mark_packed(std::size_t t);
+  /// Bring packed_eff_ up to date, repacking only stale tiles.
   void refresh_packed_effective();
-  void mark_pack_dirty();
-  /// Re-derive the aggregate write/fault counters from the tiles' own
-  /// running totals (O(#tiles), used after out-of-band tile mutation).
-  void resync_counters();
 
   RcsConfig cfg_;
   /// The configured encoding singleton (device/cell_encoding.hpp); set in
@@ -240,17 +242,13 @@ class CrossbarWeightStore final : public WeightStore {
   Rng noise_rng_{0};
   std::uint64_t noise_ticks_ = 0;
   /// The one read-out cache: the effective weights in the packed panel
-  /// layout of tensor/gemm.hpp, kept current by write-through, with
-  /// per-tile staleness flags for out-of-band mutation (uint8_t, not
-  /// vector<bool>: lanes clear flags for distinct tiles without sharing a
-  /// word).
+  /// layout of tensor/gemm.hpp, kept current by write-through.
   std::vector<float> packed_eff_;
-  std::vector<std::uint8_t> pack_dirty_;
-  bool any_pack_dirty_ = true;
-  /// Running aggregates over all tiles (see fault_count() docs).
-  std::uint64_t writes_agg_ = 0;
-  std::size_t faults_agg_ = 0;
-  std::size_t wearout_agg_ = 0;
+  /// Each tile's Crossbar::mutations() when its panel block was last made
+  /// current, plane-major like tiles_; kStale forces a re-pack. A lane
+  /// records only its own tiles' entries.
+  std::vector<std::uint64_t> packed_at_;
+  static constexpr std::uint64_t kStale = ~std::uint64_t{0};
 };
 
 }  // namespace refit

@@ -67,7 +67,7 @@ class TileGrid {
                      std::size_t work_per_cell = 1) const;
 
   /// Visit only the tiles whose flat indices appear in `subset` (the
-  /// incremental-rebuild path visits just the dirty tiles).
+  /// incremental re-pack visits just the stale tiles).
   void for_each_tile(const std::vector<std::size_t>& subset,
                      const TileVisitor& visit) const;
 

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/serialize.hpp"
@@ -46,6 +47,7 @@ double Crossbar::snap(double g) const {
 
 void Crossbar::write(std::size_t r, std::size_t c, double target_g) {
   const std::size_t i = idx(r, c);
+  ++mutations_;
   if (faults_[i] != FaultKind::kNone) {
     ++suppressed_writes_;
     return;
@@ -98,6 +100,7 @@ void Crossbar::force_fault(std::size_t r, std::size_t c, FaultKind kind) {
   REFIT_CHECK_MSG(!fault_is_soft(kind),
                   "transient pins go through force_soft_fault");
   const std::size_t i = idx(r, c);
+  ++mutations_;
   if (fault_is_soft(faults_[i])) {
     // Hard fault (or explicit clear) supersedes a transient pin.
     --soft_faults_;
@@ -123,6 +126,7 @@ void Crossbar::force_soft_fault(std::size_t r, std::size_t c, FaultKind kind,
   REFIT_CHECK(ttl >= 1);
   const std::size_t i = idx(r, c);
   if (faults_[i] != FaultKind::kNone) return;  // first fault wins
+  ++mutations_;
   soft_restore_[i] = g_[i];
   soft_ttl_[i] = ttl;
   faults_[i] = kind;
@@ -133,6 +137,7 @@ void Crossbar::force_soft_fault(std::size_t r, std::size_t c, FaultKind kind,
 
 void Crossbar::decay_soft_faults() {
   if (soft_faults_ == 0) return;
+  ++mutations_;
   const std::size_t n = cfg_.rows * cfg_.cols;
   for (std::size_t i = 0; i < n; ++i) {
     if (!fault_is_soft(faults_[i])) continue;
@@ -150,6 +155,7 @@ void Crossbar::decay_soft_faults() {
 
 void Crossbar::drift_toward(double target, double rate) {
   REFIT_CHECK(rate >= 0.0 && rate <= 1.0);
+  ++mutations_;
   const std::size_t n = cfg_.rows * cfg_.cols;
   for (std::size_t i = 0; i < n; ++i) {
     if (faults_[i] != FaultKind::kNone) continue;  // pinned cells stay pinned
@@ -225,27 +231,42 @@ void Crossbar::restore(std::istream& is) {
                       cfg.levels == cfg_.levels &&
                       cfg.write_noise_sigma >= 0.0,
                   "crossbar checkpoint has another geometry or a bad config");
-  cfg_ = cfg;
-  endurance_ = ser::read_pod<EnduranceModel>(is);
-  rng_.set_state(ser::read_pod<Rng::State>(is));
-  g_ = ser::read_vec<double>(is);
-  faults_ = ser::read_vec<FaultKind>(is);
-  writes_ = ser::read_vec<std::uint32_t>(is);
-  endurance_limit_ = ser::read_vec<std::uint32_t>(is);
-  const std::size_t n = cfg_.rows * cfg_.cols;
-  REFIT_CHECK_MSG(g_.size() == n && faults_.size() == n &&
-                      writes_.size() == n && endurance_limit_.size() == n,
+  // Read into a copy, committed only once every check passed: a rejected
+  // checkpoint leaves this tile unchanged.
+  Crossbar next = *this;
+  next.cfg_ = cfg;
+  next.endurance_ = ser::read_pod<EnduranceModel>(is);
+  next.rng_.set_state(ser::read_pod<Rng::State>(is));
+  next.g_ = ser::read_vec<double>(is);
+  next.faults_ = ser::read_vec<FaultKind>(is);
+  next.writes_ = ser::read_vec<std::uint32_t>(is);
+  next.endurance_limit_ = ser::read_vec<std::uint32_t>(is);
+  const std::size_t n = cfg.rows * cfg.cols;
+  REFIT_CHECK_MSG(next.g_.size() == n && next.faults_.size() == n &&
+                      next.writes_.size() == n &&
+                      next.endurance_limit_.size() == n,
                   "corrupt crossbar checkpoint");
-  total_writes_ = ser::read_pod<std::uint64_t>(is);
-  suppressed_writes_ = ser::read_pod<std::uint64_t>(is);
-  fault_count_ = static_cast<std::size_t>(ser::read_pod<std::uint64_t>(is));
-  wearout_faults_ =
-      static_cast<std::size_t>(ser::read_pod<std::uint64_t>(is));
-  soft_ttl_ = ser::read_vec<std::uint32_t>(is);
-  soft_restore_ = ser::read_vec<double>(is);
-  REFIT_CHECK_MSG(soft_ttl_.size() == n && soft_restore_.size() == n,
+  next.total_writes_ = ser::read_pod<std::uint64_t>(is);
+  next.suppressed_writes_ = ser::read_pod<std::uint64_t>(is);
+  next.fault_count_ = ser::read_pod<std::uint64_t>(is);
+  next.wearout_faults_ = ser::read_pod<std::uint64_t>(is);
+  next.soft_ttl_ = ser::read_vec<std::uint32_t>(is);
+  next.soft_restore_ = ser::read_vec<double>(is);
+  REFIT_CHECK_MSG(next.soft_ttl_.size() == n && next.soft_restore_.size() == n,
                   "corrupt crossbar checkpoint (soft-fault state)");
-  soft_faults_ = static_cast<std::size_t>(ser::read_pod<std::uint64_t>(is));
+  next.soft_faults_ = ser::read_pod<std::uint64_t>(is);
+  std::size_t faulty = 0, soft = 0;
+  for (const FaultKind f : next.faults_) {
+    REFIT_CHECK_MSG(f <= FaultKind::kSoftStuck1,
+                    "corrupt crossbar checkpoint (fault kind)");
+    faulty += f != FaultKind::kNone ? 1 : 0;
+    soft += fault_is_soft(f) ? 1 : 0;
+  }
+  REFIT_CHECK_MSG(next.fault_count_ == faulty && next.soft_faults_ == soft &&
+                      next.wearout_faults_ <= faulty,
+                  "corrupt crossbar checkpoint (fault counts)");
+  next.mutations_ = mutations_ + 1;
+  *this = std::move(next);
 }
 
 }  // namespace refit

@@ -163,6 +163,10 @@ class Crossbar {
   /// Diagnostic probe: lets tests assert that incremental rebuilds do not
   /// re-read clean tiles. Not serialized.
   [[nodiscard]] std::uint64_t read_count() const { return reads_; }
+  /// Bumped by every member that changes state a read-out can see, so a
+  /// cache over the tile is current while the count is unchanged. Not
+  /// serialized; same single-writer rule as total_writes().
+  [[nodiscard]] std::uint64_t mutations() const { return mutations_; }
   /// Writes that were suppressed because the cell is stuck.
   [[nodiscard]] std::uint64_t suppressed_writes() const {
     return suppressed_writes_;
@@ -181,7 +185,9 @@ class Crossbar {
   /// per-cell wear, RNG) so a simulation can resume bit-exactly.
   void save(std::ostream& os) const;
   /// Overwrite this tile's state with a checkpoint of a tile of the same
-  /// rows, cols and levels (checked before any cell state is read).
+  /// rows, cols and levels (checked before any cell state is read). The
+  /// fault bytes and saved fault counts are checked against each other; a
+  /// rejected checkpoint throws CheckError and leaves the tile unchanged.
   void restore(std::istream& is);
 
  private:
@@ -200,6 +206,7 @@ class Crossbar {
   /// touched by the single lane that owns this tile during a parallel pass.
   mutable std::uint64_t reads_ = 0;
   std::uint64_t total_writes_ = 0;
+  std::uint64_t mutations_ = 0;
   std::uint64_t suppressed_writes_ = 0;
   std::size_t fault_count_ = 0;
   std::size_t wearout_faults_ = 0;

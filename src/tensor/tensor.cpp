@@ -2,10 +2,13 @@
 #include "tensor/tensor.hpp"
 
 #include <cmath>
+#include <istream>
+#include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 
 namespace refit {
 
@@ -101,6 +104,17 @@ float Tensor::max_abs() const {
   float m = 0.0f;
   for (float x : data_) m = std::max(m, std::fabs(x));
   return m;
+}
+
+void write_tensor(std::ostream& os, const Tensor& t) {
+  const std::vector<std::uint64_t> shape(t.shape().begin(), t.shape().end());
+  ser::write_vec(os, shape);
+  ser::write_vec(os, t.vec());
+}
+
+Tensor read_tensor(std::istream& is) {
+  const auto shape = ser::read_vec<std::uint64_t>(is);
+  return Tensor(Shape(shape.begin(), shape.end()), ser::read_vec<float>(is));
 }
 
 }  // namespace refit

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -110,5 +111,11 @@ class Tensor {
   Shape shape_;
   std::vector<float> data_;
 };
+
+/// Checkpoint form of a tensor: its shape, then its elements, each as a
+/// length-prefixed vector (common/serialize.hpp). read_tensor throws
+/// CheckError on a short stream or a shape/size mismatch.
+void write_tensor(std::ostream& os, const Tensor& t);
+[[nodiscard]] Tensor read_tensor(std::istream& is);
 
 }  // namespace refit

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
+#include <utility>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -128,6 +130,88 @@ TEST(CrossbarCheckpoint, HugeGeometryFailsBeforeAllocating) {
   EXPECT_THROW(b.restore(corrupt), CheckError);
   EXPECT_EQ(b.rows(), 4u);
   EXPECT_EQ(b.cols(), 4u);
+}
+
+std::string saved_bytes(const Crossbar& x) {
+  std::stringstream ss;
+  x.save(ss);
+  return ss.str();
+}
+
+void put_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
+  std::memcpy(&bytes[at], &v, sizeof v);
+}
+
+/// Byte offsets in the checkpoint of a tile of `n` cells: the header, then
+/// g (8-byte length + doubles), then the fault bytes behind their length;
+/// after those, writes and endurance limits (u32 vectors), total and
+/// suppressed writes, then the saved fault and wear-out counts, the soft
+/// TTLs (u32) and restore values (double), and the saved soft count.
+struct CrossbarLayout {
+  explicit CrossbarLayout(std::size_t n)
+      : faults(8 + sizeof(CrossbarConfig) + sizeof(EnduranceModel) +
+               sizeof(Rng::State) + 8 + 8 * n + 8),
+        fault_count(faults + n + 2 * (8 + 4 * n) + 16),
+        wearout(fault_count + 8),
+        soft_faults(wearout + 8 + (8 + 4 * n) + (8 + 8 * n)) {}
+  std::size_t faults, fault_count, wearout, soft_faults;
+};
+
+/// A 4×4 tile with a hard fault and a soft fault.
+Crossbar faulty_tile(std::uint64_t seed) {
+  CrossbarConfig cfg;
+  cfg.rows = cfg.cols = 4;
+  Crossbar x(cfg, EnduranceModel::unlimited(), Rng(seed));
+  x.write(0, 0, 0.5);
+  x.force_fault(1, 1, FaultKind::kStuckAt1);
+  x.force_soft_fault(2, 2, FaultKind::kSoftStuck0, 3);
+  return x;
+}
+
+/// Restoring `bytes` into a different tile throws and changes nothing.
+void expect_rejected_unchanged(const std::string& bytes) {
+  Crossbar b = faulty_tile(7);
+  b.write(3, 3, 0.25);
+  const std::string before = saved_bytes(b);
+  const std::uint64_t mutations = b.mutations();
+  std::stringstream corrupt(bytes);
+  EXPECT_THROW(b.restore(corrupt), CheckError);
+  EXPECT_EQ(saved_bytes(b), before);
+  EXPECT_EQ(b.mutations(), mutations);
+}
+
+TEST(CrossbarCheckpoint, FaultByteOutOfRangeIsRejected) {
+  const CrossbarLayout at(16);
+  std::string bytes = saved_bytes(faulty_tile(1));
+  ASSERT_EQ(bytes[at.faults + 5], static_cast<char>(FaultKind::kStuckAt1));
+  bytes[at.faults] = 5;  // one past FaultKind::kSoftStuck1
+  expect_rejected_unchanged(bytes);
+}
+
+TEST(CrossbarCheckpoint, SavedFaultCountsMustMatchTheCells) {
+  const CrossbarLayout at(16);
+  const std::string good = saved_bytes(faulty_tile(1));
+  std::uint64_t word = 0;
+  std::memcpy(&word, &good[at.fault_count], sizeof word);
+  ASSERT_EQ(word, 2u);
+  std::memcpy(&word, &good[at.soft_faults], sizeof word);
+  ASSERT_EQ(word, 1u);
+  // A fault count off by one, a soft count off by one, and more wear-out
+  // faults than faults.
+  const std::pair<std::size_t, std::uint64_t> edits[] = {
+      {at.fault_count, 3}, {at.soft_faults, 0}, {at.wearout, 3}};
+  for (const auto& [offset, value] : edits) {
+    std::string bytes = good;
+    put_u64(bytes, offset, value);
+    expect_rejected_unchanged(bytes);
+  }
+  // The untouched checkpoint restores, and counts as a mutation.
+  Crossbar b = faulty_tile(7);
+  const std::uint64_t mutations = b.mutations();
+  std::stringstream ss(good);
+  b.restore(ss);
+  EXPECT_EQ(saved_bytes(b), good);
+  EXPECT_GT(b.mutations(), mutations);
 }
 
 TEST(StoreCheckpoint, RoundtripPreservesEffectiveWeights) {

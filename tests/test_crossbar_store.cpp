@@ -85,7 +85,6 @@ TEST(CrossbarStore, Sa0ForcesZeroWeight) {
   const Tensor init = ramp(4, 4, 0.05f);
   CrossbarWeightStore store(clean_config(), init, Rng(5));
   store.tile(0, 0).force_fault(1, 1, FaultKind::kStuckAt0);
-  store.invalidate();
   EXPECT_FLOAT_EQ(store.effective().at(1, 1), 0.0f);
 }
 
@@ -94,7 +93,6 @@ TEST(CrossbarStore, Sa1ForcesMaxMagnitudeWithSign) {
   init.at(2, 2) = -0.01f;
   CrossbarWeightStore store(clean_config(), init, Rng(6));
   store.tile(0, 0).force_fault(2, 2, FaultKind::kStuckAt1);
-  store.invalidate();
   EXPECT_FLOAT_EQ(store.effective().at(2, 2),
                   -static_cast<float>(store.weight_max()));
 }
@@ -127,7 +125,6 @@ TEST(CrossbarStore, PermutationRelocatesCells) {
   // Make physical column 0 entirely SA0.
   for (std::size_t r = 0; r < 6; ++r)
     store.tile(0, 0).force_fault(r, 0, FaultKind::kStuckAt0);
-  store.invalidate();
   // Initially logical column 0 reads zero.
   EXPECT_FLOAT_EQ(store.effective().at(2, 0), 0.0f);
   // Move logical column 0 to physical column 5 and vice versa.
@@ -241,7 +238,6 @@ TEST(CrossbarStore, FusedForwardBitExactUnderInjectedFaults) {
   store.tile(0, 1).force_fault(3, 3, FaultKind::kStuckAt1);
   store.tile(1, 0).force_fault(0, 0, FaultKind::kStuckAt1);
   store.tile(2, 1).force_fault(5, 7, FaultKind::kStuckAt0);
-  store.invalidate();
 
   Rng rng(22);
   const Tensor x = Tensor::randn({5, 40}, rng);
@@ -337,11 +333,50 @@ TEST(CrossbarStore, WriteThroughKeepsThePanelCurrent) {
   reg.set_enabled(metrics_were_on);
 }
 
+/// The forward of a copy of `store` restored from its checkpoint: no cache
+/// survives the copy, so it reads the device state afresh.
+Tensor restored_forward(const CrossbarWeightStore& store, const Tensor& x) {
+  std::stringstream ss;
+  store.save_state(ss);
+  CrossbarWeightStore copy(store.config(), Tensor(store.shape()), Rng(99));
+  copy.restore_state(ss);
+  return copy.forward_matmul(x);
+}
+
+TEST(CrossbarStore, TileMutationNeedsNoCallToTheStore) {
+  const Tensor init = ramp(40, 24, 0.03f);
+  CrossbarWeightStore store(clean_config(), init, Rng(41));
+  Rng rng(42);
+  const Tensor x = Tensor::randn({3, 40}, rng);
+  Crossbar& kept = store.tile(1, 1);
+  const Tensor before = store.forward_matmul(x);  // the panel is current
+  const std::size_t faults = store.fault_count();
+
+  // Logical (1, 2) sits on tile (0, 0) at the identity mapping.
+  ASSERT_NE(init.at(1, 2), 0.0f);
+  store.tile(0, 0).force_fault(1, 2, FaultKind::kStuckAt0);
+  const Tensor sa0 = store.forward_matmul(x);
+  EXPECT_TRUE(same_bits(sa0, restored_forward(store, x)));
+  EXPECT_FALSE(same_bits(sa0, before));
+  EXPECT_EQ(store.effective().at(1, 2), 0.0f);
+  EXPECT_EQ(store.fault_count(), faults + 1);
+
+  // A tile reference held across a forward stays safe to mutate through:
+  // its cell (0, 0) hosts logical (16, 16).
+  ASSERT_GT(init.at(16, 16), 0.0f);
+  kept.force_fault(0, 0, FaultKind::kStuckAt1);
+  const Tensor sa1 = store.forward_matmul(x);
+  EXPECT_TRUE(same_bits(sa1, restored_forward(store, x)));
+  EXPECT_FALSE(same_bits(sa1, sa0));
+  EXPECT_FLOAT_EQ(store.effective().at(16, 16),
+                  static_cast<float>(store.weight_max()));
+  EXPECT_EQ(store.fault_count(), faults + 2);
+}
+
 TEST(CrossbarStore, FusedForwardSurvivesCheckpointRestore) {
   const Tensor init = ramp(20, 20, 0.02f);
   CrossbarWeightStore store(clean_config(), init, Rng(25));
   store.tile(0, 0).force_fault(2, 2, FaultKind::kStuckAt1);
-  store.invalidate();
   Rng rng(26);
   const Tensor x = Tensor::randn({2, 20}, rng);
   (void)store.forward_matmul(x);  // warm the packed cache

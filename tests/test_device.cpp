@@ -142,7 +142,6 @@ TEST(DeviceEncoding, DifferentialStuckFaultPinsOneLegOnly) {
   // ...and SA1 on the empty (G_n) leg drives another weight negative.
   ASSERT_GT(init.at(1, 2), 0.0f);
   store.tile(0, 0, 1).force_fault(1, 2, FaultKind::kStuckAt1);
-  store.invalidate();
   EXPECT_FLOAT_EQ(store.effective().at(1, 1), 0.0f);
   EXPECT_LT(store.effective().at(1, 2), 0.0f);
   EXPECT_EQ(store.true_fault(1, 1), FaultKind::kStuckAt0);
@@ -189,7 +188,6 @@ TEST(DeviceEncoding, FusedForwardBitExactOnDifferentialPairs) {
   store.tile(0, 1, 1).force_fault(3, 3, FaultKind::kStuckAt1);
   store.tile(1, 0).force_fault(0, 0, FaultKind::kStuckAt1);
   store.tile(2, 1, 1).force_fault(5, 7, FaultKind::kStuckAt0);
-  store.invalidate();
 
   Rng rng(22);
   const Tensor x = Tensor::randn({5, 40}, rng);
@@ -429,7 +427,6 @@ TEST(DeviceDetector, StoreClassificationIsThreadCountInvariant) {
         inject_soft_faults(store.tile(ti, tj, 1), 0.02, 100, 0.5, soft_rng);
       }
     }
-    store.invalidate();
     return det.detect_store(store);
   };
 

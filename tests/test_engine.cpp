@@ -153,13 +153,13 @@ TrainingResult run_resumed(const Dataset& data, std::size_t interrupt_at,
     FtEngine engine(flow);
     engine.begin(rig.net, &rig.sys, data, Rng(3));
     while (engine.context().iteration < interrupt_at) engine.step();
-    EXPECT_TRUE(engine.save_checkpoint(checkpoint));
+    engine.save_checkpoint(checkpoint);
     // The first engine, its network, and its RcsSystem are destroyed here
     // — the resumed run must not depend on them.
   }
   Rig rig(chip);
   FtEngine engine(flow);
-  EXPECT_TRUE(engine.load_checkpoint(rig.net, &rig.sys, data, checkpoint));
+  engine.load_checkpoint(rig.net, &rig.sys, data, checkpoint);
   EXPECT_EQ(engine.context().iteration, interrupt_at);
   while (!engine.done()) engine.step();
   return engine.finish();
@@ -216,14 +216,13 @@ TEST(EngineCheckpoint, LoadRejectsMismatchedFlowConfig) {
     FtEngine engine(ft_flow());
     engine.begin(rig.net, &rig.sys, data, Rng(3));
     engine.step();
-    ASSERT_TRUE(engine.save_checkpoint(checkpoint));
+    engine.save_checkpoint(checkpoint);
   }
   Rig rig;
   FtFlowConfig other = ft_flow();
   other.iterations = 480;  // different schedule → not the same run
   FtEngine engine(other);
-  EXPECT_THROW((void)engine.load_checkpoint(rig.net, &rig.sys, data,
-                                            checkpoint),
+  EXPECT_THROW(engine.load_checkpoint(rig.net, &rig.sys, data, checkpoint),
                CheckError);
 }
 
@@ -239,7 +238,7 @@ std::pair<std::string, std::size_t> checkpoint_with_layer_state(
   FtEngine engine(flow);
   engine.begin(rig.net, &rig.sys, data, Rng(3));
   while (engine.context().iteration < 100) engine.step();
-  EXPECT_TRUE(engine.save_checkpoint(checkpoint));
+  engine.save_checkpoint(checkpoint);
   const std::string bytes = checkpoint.str();
   constexpr std::size_t kCells0 = 784 * 24, kCells1 = 24 * 10;
   const std::size_t tail =
@@ -269,7 +268,7 @@ TEST(EngineCheckpoint, MaskOfAnotherShapeIsRejected) {
   std::stringstream corrupt(bytes);
   Rig rig;
   FtEngine engine(flow);
-  EXPECT_THROW((void)engine.load_checkpoint(rig.net, &rig.sys, data, corrupt),
+  EXPECT_THROW(engine.load_checkpoint(rig.net, &rig.sys, data, corrupt),
                CheckError);
 }
 
@@ -284,7 +283,7 @@ TEST(EngineCheckpoint, FaultByteOutOfRangeIsRejected) {
   std::stringstream corrupt(bytes);
   Rig rig;
   FtEngine engine(ft_flow());
-  EXPECT_THROW((void)engine.load_checkpoint(rig.net, &rig.sys, data, corrupt),
+  EXPECT_THROW(engine.load_checkpoint(rig.net, &rig.sys, data, corrupt),
                CheckError);
 }
 

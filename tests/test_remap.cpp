@@ -127,7 +127,6 @@ TEST(Remap, MovesPrunedColumnsOntoSa0Columns) {
   ASSERT_NE(store, nullptr);
   for (std::size_t r = 0; r < 8; ++r)
     store->tile(0, 0).force_fault(r, 0, FaultKind::kStuckAt0);
-  store->invalidate();
 
   DetectedFaults detected(2);
   detected[0] = store->true_fault_matrix();
@@ -159,7 +158,6 @@ TEST(Remap, ConsumerRowBlocksFollowPermutation) {
   // most-pruned neuron there.
   for (std::size_t c = 0; c < 4; ++c)
     consumer->tile(0, 0).force_fault(0, c, FaultKind::kStuckAt0);
-  consumer->invalidate();
 
   DetectedFaults detected(2);
   detected[1] = consumer->true_fault_matrix();
@@ -204,7 +202,6 @@ TEST(Remap, PaperCostModelIgnoresSa1UnderPruned) {
   auto* store =
       dynamic_cast<CrossbarWeightStore*>(&net.matrix_layers()[0]->weights());
   store->tile(0, 0).force_fault(0, 0, FaultKind::kStuckAt1);
-  store->invalidate();
   DetectedFaults detected(2);
   detected[0] = store->true_fault_matrix();
   Tensor w = store->target();

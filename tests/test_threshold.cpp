@@ -29,7 +29,7 @@ TEST(Threshold, ZeroRatioAppliesEverything) {
   Fixture f;
   Tensor g({4, 4}, 0.001f);
   f.set_grad(g);
-  const ThresholdTrainer t({0.0, 0.0, true}, LrSchedule{1.0, 1.0, 0, 1e-4});
+  const ThresholdTrainer t({0.0, 0.0}, LrSchedule{1.0, 1.0, 0, 1e-4});
   const auto st = t.step(f.params, 0);
   EXPECT_EQ(st.writes_issued, 16u);
   EXPECT_EQ(st.writes_suppressed, 0u);
@@ -41,7 +41,7 @@ TEST(Threshold, SuppressesSmallUpdates) {
   g.at(0, 0) = 1.0f;  // one dominant update
   f.set_grad(g);
   const Tensor before = f.params[0].store->target();
-  const ThresholdTrainer t({0.01, 0.0, true}, LrSchedule{1.0, 1.0, 0, 1e-4});
+  const ThresholdTrainer t({0.01, 0.0}, LrSchedule{1.0, 1.0, 0, 1e-4});
   const auto st = t.step(f.params, 0);
   EXPECT_EQ(st.writes_issued, 1u);
   EXPECT_EQ(st.writes_suppressed, 15u);
@@ -58,7 +58,7 @@ TEST(Threshold, ThresholdIsRelativeToDwMax) {
   g.at(0, 1) = 0.02f;   // 2 % of max → kept at θ=0.01
   g.at(0, 2) = 0.005f;  // 0.5 % of max → suppressed
   f.set_grad(g);
-  const ThresholdTrainer t({0.01, 0.0, true}, LrSchedule{1.0, 1.0, 0, 1e-4});
+  const ThresholdTrainer t({0.01, 0.0}, LrSchedule{1.0, 1.0, 0, 1e-4});
   const auto st = t.step(f.params, 0);
   EXPECT_EQ(st.writes_issued, 2u);
   EXPECT_EQ(st.writes_suppressed, 1u);
@@ -70,7 +70,7 @@ TEST(Threshold, BiasAlwaysUpdated) {
   f.set_grad(g);
   (*f.params[1].grad)[0] = 1.0f;  // bias gradient
   const float b0 = (*f.params[1].value)[0];
-  const ThresholdTrainer t({0.01, 0.0, true}, LrSchedule{0.5, 1.0, 0, 1e-4});
+  const ThresholdTrainer t({0.01, 0.0}, LrSchedule{0.5, 1.0, 0, 1e-4});
   t.step(f.params, 0);
   EXPECT_NEAR((*f.params[1].value)[0], b0 - 0.5f, 1e-6);
 }
@@ -87,7 +87,7 @@ TEST(Threshold, PruneMaskBlocksUpdates) {
   *params[0].grad = g;
   // Tiny nonzero ratio: threshold mode (zero-delta cells are skipped, not
   // refresh-written as in the original full-array scheme).
-  const ThresholdTrainer t({1e-9, 0.0, true}, LrSchedule{1.0, 1.0, 0, 1e-4});
+  const ThresholdTrainer t({1e-9, 0.0}, LrSchedule{1.0, 1.0, 0, 1e-4});
   const auto st = t.step(params, 0, &prune);
   EXPECT_EQ(st.writes_issued, 8u);  // half masked away
 }
@@ -99,7 +99,7 @@ TEST(Threshold, OriginalSchemeWritesWholeArray) {
   Tensor g({4, 4}, 0.0f);
   g.at(0, 0) = 1.0f;
   f.set_grad(g);
-  const ThresholdTrainer t({0.0, 0.0, true}, LrSchedule{1.0, 1.0, 0, 1e-4});
+  const ThresholdTrainer t({0.0, 0.0}, LrSchedule{1.0, 1.0, 0, 1e-4});
   const auto st = t.step(f.params, 0);
   EXPECT_EQ(st.writes_issued, 16u);
   EXPECT_EQ(st.updates_zero, 0u);
@@ -126,7 +126,7 @@ TEST(Threshold, DetectedFaultyCellsSkipWrites) {
 
   Tensor g({4, 4}, 1.0f);
   *params[0].grad = g;
-  const ThresholdTrainer t({0.0, 0.0, true}, LrSchedule{1.0, 1.0, 0, 1e-4});
+  const ThresholdTrainer t({0.0, 0.0}, LrSchedule{1.0, 1.0, 0, 1e-4});
   const auto st = t.step(params, 0, nullptr, &detected);
   EXPECT_EQ(st.writes_issued, 15u);
   EXPECT_EQ(st.writes_suppressed, 1u);
@@ -153,9 +153,9 @@ TEST(Threshold, WearLevelingRaisesThresholdForHotCells) {
   Tensor g({2, 2}, 0.02f);
   g.at(1, 1) = 1.0f;
   *params[0].grad = g;
-  const ThresholdTrainer flat({0.01, 0.0, true},
+  const ThresholdTrainer flat({0.01, 0.0},
                               LrSchedule{1.0, 1.0, 0, 1e-4});
-  const ThresholdTrainer leveled({0.01, 50.0, true},
+  const ThresholdTrainer leveled({0.01, 50.0},
                                  LrSchedule{1.0, 1.0, 0, 1e-4});
   auto p2 = params;
   const auto st_flat = flat.step(params, 0);
@@ -199,41 +199,26 @@ TEST(Threshold, WearLevelingFiresUnderDifferentialPair) {
   Tensor g({2, 2}, 0.02f);
   g.at(1, 1) = 1.0f;
   *params[0].grad = g;
-  const ThresholdTrainer leveled({0.01, 50.0, true},
+  const ThresholdTrainer leveled({0.01, 50.0},
                                  LrSchedule{1.0, 1.0, 0, 1e-4});
   const auto st = leveled.step(params, 0);
   EXPECT_EQ(st.writes_issued, 3u);  // only the hot cell is held back
   EXPECT_EQ(st.writes_suppressed, 1u);
 }
 
-TEST(Threshold, PerLayerMaxMode) {
+TEST(Threshold, DwMaxIsTakenAcrossLayers) {
   Rng rng(7);
   Network net;
   net.add(std::make_unique<Dense>("a", 2, 2, software_store_factory(), rng));
   net.add(std::make_unique<Dense>("b", 2, 2, software_store_factory(), rng));
   std::vector<Param> params = net.params();
-  Tensor big({2, 2}, 1.0f);
-  Tensor small({2, 2}, 0.005f);
-  *params[0].grad = big;    // layer a
-  *params[2].grad = small;  // layer b
-  // Global max: layer b's 0.005 < 0.01·1.0 → all suppressed.
-  const ThresholdTrainer global_t({0.01, 0.0, true},
-                                  LrSchedule{1.0, 1.0, 0, 1e-4});
-  auto pg = net.params();
-  *pg[0].grad = big;
-  *pg[2].grad = small;
-  const auto st_g = global_t.step(pg, 0);
-  EXPECT_EQ(st_g.writes_issued, 4u);
-  // Per-layer max: layer b's max is 0.005, so its own threshold is tiny →
-  // all 8 written.
-  net.zero_grad();
-  auto pl = net.params();
-  *pl[0].grad = big;
-  *pl[2].grad = small;
-  const ThresholdTrainer local_t({0.01, 0.0, false},
-                                 LrSchedule{1.0, 1.0, 0, 1e-4});
-  const auto st_l = local_t.step(pl, 0);
-  EXPECT_EQ(st_l.writes_issued, 8u);
+  *params[0].grad = Tensor({2, 2}, 1.0f);    // layer a
+  *params[2].grad = Tensor({2, 2}, 0.005f);  // layer b
+  // Layer b's 0.005 < 0.01·1.0 (layer a's max) → all four suppressed.
+  const ThresholdTrainer t({0.01, 0.0}, LrSchedule{1.0, 1.0, 0, 1e-4});
+  const auto st = t.step(params, 0);
+  EXPECT_EQ(st.dw_max, 1.0);
+  EXPECT_EQ(st.writes_issued, 4u);
 }
 
 }  // namespace

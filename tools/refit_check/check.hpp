@@ -10,8 +10,8 @@
 //   audit  cross-file rules (audit_rules.cpp): include cycles and
 //          engine-phase purity
 //   flow   per-function dataflow rules over the CFGs (flow_rules.cpp):
-//          shared writes in pool lambdas, tile mutation without
-//          invalidate(), dead must-use results, use after move
+//          shared writes in pool lambdas, dead must-use results, use
+//          after move
 //
 // Suppression is one tag for every family: `// refit-check: allow(rule)`
 // on the offending line or the line above, `// refit-check:

@@ -3,7 +3,7 @@
 // FunctionCfg (skipping nested lambda bodies, which are separate
 // functions) and reasons over the block graph with the classic
 // small-lattice algorithms — dominators for lock protection, reachability
-// for invalidation, union fixpoints for moved-from state.
+// for dead results, union fixpoints for moved-from state.
 //
 //   parallel-shared-write    inside a lambda handed to ThreadPool::
 //                            parallel_for / parallel_for_grained /
@@ -14,19 +14,10 @@
 //                            std::atomic, and not dominated by a lock
 //                            statement. Static partitioning makes reads
 //                            race-free; a shared scalar write never is.
-//   mutation-without-invalidate
-//                            a statement mutates crossbar tile state
-//                            through CrossbarWeightStore::tile() (direct
-//                            chain via `.` or `->`, or via a saved
-//                            reference) and some path reaches the
-//                            function exit with no invalidate() /
-//                            mark_pack_dirty() / resync_counters() — the
-//                            store's read-out panel goes stale.
-//   unchecked-must-use       the result of save_checkpoint /
-//                            load_checkpoint / detect / detect_store /
+//   unchecked-must-use       the result of detect / detect_store /
 //                            forward_matmul is bound to a variable that is
 //                            dead on every path to exit. (A discarded
-//                            call is a compile error: all five are
+//                            call is a compile error: all three are
 //                            [[nodiscard]] and CI builds with -Werror.)
 //   use-after-move           reaching-definitions over std::move(x): any
 //                            read of x while a move reaches it and no
@@ -334,19 +325,8 @@ void rule_parallel_shared_write(const FileCfg& file,
 }
 
 // ---------------------------------------------------------------------------
-// Rule: mutation-without-invalidate
+// Rule: unchecked-must-use
 // ---------------------------------------------------------------------------
-
-bool stmt_cleanses(const FileCfg& file, const Stmt& st) {
-  static const std::set<std::string> kCleansers = {
-      "invalidate", "mark_pack_dirty", "resync_counters"};
-  const std::vector<Token>& toks = file.lex.tokens;
-  for (std::size_t i = st.first; i + 1 < st.last; ++i)
-    if (toks[i].kind == TokKind::kIdent && kCleansers.count(toks[i].text) &&
-        is_punct(toks[i + 1], "("))
-      return true;
-  return false;
-}
 
 /// Is toks[i] the name of a member call (`recv.name(` / `recv->name(`)?
 bool member_call_at(const std::vector<Token>& toks, const Stmt& st,
@@ -356,149 +336,9 @@ bool member_call_at(const std::vector<Token>& toks, const Stmt& st,
          i + 1 < st.last && is_punct(toks[i + 1], "(");
 }
 
-/// A tile-state mutation found in one top-level statement.
-struct Mutation {
-  std::string root;
-  int line = 0;
-  int block = 0;
-  int stmt = 0;
-};
-
-void rule_mutation_without_invalidate(const FileCfg& file,
-                                      std::vector<Finding>& out) {
-  const std::vector<Token>& toks = file.lex.tokens;
-  // The Crossbar members that change what the store's panel caches.
-  static const std::set<std::string> kWriteMethods = {
-      "write",        "force_fault",  "force_soft_fault",
-      "strong_write", "drift_toward", "decay_soft_faults"};
-
-  for (std::size_t fi = 0; fi < file.functions.size(); ++fi) {
-    const FunctionCfg& fn = file.functions[fi];
-    if (fn.enclosing != -1) continue;  // lambdas fold into their statement
-
-    // First sweep: which names alias a tile reference?
-    std::set<std::string> aliases;
-    for (const BasicBlock& bb : fn.blocks) {
-      for (const Stmt& st : bb.stmts) {
-        for (std::size_t i = st.first; i < st.last; ++i) {
-          if (!is_ident(toks[i], "tile") || !member_call_at(toks, st, i))
-            continue;
-          const std::size_t rp = match_paren(toks, i + 1);
-          if (rp == std::string::npos || rp + 1 >= st.last) continue;
-          // `auto& tl = x.tile(...);` — the declared name (the ident right
-          // before the '=' preceding the receiver chain) aliases the tile.
-          std::size_t cs = i - 2;  // receiver ident
-          while (cs >= st.first + 2 &&
-                 (is_punct(toks[cs - 1], ".") || is_punct(toks[cs - 1], "->")))
-            cs -= 2;
-          if (cs >= st.first + 2 && is_punct(toks[cs - 1], "=") &&
-              toks[cs - 2].kind == TokKind::kIdent &&
-              is_decl_name_at(toks, st, cs - 2))
-            aliases.insert(toks[cs - 2].text);
-        }
-      }
-    }
-
-    // Second sweep: mutation sites.
-    std::vector<Mutation> muts;
-    for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-      const BasicBlock& bb = fn.blocks[b];
-      for (std::size_t s = 0; s < bb.stmts.size(); ++s) {
-        const Stmt& st = bb.stmts[s];
-        for (std::size_t i = st.first; i < st.last; ++i) {
-          if (toks[i].kind != TokKind::kIdent) continue;
-          // Direct chain: `recv.tile(...).write(...)` / `.force_fault(...)`,
-          // or escape: `f(recv.tile(...))`.
-          if (toks[i].text == "tile" && member_call_at(toks, st, i)) {
-            const std::size_t rp = match_paren(toks, i + 1);
-            if (rp == std::string::npos || rp >= st.last) continue;
-            std::size_t cs = i - 2;
-            while (cs >= st.first + 2 && (is_punct(toks[cs - 1], ".") ||
-                                          is_punct(toks[cs - 1], "->")))
-              cs -= 2;
-            const std::string root =
-                toks[cs].kind == TokKind::kIdent ? toks[cs].text : "";
-            if (root.empty()) continue;
-            const bool chained = rp + 1 < st.last && is_punct(toks[rp + 1], ".");
-            const bool chained_write =
-                chained && rp + 2 < st.last &&
-                kWriteMethods.count(toks[rp + 2].text) > 0;
-            // Escape: the raw tile& itself is handed to a call. A chained
-            // read (`store.tile(i,j).rows()` in an EXPECT) stays a read.
-            const bool escapes_as_arg =
-                !chained && cs > st.first &&
-                (is_punct(toks[cs - 1], "(") || is_punct(toks[cs - 1], ","));
-            if (chained_write || escapes_as_arg)
-              muts.push_back({root, toks[i].line, static_cast<int>(b),
-                              static_cast<int>(s)});
-            continue;
-          }
-          // Alias write: `tl.write(...)` / `tl.force_fault(...)`.
-          if (aliases.count(toks[i].text) && i + 3 < st.last &&
-              is_punct(toks[i + 1], ".") &&
-              kWriteMethods.count(toks[i + 2].text) &&
-              is_punct(toks[i + 3], "("))
-            muts.push_back({toks[i].text, toks[i].line, static_cast<int>(b),
-                            static_cast<int>(s)});
-        }
-      }
-    }
-    if (muts.empty()) continue;
-
-    // Which blocks cleanse (contain an invalidate/mark-dirty call)?
-    std::vector<bool> cleanses(fn.blocks.size(), false);
-    for (std::size_t b = 0; b < fn.blocks.size(); ++b)
-      for (const Stmt& st : fn.blocks[b].stmts)
-        if (stmt_cleanses(file, st)) cleanses[b] = true;
-
-    std::set<std::string> reported;
-    for (const Mutation& m : muts) {
-      // A cleanser later in the same block covers every path.
-      bool safe = false;
-      const BasicBlock& mb = fn.blocks[m.block];
-      // A cleanser later in the same block (or inside the mutating
-      // statement itself — a loop-body lambda that packs and clears its
-      // own flags) covers every path.
-      for (std::size_t s = m.stmt; s < mb.stmts.size(); ++s)
-        if (stmt_cleanses(file, mb.stmts[s])) safe = true;
-      if (!safe) {
-        // BFS: can the exit be reached without passing a cleansing block?
-        std::set<int> seen;
-        std::vector<int> work(mb.succs.begin(), mb.succs.end());
-        bool reaches_exit = work.empty();  // block falls off the body end
-        while (!work.empty()) {
-          const int b = work.back();
-          work.pop_back();
-          if (!seen.insert(b).second) continue;
-          if (b == fn.exit_id) {
-            reaches_exit = true;
-            break;
-          }
-          if (cleanses[b]) continue;  // absorbed
-          for (const int s2 : fn.blocks[b].succs) work.push_back(s2);
-        }
-        safe = !reaches_exit;
-      }
-      if (safe) continue;
-      const std::string key = m.root + "@" + fn.name;
-      if (!reported.insert(key).second) continue;
-      out.push_back({file.path, m.line, "mutation-without-invalidate",
-                     "tile state is mutated through '" + m.root +
-                         "' but a path reaches the end of '" + fn.name +
-                         "' with no invalidate()/mark_pack_dirty() — the "
-                         "store's read-out panel goes stale"});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: unchecked-must-use
-// ---------------------------------------------------------------------------
-
 void rule_unchecked_must_use(const FileCfg& file, std::vector<Finding>& out) {
-  static const std::set<std::string> kWatched = {
-      "save_checkpoint", "load_checkpoint", "detect", "detect_store",
-      "forward_matmul"};
+  static const std::set<std::string> kWatched = {"detect", "detect_store",
+                                                 "forward_matmul"};
   const std::vector<Token>& toks = file.lex.tokens;
 
   for (std::size_t fi = 0; fi < file.functions.size(); ++fi) {
@@ -684,15 +524,12 @@ void rule_use_after_move(const FileCfg& file, std::vector<Finding>& out) {
 }
 
 void flow_file(const FileCfg& file, std::vector<Finding>& out) {
-  // The pool and the store own their internals (the loop machinery, the
-  // dirty flags), so the rules that police their callers skip them.
+  // The pool owns its loop machinery, so the rule that polices the pool's
+  // callers skips it.
   const std::string& path = file.path;
   const bool pool_owner = path.ends_with("src/common/thread_pool.cpp") ||
                           path.ends_with("src/common/thread_pool.hpp");
-  const bool store_owner = path.ends_with("src/rcs/crossbar_store.cpp") ||
-                           path.ends_with("src/rcs/crossbar_store.hpp");
   if (!pool_owner) rule_parallel_shared_write(file, out);
-  if (!store_owner) rule_mutation_without_invalidate(file, out);
   rule_unchecked_must_use(file, out);
   rule_use_after_move(file, out);
 }
@@ -706,14 +543,9 @@ Family flow_family() {
                "a variable declared outside a parallel_for/for_each_tile "
                "lambda is written inside it without std::atomic, a "
                "dominating lock, or per-lane indexing"},
-              {"mutation-without-invalidate",
-               "tile/conductance state is mutated through the store (`.` or "
-               "`->`) but some path reaches the function exit without "
-               "invalidate()/mark_pack_dirty()"},
               {"unchecked-must-use",
-               "the result of save_checkpoint/load_checkpoint/detect/"
-               "detect_store/forward_matmul is bound to a variable that is "
-               "never read"},
+               "the result of detect/detect_store/forward_matmul is bound to "
+               "a variable that is never read"},
               {"use-after-move",
                "a variable is read after std::move() with no reassignment on "
                "some path (reaching-definitions over moves)"},

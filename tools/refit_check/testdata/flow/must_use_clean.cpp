@@ -1,16 +1,13 @@
-// Properly consumed detection/checkpoint results: bound-and-read, tested
-// in a condition, returned, passed along, or read on a later branch.
-#include <iosfwd>
-
+// Properly consumed detection results: bound-and-read, tested in a
+// condition, returned, passed along, or read on a later branch.
 struct Outcome {
   int faults;
 };
 struct Crossbar {};
+struct Store {};
 struct Detector {
   Outcome detect(Crossbar& xb);
-};
-struct Engine {
-  bool save_checkpoint(std::ostream& os);
+  Outcome detect_store(Store& s);
 };
 
 int counts(Detector& det, Crossbar& xb) {
@@ -18,8 +15,8 @@ int counts(Detector& det, Crossbar& xb) {
   return outcome.faults;
 }
 
-void in_condition(Engine& eng, std::ostream& os) {
-  if (!eng.save_checkpoint(os)) {
+void in_condition(Detector& det, Store& s) {
+  if (det.detect_store(s).faults > 0) {
     return;
   }
 }
