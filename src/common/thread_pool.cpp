@@ -3,14 +3,16 @@
 // Telemetry (docs/observability.md): every top-level parallel_for bumps
 // the pool.parallel_for.calls counter and records a trace span on the
 // calling thread; each worker accumulates pool.worker.<lane>.busy_ns.
-// Spans are recorded only on the caller and busy time only inside
-// worker_loop, so traces taken with an injected ManualClock are
-// byte-identical at any thread count.
+// Spans are recorded only on the caller outside every chunk and busy time
+// only inside worker_loop, so traces taken with an injected ManualClock
+// are byte-identical at any thread count.
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <string>
 
 #include "obs/clock.hpp"
@@ -21,18 +23,18 @@ namespace refit {
 
 namespace {
 
-// True on threads currently executing a pool chunk; parallel_for on such a
-// thread runs inline instead of fanning out again. Also held on the
-// *caller* while it executes its own chunk (inline or lane 0), which (a)
-// keeps nested parallel_for calls inline — fanning out mid-job would
-// corrupt the pending job — and (b) keeps nested calls span-free on every
-// path, so traces do not depend on the thread count.
-thread_local bool t_inside_pool = false;
+// obs::in_pool_chunk() is true on threads currently executing a pool
+// chunk; parallel_for on such a thread runs inline instead of fanning out
+// again. It is also held on the *caller* while it executes its own chunk
+// (inline or lane 0), which (a) keeps nested parallel_for calls inline —
+// fanning out mid-job would corrupt the pending job — and (b) keeps every
+// chunk span-free (obs/trace.hpp), so traces do not depend on the thread
+// count.
 
-// Scoped t_inside_pool (exception-safe restore).
+// Scoped obs::set_in_pool_chunk (exception-safe restore).
 struct InsidePoolGuard {
-  InsidePoolGuard() { t_inside_pool = true; }
-  ~InsidePoolGuard() { t_inside_pool = false; }
+  InsidePoolGuard() { obs::set_in_pool_chunk(true); }
+  ~InsidePoolGuard() { obs::set_in_pool_chunk(false); }
 };
 
 std::size_t default_thread_count() {
@@ -79,7 +81,7 @@ void ThreadPool::run_chunk(std::size_t lane) {
 }
 
 void ThreadPool::worker_loop(std::size_t lane) {
-  t_inside_pool = true;
+  obs::set_in_pool_chunk(true);
   obs::Tracer::set_thread_tid(static_cast<std::uint32_t>(lane));
   obs::Counter busy_ns = obs::MetricsRegistry::instance().counter(
       "pool.worker." + std::to_string(lane) + ".busy_ns", "ns");
@@ -114,7 +116,7 @@ void ThreadPool::parallel_for(
   if (n == 0) return;
   // Nested call from inside a pool chunk: always inline, never measured —
   // the outer call owns the job slots and the trace span.
-  if (t_inside_pool) {
+  if (obs::in_pool_chunk()) {
     body(0, n);
     return;
   }
@@ -159,6 +161,31 @@ void ThreadPool::parallel_for(
     if (!err) err = job_error_;
   }
   if (err) std::rethrow_exception(err);
+}
+
+void parallel_for_weighted(const std::vector<std::size_t>& cost,
+                           const std::function<void(std::size_t)>& body) {
+  const std::size_t n = cost.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cost[a] > cost[b];
+                   });
+  const std::size_t total =
+      std::accumulate(cost.begin(), cost.end(), std::size_t{0});
+  const std::size_t lanes =
+      std::min(n, std::max<std::size_t>(
+                      1, (total + kParallelGrain - 1) / kParallelGrain));
+  std::atomic<std::size_t> next{0};
+  // One chunk per lane; each claims items until none is left (a nested
+  // call runs the one chunk inline, which claims them all in order).
+  ThreadPool::global().parallel_for(
+      lanes,
+      [&](std::size_t, std::size_t) {
+        for (std::size_t k = next++; k < n; k = next++) body(order[k]);
+      },
+      lanes);
 }
 
 namespace {

@@ -100,4 +100,13 @@ inline void parallel_for_grained(
   ThreadPool::global().parallel_for(n, body, lanes);
 }
 
+/// Run body(i) once for every item i in [0, cost.size()) in one pool job
+/// over at most ceil(Σ cost / kParallelGrain) lanes, `cost` in scalar ops.
+/// The lanes claim items heaviest first (ties by index), so one long item
+/// does not trail behind short ones. Which lane runs an item depends on
+/// timing: items must write disjoint state, and results are then
+/// bit-identical at any thread count.
+void parallel_for_weighted(const std::vector<std::size_t>& cost,
+                           const std::function<void(std::size_t)>& body);
+
 }  // namespace refit

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 namespace refit {
 
@@ -39,8 +40,11 @@ ThresholdStepStats ThresholdTrainer::step(
     pending.push_back({&p, std::move(delta), mask});
   }
 
-  // Pass 2: one fused filter-and-write pass per store (Algorithm 1's
-  // threshold, the prune mask and the detected-fault skip).
+  // Pass 2: one filter-and-write pass over every store at once (Algorithm
+  // 1's threshold, the prune mask and the detected-fault skip): each store
+  // splits its update into items on this thread, then one pool job runs
+  // them all, balanced across lanes by cost.
+  std::vector<std::unique_ptr<UpdateItems>> updates;
   for (std::size_t layer = 0; layer < pending.size(); ++layer) {
     Pending& pd = pending[layer];
     UpdatePolicy policy;
@@ -57,8 +61,9 @@ ThresholdStepStats ThresholdTrainer::step(
                   fm->cols() == pd.delta.dim(1));
       policy.skip = fm->bytes();
     }
-    stats += pd.param->store->apply_update(pd.delta, policy);
+    updates.push_back(pd.param->store->split_update(pd.delta, policy));
   }
+  stats += apply_updates(updates);
 
   // Peripheral (bias) parameters update without filtering: they live in
   // CMOS, not on RRAM cells.

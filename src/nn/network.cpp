@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/thread_pool.hpp"
+
 namespace refit {
 
 Layer& Network::add(std::unique_ptr<Layer> layer) {
@@ -51,23 +53,37 @@ Layer& Network::layer(std::size_t i) {
 }
 
 double Network::evaluate(const Tensor& inputs,
-                         const std::vector<std::uint8_t>& labels,
-                         std::size_t batch_size) {
+                         const std::vector<std::uint8_t>& labels) {
+  // Samples per work item: 4 lanes × 16 samples keep as many activations
+  // in flight as one 64-sample batch.
+  constexpr std::size_t kChunk = 16;
   const std::size_t n = inputs.dim(0);
   REFIT_CHECK(labels.size() == n && n > 0);
-  std::size_t correct = 0;
-  for (std::size_t begin = 0; begin < n; begin += batch_size) {
-    const std::size_t end = std::min(begin + batch_size, n);
-    Tensor batch = slice_batch(inputs, begin, end);
-    Tensor logits = forward(batch, /*train=*/false);
-    const std::size_t rows = logits.dim(0), cols = logits.dim(1);
-    for (std::size_t i = 0; i < rows; ++i) {
-      const float* row = logits.data() + i * cols;
-      const float* mx = std::max_element(row, row + cols);
-      if (static_cast<std::size_t>(mx - row) == labels[begin + i]) ++correct;
+  // Every read-out cache is made current here, so the lanes below only
+  // read store state (WeightStore::forward_matmul), and a train=false
+  // forward caches nothing in the layers.
+  for (MatrixLayer* ml : matrix_layers()) ml->weights().prepare_forward();
+  const std::size_t chunks = (n + kChunk - 1) / kChunk;
+  std::vector<std::size_t> correct(chunks, 0);
+  parallel_for(chunks, [&](std::size_t c0, std::size_t c1) {
+    for (std::size_t c = c0; c < c1; ++c) {
+      const std::size_t begin = c * kChunk;
+      const Tensor logits = forward(
+          slice_batch(inputs, begin, std::min(begin + kChunk, n)),
+          /*train=*/false);
+      const std::size_t cols = logits.dim(1);
+      std::size_t hits = 0;
+      for (std::size_t i = 0; i < logits.dim(0); ++i) {
+        const float* row = logits.data() + i * cols;
+        const float* mx = std::max_element(row, row + cols);
+        if (static_cast<std::size_t>(mx - row) == labels[begin + i]) ++hits;
+      }
+      correct[c] = hits;
     }
-  }
-  return static_cast<double>(correct) / static_cast<double>(n);
+  });
+  std::size_t total = 0;
+  for (const std::size_t k : correct) total += k;
+  return static_cast<double>(total) / static_cast<double>(n);
 }
 
 std::size_t Network::weight_count() {

@@ -38,10 +38,12 @@ class Network {
   [[nodiscard]] std::size_t size() const { return layers_.size(); }
   [[nodiscard]] Layer& layer(std::size_t i);
 
-  /// Mean classification accuracy over a sample set evaluated in chunks.
+  /// Mean classification accuracy over a sample set: one pool job over
+  /// fixed 16-sample chunks, each lane running the whole forward on its
+  /// chunks. Every output row depends on its own sample only, so the
+  /// result does not depend on the chunking or the thread count.
   double evaluate(const Tensor& inputs,
-                  const std::vector<std::uint8_t>& labels,
-                  std::size_t batch_size = 64);
+                  const std::vector<std::uint8_t>& labels);
 
   /// Total number of weight-matrix elements (paper's "weight amount").
   [[nodiscard]] std::size_t weight_count();

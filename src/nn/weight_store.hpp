@@ -17,6 +17,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -69,6 +70,25 @@ struct UpdatePolicy {
   }
 };
 
+/// One store's update step split into work items that share no state
+/// (WeightStore::split_update), so that one pool job can run the items of
+/// every store together (apply_updates).
+class UpdateItems {
+ public:
+  UpdateItems() = default;
+  virtual ~UpdateItems() = default;
+  UpdateItems(const UpdateItems&) = delete;
+  UpdateItems& operator=(const UpdateItems&) = delete;
+  [[nodiscard]] virtual std::size_t count() const = 0;
+  /// Scalar-op estimate of item k: its weight in the lane balance.
+  [[nodiscard]] virtual std::size_t cost(std::size_t k) const = 0;
+  /// Run item k, on any lane, concurrently with any other item.
+  virtual void run(std::size_t k) = 0;
+  /// On the caller once every item ran: the write accounting, summed in
+  /// item order.
+  virtual UpdateStats finish() = 0;
+};
+
 /// Abstract storage for one layer's weight matrix.
 class WeightStore {
  public:
@@ -83,16 +103,29 @@ class WeightStore {
   /// The ideal target weights the optimizer believes it has written.
   [[nodiscard]] virtual const Tensor& target() const = 0;
 
+  /// Bring any read-out cache current, so that forward_matmul writes no
+  /// store state until the store next changes.
+  virtual void prepare_forward() {}
+
   /// Forward propagation through the store: y = x · W_eff for a batch
   /// x [batch, fan_in], bit-identical to matmul(x, effective()) — layers
   /// call this so hardware backends can compute straight from device state.
+  /// After prepare_forward() on the caller, and until the store changes,
+  /// it writes no store state, so pool lanes may call it concurrently
+  /// (Network::evaluate's sample chunks do).
   [[nodiscard]] virtual Tensor forward_matmul(const Tensor& x) = 0;
 
-  /// One filtered update step: every cell's delta passes `policy` (mask,
-  /// threshold, detected-fault skip), target += the surviving delta, and
-  /// the admitted cells are programmed. Returns the write accounting.
-  virtual UpdateStats apply_update(const Tensor& delta,
-                                   const UpdatePolicy& policy) = 0;
+  /// One filtered update step as independent work items: every cell's
+  /// delta passes `policy` (mask, threshold, detected-fault skip), target
+  /// += the surviving delta, and the admitted cells are programmed. Made on
+  /// the caller, which fixes every input of the step (a device backend's
+  /// wear-leveling mean, for one); `delta` and the policy's masks must
+  /// outlive the items.
+  [[nodiscard]] virtual std::unique_ptr<UpdateItems> split_update(
+      const Tensor& delta, const UpdatePolicy& policy) = 0;
+
+  /// split_update run to completion; returns the write accounting.
+  UpdateStats apply_update(const Tensor& delta, const UpdatePolicy& policy);
 
   /// target += delta; entries with delta == 0 are *not* written to the
   /// device (this is what threshold training exploits to save endurance).
@@ -132,8 +165,9 @@ class SoftwareWeightStore final : public WeightStore {
   [[nodiscard]] Tensor effective() override { return w_; }
   [[nodiscard]] const Tensor& target() const override { return w_; }
   [[nodiscard]] Tensor forward_matmul(const Tensor& x) override;
-  UpdateStats apply_update(const Tensor& delta,
-                           const UpdatePolicy& policy) override;
+  /// One item: the filter-and-add loop over every float.
+  [[nodiscard]] std::unique_ptr<UpdateItems> split_update(
+      const Tensor& delta, const UpdatePolicy& policy) override;
   void assign(const Tensor& w) override;
   void save_state(std::ostream& os) const override;
   void restore_state(std::istream& is) override;
@@ -141,6 +175,13 @@ class SoftwareWeightStore final : public WeightStore {
  private:
   Tensor w_;
 };
+
+/// Run the update items of several stores in one pool job balanced by
+/// cost, then finish each in turn; returns the summed accounting. Items of
+/// different stores share no state, so this is bit-identical to calling
+/// apply_update on each store in turn, at any thread count.
+UpdateStats apply_updates(
+    const std::vector<std::unique_ptr<UpdateItems>>& updates);
 
 /// Factory used by layers to create their weight backend; experiments swap
 /// in an RCS-backed factory to put layers "on chip".

@@ -31,6 +31,9 @@ TracerState& state() {
   return *s;
 }
 
+// Set while the thread runs a pool chunk (set_in_pool_chunk).
+thread_local bool t_in_pool_chunk = false;
+
 // Explicit track id for the calling thread (pool workers set their lane
 // before the buffer exists); -1 → assign from the counter on first use.
 thread_local std::int64_t t_requested_tid = -1;
@@ -153,8 +156,12 @@ void Tracer::reset() {
   for (ThreadBuf* buf : s.live) buf->events.clear();
 }
 
+void set_in_pool_chunk(bool on) { t_in_pool_chunk = on; }
+
+bool in_pool_chunk() { return t_in_pool_chunk; }
+
 TraceSpan::TraceSpan(const char* name, const char* category) {
-  if (!Tracer::global().enabled()) return;
+  if (t_in_pool_chunk || !Tracer::global().enabled()) return;
   name_ = name;
   category_ = category;
   start_ns_ = now_ns();

@@ -10,8 +10,8 @@
 //
 // Timestamps come from the obs::Clock seam (clock.hpp); tests inject a
 // ManualClock to get byte-stable golden traces. The tracer is runtime-
-// disabled by default: a TraceSpan constructed while disabled performs no
-// clock read and records nothing.
+// disabled by default: a TraceSpan constructed while disabled, or on a
+// thread running a pool chunk, performs no clock read and records nothing.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +64,17 @@ class Tracer {
   ~Tracer() = delete;  // leaked singleton — thread buffers retire into it
 };
 
+/// Mark whether the calling thread is running a thread-pool chunk: a
+/// worker, the caller's own chunk, or the pool's 1-lane inline run
+/// (common/thread_pool.cpp sets it around each). Which chunks a thread
+/// runs depends on the pool size, so a span there would make the trace,
+/// and a ManualClock's per-thread sequence, depend on it too.
+void set_in_pool_chunk(bool on);
+[[nodiscard]] bool in_pool_chunk();
+
 /// RAII span on the global tracer. Decides at construction: when tracing
-/// is disabled it never reads the clock and the destructor is a no-op.
+/// is disabled, or the thread is running a pool chunk, it never reads the
+/// clock and the destructor is a no-op.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* category = "");

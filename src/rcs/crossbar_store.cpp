@@ -115,69 +115,79 @@ const Crossbar& CrossbarWeightStore::tile(std::size_t ti, std::size_t tj,
   return tiles_[leg * grid_.tile_count() + grid_.index_of(ti, tj)];
 }
 
+CrossbarWeightStore::WriteTally& CrossbarWeightStore::WriteTally::operator+=(
+    const WriteTally& o) {
+  update += o.update;
+  cells += o.cells;
+  writes += o.writes;
+  wearout += o.wearout;
+  return *this;
+}
+
+template <class Select>
+CrossbarWeightStore::WriteTally CrossbarWeightStore::program_tile(
+    const TileSpan& span, const Select& select) {
+  const std::size_t k = rows();
+  const std::size_t legs = this->legs(), tile_count = grid_.tile_count();
+  Crossbar* xs[kMaxEncodingLegs] = {};
+  // The pass's writes and wear-outs are this tile's totals after the pass
+  // minus before it (unsigned wrap-around cancels in between).
+  WriteTally tally;
+  for (std::size_t leg = 0; leg < legs; ++leg) {
+    xs[leg] = &tiles_[leg * tile_count + span.index];
+    tally.writes -= xs[leg]->total_writes();
+    tally.wearout -= xs[leg]->wearout_fault_count();
+  }
+  // The tile hosts the product of these logical rows and columns; sorted,
+  // they replay the order of a serial logical row-major sweep.
+  std::vector<std::size_t> li(span.rows), lj(span.cols);
+  for (std::size_t lr = 0; lr < span.rows; ++lr)
+    li[lr] = map_.logical_row(span.row0 + lr);
+  for (std::size_t lc = 0; lc < span.cols; ++lc)
+    lj[lc] = map_.logical_col(span.col0 + lc);
+  std::sort(li.begin(), li.end());
+  std::sort(lj.begin(), lj.end());
+  // Write-through keeps a current tile's panel entries current; a stale
+  // tile is re-packed whole before the next read anyway.
+  const bool through = packed_current(span.index);
+  double g[kMaxEncodingLegs] = {};
+  for (const std::size_t i : li) {
+    const std::size_t lr = map_.physical_row(i) - span.row0;
+    for (const std::size_t j : lj) {
+      const std::size_t lc = map_.physical_col(j) - span.col0;
+      if (!select(i, j, span, xs, lr, lc, tally.update)) continue;
+      ++tally.cells;
+      const float target = target_.at(i, j);
+      enc_->encode(target, weight_max_, g);
+      for (std::size_t leg = 0; leg < legs; ++leg)
+        xs[leg]->write(lr, lc, g[leg]);
+      // Re-decoded even when a stuck cell suppressed the write: the
+      // single-cell sign register follows the target.
+      if (through) {
+        packed_eff_[gemm::packed_index(k, i, j)] =
+            read_cell(xs, legs, lr, lc, target);
+      }
+    }
+  }
+  for (std::size_t leg = 0; leg < legs; ++leg) {
+    tally.writes += xs[leg]->total_writes();
+    tally.wearout += xs[leg]->wearout_fault_count();
+  }
+  if (through) mark_packed(span.index);
+  return tally;
+}
+
 template <class Select>
 CrossbarWeightStore::WriteTally CrossbarWeightStore::program_tiles(
     const Select& select) {
-  const std::size_t k = rows();
-  const std::size_t legs = this->legs(), tile_count = grid_.tile_count();
-  std::vector<WriteTally> per_tile(tile_count);
+  std::vector<WriteTally> per_tile(grid_.tile_count());
   grid_.for_each_tile(
       [&](const TileSpan& span) {
-        Crossbar* xs[kMaxEncodingLegs] = {};
-        // The pass's writes and wear-outs are this tile's totals after the
-        // pass minus before it (unsigned wrap-around cancels in between).
-        WriteTally tally;
-        for (std::size_t leg = 0; leg < legs; ++leg) {
-          xs[leg] = &tiles_[leg * tile_count + span.index];
-          tally.writes -= xs[leg]->total_writes();
-          tally.wearout -= xs[leg]->wearout_fault_count();
-        }
-        // The tile hosts the product of these logical rows and columns;
-        // sorted, they replay the order of a serial logical row-major sweep.
-        std::vector<std::size_t> li(span.rows), lj(span.cols);
-        for (std::size_t lr = 0; lr < span.rows; ++lr)
-          li[lr] = map_.logical_row(span.row0 + lr);
-        for (std::size_t lc = 0; lc < span.cols; ++lc)
-          lj[lc] = map_.logical_col(span.col0 + lc);
-        std::sort(li.begin(), li.end());
-        std::sort(lj.begin(), lj.end());
-        // Write-through keeps a current tile's panel entries current; a
-        // stale tile is re-packed whole before the next read anyway.
-        const bool through = packed_current(span.index);
-        double g[kMaxEncodingLegs] = {};
-        for (const std::size_t i : li) {
-          const std::size_t lr = map_.physical_row(i) - span.row0;
-          for (const std::size_t j : lj) {
-            const std::size_t lc = map_.physical_col(j) - span.col0;
-            if (!select(i, j, span, xs, lr, lc, tally.update)) continue;
-            ++tally.cells;
-            const float target = target_.at(i, j);
-            enc_->encode(target, weight_max_, g);
-            for (std::size_t leg = 0; leg < legs; ++leg)
-              xs[leg]->write(lr, lc, g[leg]);
-            // Re-decoded even when a stuck cell suppressed the write: the
-            // single-cell sign register follows the target.
-            if (through) {
-              packed_eff_[gemm::packed_index(k, i, j)] =
-                  read_cell(xs, legs, lr, lc, target);
-            }
-          }
-        }
-        for (std::size_t leg = 0; leg < legs; ++leg) {
-          tally.writes += xs[leg]->total_writes();
-          tally.wearout += xs[leg]->wearout_fault_count();
-        }
-        if (through) mark_packed(span.index);
-        per_tile[span.index] = tally;
+        per_tile[span.index] = program_tile(span, select);
       },
       kWriteCost);
   WriteTally total;
-  for (const WriteTally& t : per_tile) {
-    total.update += t.update;
-    total.cells += t.cells;
-    total.writes += t.writes;
-    total.wearout += t.wearout;
-  }
+  for (const WriteTally& t : per_tile) total += t;
   return total;
 }
 
@@ -301,14 +311,46 @@ Tensor CrossbarWeightStore::forward_matmul(const Tensor& x) {
   return y;
 }
 
-UpdateStats CrossbarWeightStore::apply_update(const Tensor& delta,
-                                              const UpdatePolicy& policy) {
+/// One item per tile, all legs together; the tallies are summed in tile
+/// order and published by finish().
+template <class Select>
+class CrossbarWeightStore::TileUpdates final : public UpdateItems {
+ public:
+  TileUpdates(CrossbarWeightStore& store, Select select)
+      : store_(store),
+        select_(std::move(select)),
+        tallies_(store.grid_.tile_count()) {}
+
+  [[nodiscard]] std::size_t count() const override { return tallies_.size(); }
+  [[nodiscard]] std::size_t cost(std::size_t k) const override {
+    const TileSpan span = store_.grid_.span(k);
+    return span.rows * span.cols * store_.legs() * kWriteCost;
+  }
+  void run(std::size_t k) override {
+    tallies_[k] = store_.program_tile(store_.grid_.span(k), select_);
+  }
+  UpdateStats finish() override {
+    WriteTally total;
+    for (const WriteTally& t : tallies_) total += t;
+    publish(total);
+    return total.update;
+  }
+
+ private:
+  CrossbarWeightStore& store_;
+  const Select select_;
+  std::vector<WriteTally> tallies_;
+};
+
+std::unique_ptr<UpdateItems> CrossbarWeightStore::split_update(
+    const Tensor& delta, const UpdatePolicy& policy) {
   REFIT_CHECK_MSG(delta.shape() == target_.shape(),
                   "delta shape mismatch in CrossbarWeightStore");
   const std::size_t n = cols();
   const float wmax = static_cast<float>(weight_max_);
   // Wear-leveling compares each leg's own write count with the mean per
-  // physical cell (write_count() counts both legs of a pair).
+  // physical cell (write_count() counts both legs of a pair), taken here,
+  // before any tile is written.
   const std::size_t legs = this->legs();
   const double mean_writes =
       policy.wear_beta > 0.0
@@ -316,10 +358,10 @@ UpdateStats CrossbarWeightStore::apply_update(const Tensor& delta,
                 static_cast<double>(
                     std::max<std::size_t>(1, physical_cell_count()))
           : 0.0;
-  const WriteTally t = program_tiles([&](std::size_t i, std::size_t j,
-                                         const TileSpan& span,
-                                         Crossbar* const* xs, std::size_t lr,
-                                         std::size_t lc, UpdateStats& st) {
+  auto select = [this, &delta, policy, n, wmax, legs, mean_writes](
+                    std::size_t i, std::size_t j, const TileSpan& span,
+                    Crossbar* const* xs, std::size_t lr, std::size_t lc,
+                    UpdateStats& st) {
     double thr = policy.threshold;
     if (mean_writes > 0.0) {
       std::uint64_t w = 0;
@@ -339,9 +381,9 @@ UpdateStats CrossbarWeightStore::apply_update(const Tensor& delta,
       target_.at(i, j) = std::clamp(target_.at(i, j) + d, -wmax, wmax);
     }
     return true;
-  });
-  publish(t);
-  return t.update;
+  };
+  return std::make_unique<TileUpdates<decltype(select)>>(*this,
+                                                         std::move(select));
 }
 
 void CrossbarWeightStore::assign(const Tensor& w) {
@@ -463,13 +505,21 @@ void CrossbarWeightStore::restore_state(std::istream& is) {
   LogicalMapping map = LogicalMapping::load(is);
   REFIT_CHECK_MSG(map.rows() == rows() && map.cols() == cols(),
                   "corrupt store checkpoint (permutations)");
+  // Read the rest into locals, committed only once all of it was read and
+  // checked: a rejected checkpoint leaves the store unchanged.
+  std::vector<Crossbar> tiles = tiles_;
+  for (Crossbar& t : tiles) t.restore(is);
+  const auto noise_state = ser::read_pod<Rng::State>(is);
+  const auto noise_ticks = ser::read_pod<std::uint64_t>(is);
   cfg_ = cfg;
   target_ = std::move(target);
   weight_max_ = weight_max;
   map_ = std::move(map);
-  for (Crossbar& t : tiles_) t.restore(is);
-  noise_rng_.set_state(ser::read_pod<Rng::State>(is));
-  noise_ticks_ = ser::read_pod<std::uint64_t>(is);
+  // Each restored tile's mutation count moved, so every panel block is
+  // stale and re-packs before the next read.
+  tiles_ = std::move(tiles);
+  noise_rng_.set_state(noise_state);
+  noise_ticks_ = noise_ticks;
 }
 
 std::uint64_t CrossbarWeightStore::cell_write_count(std::size_t i,

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <vector>
 
 #include "device/cell_encoding.hpp"
@@ -78,6 +79,8 @@ class CrossbarWeightStore final : public WeightStore {
   [[nodiscard]] const Shape& shape() const override { return target_.shape(); }
   /// Unpacked copy of the read-out panel (see forward_matmul).
   [[nodiscard]] Tensor effective() override;
+  /// Re-pack every stale tile of the read-out panel.
+  void prepare_forward() override { refresh_packed_effective(); }
   [[nodiscard]] const Tensor& target() const override { return target_; }
   /// Fused faulty forward from the one read-out cache: a panel in the
   /// GEMM's packed layout, decoded from conductances, sign registers and
@@ -85,10 +88,11 @@ class CrossbarWeightStore final : public WeightStore {
   /// out of band re-pack. Same micro-kernel as matmul(x, effective()), so
   /// the result is bit-identical to it at any thread count and permutation.
   [[nodiscard]] Tensor forward_matmul(const Tensor& x) override;
-  /// The fused update pass (program_tiles): mask, threshold with
-  /// wear-leveling and fault skip, clamp, encode, write, write through.
-  UpdateStats apply_update(const Tensor& delta,
-                           const UpdatePolicy& policy) override;
+  /// The fused update pass, one item per tile (program_tile): mask,
+  /// threshold with wear-leveling and fault skip, clamp, encode, write,
+  /// write through.
+  [[nodiscard]] std::unique_ptr<UpdateItems> split_update(
+      const Tensor& delta, const UpdatePolicy& policy) override;
   void assign(const Tensor& w) override;
   /// Device writes landed on every tile (sums the tiles).
   [[nodiscard]] std::uint64_t write_count() const override {
@@ -194,14 +198,23 @@ class CrossbarWeightStore final : public WeightStore {
     std::uint64_t cells = 0;   ///< cells programmed
     std::uint64_t writes = 0;  ///< device writes that landed
     std::size_t wearout = 0;   ///< cells the pass wore out
+    WriteTally& operator+=(const WriteTally& o);
   };
+  /// split_update's items, one per tile (defined in the .cpp).
+  template <class Select>
+  class TileUpdates;
 
-  /// The one per-cell write loop, one pool lane per tile, each visiting
-  /// its cells in a serial logical row-major sweep's order (bit-identical
-  /// at any thread count). `select(i, j, span, xs, lr, lc, stats)` — `xs`
-  /// the tile on each leg plane — may update target_(i, j) and returns
-  /// whether to program the cell from it; programmed cells of tiles whose
-  /// panel block was current at the start of the pass are written through.
+  /// The one per-cell write loop, over one tile: it visits the tile's
+  /// cells in a serial logical row-major sweep's order, so the tile's bits
+  /// do not depend on which lane runs it or on what runs beside it.
+  /// `select(i, j, span, xs, lr, lc, stats)` — `xs` the tile on each leg
+  /// plane — may update target_(i, j) and returns whether to program the
+  /// cell from it; if the tile's panel block was current at the start,
+  /// programmed cells are written through. Writes only this tile's state.
+  template <class Select>
+  WriteTally program_tile(const TileSpan& span, const Select& select);
+  /// program_tile over every tile, one pool lane per tile; tallies summed
+  /// in tile order.
   template <class Select>
   WriteTally program_tiles(const Select& select);
   /// Add a pass's writes to the store.* metrics.

@@ -18,8 +18,12 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/threshold_trainer.hpp"
 #include "detect/quiescent_detector.hpp"
+#include "nn/dense.hpp"
+#include "nn/network.hpp"
 #include "rcs/crossbar_store.hpp"
+#include "rcs/rcs_system.hpp"
 #include "tensor/ops.hpp"
 
 namespace refit {
@@ -268,6 +272,87 @@ TEST(Backend, FusedUpdateBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(fnv1a(scripted_update_bytes(kind)), want)
           << "encoding " << static_cast<int>(kind) << ", " << threads
           << " threads";
+    }
+  }
+}
+
+/// A 3-layer rig of crossbar stores (6, 4 and 2 tiles of 128×128) taken
+/// through threshold-training steps: a prune mask on layer 0, the
+/// detected-fault skip on layer 1, wear-leveling β > 0, full-write steps
+/// and wear-out under low endurance. Returns each store's checkpoint after
+/// its config block (its targets and tile bytes).
+std::vector<std::string> scripted_step_bytes(EncodingKind kind) {
+  RcsConfig cfg;
+  cfg.write_noise_sigma = 0.02;
+  cfg.fabrication.fraction = 0.05;
+  cfg.endurance = EnduranceModel::gaussian(8.0, 2.0);
+  cfg.encoding = kind;
+  RcsSystem rcs(cfg, Rng(21));
+  Rng wrng(22);
+  Network net;
+  const std::size_t dims[] = {300, 200, 130, 10};
+  for (std::size_t l = 0; l < 3; ++l) {
+    net.add(std::make_unique<Dense>("fc" + std::to_string(l), dims[l],
+                                    dims[l + 1], rcs.factory(), wrng));
+  }
+  PruneMask mask;
+  mask.rows = dims[0];
+  mask.cols = dims[1];
+  mask.pruned.resize(mask.rows * mask.cols);
+  for (std::size_t n = 0; n < mask.pruned.size(); ++n)
+    mask.pruned[n] = n % 5 == 1;
+  PruneState prune;
+  prune.merge_mask(0, mask);
+  DetectedFaults detected(3);
+  const LrSchedule lr{0.05, 1.0, 0, 1e-4};
+  const ThresholdTrainer leveled({0.01, 2.0}, lr);
+  const ThresholdTrainer full({0.0, 0.0}, lr);
+  Rng grng(23);
+  for (std::size_t step = 0; step < 6; ++step) {
+    detected[1] = rcs.stores()[1]->true_fault_matrix();
+    std::vector<Param> params = net.params();
+    for (Param& p : params) {
+      for (std::size_t n = 0; n < p.grad->numel(); ++n) {
+        (*p.grad)[n] = grng.bernoulli(0.7)
+                           ? static_cast<float>(grng.normal(0.0, 0.5))
+                           : 0.0f;
+      }
+    }
+    (void)(step % 3 == 2 ? full : leveled).step(params, step, &prune,
+                                                 &detected);
+  }
+  std::vector<std::string> out;
+  std::size_t wearout = 0;
+  for (const CrossbarWeightStore* store : rcs.stores()) {
+    wearout += store->wearout_fault_count();
+    std::ostringstream os;
+    store->save_state(os);
+    out.push_back(os.str().substr(8 + sizeof(RcsConfig)));
+  }
+  EXPECT_GT(wearout, 0u) << "script should wear cells out";
+  return out;
+}
+
+TEST(Backend, OneUpdatePassMatchesPerStoreUpdates) {
+  PoolGuard guard;
+  // FNV-1a of each store's bytes after the same script, recorded when
+  // every store ran its own update pass in turn.
+  const std::pair<EncodingKind, std::vector<std::uint64_t>> cases[] = {
+      {EncodingKind::kSingleCell,
+       {0x1121b7c73cda0b11ULL, 0xbd57f0e2975a02f5ULL, 0x7d0a91db82986061ULL}},
+      {EncodingKind::kDifferentialPair,
+       {0x4da5f9b2a7e113a7ULL, 0x0d33c1105d11aa68ULL, 0x5cd3bed92cf77357ULL}},
+  };
+  for (const auto& [kind, want] : cases) {
+    for (const std::size_t threads : {1UL, 4UL}) {
+      ThreadPool::set_global_threads(threads);
+      const std::vector<std::string> got = scripted_step_bytes(kind);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t l = 0; l < got.size(); ++l) {
+        EXPECT_EQ(fnv1a(got[l]), want[l])
+            << "encoding " << static_cast<int>(kind) << ", layer " << l
+            << ", " << threads << " threads";
+      }
     }
   }
 }

@@ -275,6 +275,38 @@ TEST(StoreCheckpoint, OtherTileGeometryIsRejected) {
   }
 }
 
+TEST(StoreCheckpoint, RejectedTileLeavesStoreUnchanged) {
+  // A checkpoint that passes every header check but fails inside its last
+  // tile must leave the whole store as it was: targets, read-out and
+  // write count.
+  RcsConfig cfg;
+  cfg.tile_rows = cfg.tile_cols = 16;
+  cfg.fabrication.fraction = 0.15;
+  Rng wrng(4);
+  CrossbarWeightStore a(cfg, Tensor::randn({20, 12}, wrng, 0.05f), Rng(5));
+  a.apply_delta(Tensor::randn({20, 12}, wrng, 0.01f));
+  std::stringstream saved;
+  a.save_state(saved);
+  std::string bytes = saved.str();
+  // The tiles end the checkpoint, followed by the noise RNG and tick count.
+  const Crossbar& last = a.tile(a.tile_grid_rows() - 1, a.tile_grid_cols() - 1);
+  const std::string tile_bytes = saved_bytes(last);
+  const std::size_t at = bytes.size() - sizeof(Rng::State) -
+                         sizeof(std::uint64_t) - tile_bytes.size();
+  ASSERT_EQ(bytes.compare(at, tile_bytes.size(), tile_bytes), 0);
+  bytes[at + CrossbarLayout(last.rows() * last.cols()).faults] = 5;
+
+  CrossbarWeightStore b(cfg, Tensor::randn({20, 12}, wrng, 0.05f), Rng(6));
+  const std::vector<float> target = b.target().vec();
+  const std::vector<float> effective = b.effective().vec();
+  const std::uint64_t writes = b.write_count();
+  std::stringstream corrupt(bytes);
+  EXPECT_THROW(b.restore_state(corrupt), CheckError);
+  EXPECT_EQ(b.target().vec(), target);
+  EXPECT_EQ(b.effective().vec(), effective);
+  EXPECT_EQ(b.write_count(), writes);
+}
+
 TEST(NetworkCheckpoint, RoundtripRestoresOutputs) {
   Rng rng(6);
   Network a = make_mlp({10, 8, 4}, software_store_factory(), rng);

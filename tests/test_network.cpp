@@ -4,12 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <functional>
+
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
+#include "rcs/rcs_system.hpp"
 
 namespace refit {
 namespace {
@@ -149,9 +155,90 @@ TEST(Evaluate, MatchesAccuracy) {
   Tensor x;
   std::vector<std::uint8_t> y;
   make_toy(rng, 50, x, y);
-  const double e = net.evaluate(x, y, 16);
+  const double e = net.evaluate(x, y);
   const double a = accuracy(net.forward(x, false), y);
-  EXPECT_NEAR(e, a, 1e-12);
+  EXPECT_EQ(e, a);
+}
+
+/// Restores the default global pool when a test is done overriding it.
+struct PoolGuard {
+  ~PoolGuard() { ThreadPool::set_global_threads(1); }
+};
+
+/// evaluate() against one serial full-batch forward, at 1 and 4 threads:
+/// 16-sample chunks forwarded on the pool's lanes, as evaluate() runs
+/// them, give the full batch's logits bit for bit, and evaluate() its
+/// accuracy exactly. `stale` runs before each forward pass and may leave
+/// a store's read-out cache stale without changing what it computes.
+void expect_chunks_match_full_batch(Network& net, const Tensor& x,
+                                    const std::vector<std::uint8_t>& y,
+                                    const std::function<void()>& stale) {
+  constexpr std::size_t kChunk = 16;
+  const std::size_t n = x.dim(0);
+  ThreadPool::set_global_threads(1);
+  stale();
+  const Tensor full = net.forward(x, /*train=*/false);
+  const double want = accuracy(full, y);
+  const std::size_t cols = full.dim(1);
+  for (const std::size_t threads : {1UL, 4UL}) {
+    SCOPED_TRACE(threads);
+    ThreadPool::set_global_threads(threads);
+    stale();
+    EXPECT_EQ(net.evaluate(x, y), want);
+    std::vector<Tensor> parts((n + kChunk - 1) / kChunk);
+    parallel_for(parts.size(), [&](std::size_t c0, std::size_t c1) {
+      for (std::size_t c = c0; c < c1; ++c) {
+        const std::size_t begin = c * kChunk;
+        parts[c] = net.forward(
+            slice_batch(x, begin, std::min(begin + kChunk, n)), false);
+      }
+    });
+    for (std::size_t c = 0; c < parts.size(); ++c) {
+      ASSERT_EQ(parts[c].dim(1), cols);
+      EXPECT_EQ(std::memcmp(parts[c].data(), full.data() + c * kChunk * cols,
+                            parts[c].numel() * sizeof(float)),
+                0)
+          << "chunk " << c;
+    }
+  }
+}
+
+TEST(Evaluate, ChunkedMatchesOneBatchForward) {
+  PoolGuard guard;
+  {
+    SCOPED_TRACE("mlp");
+    Rng rng(9);
+    Network net = make_mlp({4, 12, 2}, software_store_factory(), rng);
+    Tensor x;
+    std::vector<std::uint8_t> y;
+    make_toy(rng, 50, x, y);  // three full chunks and a 2-sample tail
+    expect_chunks_match_full_batch(net, x, y, [] {});
+  }
+  {
+    SCOPED_TRACE("crossbar vgg-mini");
+    RcsConfig rc;
+    rc.tile_rows = 16;  // several tiles per layer
+    rc.tile_cols = 16;
+    rc.fabrication.fraction = 0.1;
+    RcsSystem rcs(rc, Rng(10));
+    VggMiniConfig cfg;
+    cfg.in_hw = 8;
+    cfg.conv_channels = {8, 8};
+    cfg.pool_after = {0, 1};
+    cfg.fc_hidden = {16};
+    Rng rng(11);
+    Network net = make_vgg_mini(cfg, rcs.factory(), rcs.factory(), rng);
+    const Tensor x = Tensor::randn({40, 3, 8, 8}, rng);
+    std::vector<std::uint8_t> y(40);
+    for (std::size_t i = 0; i < y.size(); ++i) y[i] = i % 10;
+    // Re-pinning a stuck cell bumps its tile's mutation count, so
+    // evaluate() must re-pack that panel block on the caller before its
+    // lanes read the panel.
+    Crossbar& tile = rcs.stores()[1]->tile(0, 0);
+    expect_chunks_match_full_batch(net, x, y, [&] {
+      tile.force_fault(2, 3, FaultKind::kStuckAt1);
+    });
+  }
 }
 
 }  // namespace

@@ -349,6 +349,37 @@ TEST_F(ObsTest, TraceSpansRecordAndSerialize) {
   EXPECT_NE(json.find("\"dur\":1.500"), std::string::npos);
 }
 
+TEST_F(ObsTest, SpansInsidePoolChunksAreNotRecorded) {
+  // A span inside a chunk would land on whichever thread ran the chunk:
+  // the caller at 1 thread, a worker or the caller at 4. Only the
+  // caller's parallel_for span and the spans around it are recorded, and
+  // the chunks read no clock, so the caller's timestamps match too.
+  std::vector<obs::TraceEvent> traces[2];
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    Tracer::global().reset();
+    ThreadPool::set_global_threads(threads);
+    obs::ManualClock clock(1000);
+    obs::set_clock(&clock);
+    parallel_for(64, [](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        obs::TraceSpan chunk("chunk", "test");
+        parallel_for(4, [](std::size_t, std::size_t) {
+          obs::TraceSpan nested("nested", "test");
+        });
+      }
+    });
+    { obs::TraceSpan after("after", "test"); }
+    traces[threads == 1 ? 0 : 1] = Tracer::global().collect();
+    obs::set_clock(nullptr);
+  }
+  for (const auto& events : traces) {
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].name, "parallel_for");
+    EXPECT_EQ(events[1].name, "after");
+  }
+  EXPECT_EQ(traces[0][1].ts_ns, traces[1][1].ts_ns);
+}
+
 TEST_F(ObsTest, DisabledTracerEmitsEmptyDocument) {
   Tracer::global().set_enabled(false);
   {
