@@ -241,14 +241,23 @@ void DetectionPhase::run(EngineContext& ctx) {
 
 // ---- RemapPhase ----------------------------------------------------------
 
+namespace {
+// Re-map only during the first this-many detection phases. On-line
+// training adapts the surviving weights *around* the current fault
+// placement, so a late re-map invalidates that adaptation even when it
+// reduces static collisions; early re-maps get the alignment benefit
+// without the cost.
+constexpr std::size_t kRemapMaxPhases = 2;
+}  // namespace
+
 bool RemapPhase::due(const EngineContext& ctx) const {
   const FtFlowConfig& cfg = *ctx.cfg;
   // Runs only in an iteration whose detection phase just completed (the
   // phase list places it right after DetectionPhase), and only during the
-  // first remap_max_phases detections.
+  // first kRemapMaxPhases detections.
   return cfg.remap_enabled && ctx.detection_iteration == ctx.iteration &&
          !ctx.result.phases.empty() &&
-         ctx.phase_count <= cfg.remap_max_phases;
+         ctx.phase_count <= kRemapMaxPhases;
 }
 
 void RemapPhase::run(EngineContext& ctx) {
@@ -402,7 +411,8 @@ namespace {
 constexpr std::uint64_t kEngineTag = 0x5245464954454E47ULL;  // "REFITENG"
 // 2: ThresholdConfig (inside the raw FtFlowConfig) lost its global_max
 // flag, which changed the struct's layout.
-constexpr std::uint32_t kEngineVersion = 2;
+// 3: remap_max_phases and RemapConfig's tuning fields became constants.
+constexpr std::uint32_t kEngineVersion = 3;
 
 void write_size_vec(std::ostream& os, const std::vector<std::size_t>& v) {
   std::vector<std::uint64_t> tmp(v.begin(), v.end());
@@ -538,6 +548,9 @@ void FtEngine::save_checkpoint(std::ostream& os) const {
 
 void FtEngine::load_checkpoint(Network& net, RcsSystem* rcs,
                                const Dataset& data, std::istream& is) {
+  // Any throw below leaves a context that is not a run (reset, or
+  // half-read), so the engine stays unstarted until the load completes.
+  begun_ = false;
   ser::expect_tag(is, kEngineTag);
   const auto version = ser::read_pod<std::uint32_t>(is);
   REFIT_CHECK_MSG(version == kEngineVersion,

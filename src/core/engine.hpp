@@ -60,12 +60,9 @@ struct FtFlowConfig {
   std::size_t detection_period = 500;
   DetectorConfig detector;
   bool remap_enabled = true;
+  /// Re-mapping runs during the first two detection phases only (see
+  /// RemapPhase).
   RemapConfig remap;
-  /// Re-map only during the first K detection phases. On-line training
-  /// adapts the surviving weights *around* the current fault placement, so
-  /// a late re-map invalidates that adaptation even when it reduces static
-  /// collisions; early re-maps get the alignment benefit without the cost.
-  std::size_t remap_max_phases = 2;
   PruneConfig prune;
   /// Suppress training writes to cells the detector flagged faulty. Saves
   /// endurance/energy, but detector false positives freeze healthy cells,
@@ -243,7 +240,7 @@ class DetectionPhase final : public Phase {
 };
 
 /// Neuron re-ordering (§5.2); runs right after a detection, during the
-/// first remap_max_phases detection phases only.
+/// first two detection phases only.
 class RemapPhase final : public Phase {
  public:
   [[nodiscard]] const char* name() const override { return "remap"; }
@@ -305,7 +302,10 @@ class FtEngine {
   /// Resume a run saved by save_checkpoint into freshly constructed
   /// net/rcs/data (built the same way as the original run's); overwrites
   /// their state in place. Continue with step()/finish(). Throws
-  /// CheckError on a truncated, corrupt or mismatched checkpoint.
+  /// CheckError on a truncated, corrupt or mismatched checkpoint; the
+  /// engine is then unstarted (step(), finish() and save_checkpoint()
+  /// throw until begin() or a successful load), and the net and RCS may be
+  /// part-restored, so rebuild them before reusing them.
   void load_checkpoint(Network& net, RcsSystem* rcs, const Dataset& data,
                        std::istream& is);
 

@@ -13,13 +13,24 @@ namespace refit {
 
 namespace {
 
-/// Collision penalty of one (weight, cell) pair under a cost model.
-double cell_cost(bool pruned, FaultKind fault, RemapCostModel model) {
+// Random swap attempts per neuron for kGreedySwap.
+constexpr std::size_t kGreedyTrialsPerNeuron = 60;
+// Genetic-algorithm search.
+constexpr std::size_t kGaPopulation = 24;
+constexpr std::size_t kGaGenerations = 80;
+constexpr double kGaMutationRate = 0.25;
+constexpr std::size_t kGaTournament = 3;
+constexpr std::size_t kGaElites = 2;
+// Install a new permutation only if it cuts the collision cost by at least
+// this fraction. Re-mapping rewrites every moved cell (endurance +
+// write-noise cost) and invalidates the network's adaptation to the old
+// fault placement; measured end-to-end (ABL_REMAP), installs below ~20 %
+// cost more accuracy than they recover.
+constexpr double kMinImprovement = 0.2;
+
+/// Collision penalty of one (weight, cell) pair (see build_interface_cost).
+double cell_cost(bool pruned, FaultKind fault) {
   if (fault == FaultKind::kNone) return 0.0;
-  if (model == RemapCostModel::kPaperExact) {
-    return pruned ? 0.0 : 1.0;
-  }
-  // kPhysical
   if (fault == FaultKind::kStuckAt0) return pruned ? 0.0 : 2.0;
   // kStuckAt1: a pruned weight would read ±w_max (worst case); an unpruned
   // one is merely distorted.
@@ -80,8 +91,7 @@ double InterfaceCost::total(const std::vector<std::size_t>& perm) const {
 
 InterfaceCost build_interface_cost(const RemapInterface& iface,
                                    const DetectedFaults& detected,
-                                   const PruneState& prune,
-                                   RemapCostModel model) {
+                                   const PruneState& prune) {
   const std::size_t m = iface.neurons;
   InterfaceCost cost(m);
 
@@ -104,7 +114,7 @@ InterfaceCost build_interface_cost(const RemapInterface& iface,
           double c = 0.0;
           for (const auto& [i, k] : faulty_rows) {
             const bool pruned = mask != nullptr && mask->at(i, j);
-            c += cell_cost(pruned, k, model);
+            c += cell_cost(pruned, k);
           }
           cost.add(j, p, c);
         }
@@ -135,7 +145,7 @@ InterfaceCost build_interface_cost(const RemapInterface& iface,
             const std::size_t bb = flat / cols;
             const std::size_t c = flat % cols;
             const bool pruned = mask != nullptr && mask->at(j * b + bb, c);
-            csum += cell_cost(pruned, k, model);
+            csum += cell_cost(pruned, k);
           }
           cost.add(j, p, csum);
         }
@@ -198,12 +208,11 @@ std::vector<std::size_t> hungarian_assignment(const InterfaceCost& cost) {
 
 namespace {
 
-std::vector<std::size_t> greedy_swap(const InterfaceCost& cost,
-                                     const RemapConfig& cfg, Rng& rng) {
+std::vector<std::size_t> greedy_swap(const InterfaceCost& cost, Rng& rng) {
   const std::size_t m = cost.size();
   std::vector<std::size_t> perm = identity_perm(m);
   if (m < 2) return perm;
-  const std::size_t trials = cfg.greedy_trials_per_neuron * m;
+  const std::size_t trials = kGreedyTrialsPerNeuron * m;
   for (std::size_t t = 0; t < trials; ++t) {
     const std::size_t a = rng.uniform_index(m);
     std::size_t b = rng.uniform_index(m - 1);
@@ -240,17 +249,15 @@ std::vector<std::size_t> ox_crossover(const std::vector<std::size_t>& a,
   return child;
 }
 
-std::vector<std::size_t> genetic(const InterfaceCost& cost,
-                                 const RemapConfig& cfg, Rng& rng) {
+std::vector<std::size_t> genetic(const InterfaceCost& cost, Rng& rng) {
   const std::size_t m = cost.size();
   if (m < 2) return identity_perm(m);
   struct Individual {
     std::vector<std::size_t> perm;
     double fitness = 0.0;
   };
-  const std::size_t pop_size = std::max<std::size_t>(4, cfg.ga_population);
-  std::vector<Individual> pop(pop_size);
-  for (std::size_t k = 0; k < pop_size; ++k) {
+  std::vector<Individual> pop(kGaPopulation);
+  for (std::size_t k = 0; k < kGaPopulation; ++k) {
     pop[k].perm = identity_perm(m);
     if (k > 0) rng.shuffle(pop[k].perm);
     pop[k].fitness = cost.total(pop[k].perm);
@@ -261,23 +268,22 @@ std::vector<std::size_t> genetic(const InterfaceCost& cost,
   std::sort(pop.begin(), pop.end(), by_fitness);
 
   auto tournament = [&]() -> const Individual& {
-    std::size_t best = rng.uniform_index(pop_size);
-    for (std::size_t t = 1; t < cfg.ga_tournament; ++t) {
-      const std::size_t c = rng.uniform_index(pop_size);
+    std::size_t best = rng.uniform_index(kGaPopulation);
+    for (std::size_t t = 1; t < kGaTournament; ++t) {
+      const std::size_t c = rng.uniform_index(kGaPopulation);
       if (pop[c].fitness < pop[best].fitness) best = c;
     }
     return pop[best];
   };
 
-  for (std::size_t gen = 0; gen < cfg.ga_generations; ++gen) {
+  for (std::size_t gen = 0; gen < kGaGenerations; ++gen) {
     std::vector<Individual> next;
-    next.reserve(pop_size);
-    for (std::size_t e = 0; e < std::min(cfg.ga_elites, pop_size); ++e)
-      next.push_back(pop[e]);
-    while (next.size() < pop_size) {
+    next.reserve(kGaPopulation);
+    for (std::size_t e = 0; e < kGaElites; ++e) next.push_back(pop[e]);
+    while (next.size() < kGaPopulation) {
       Individual child;
       child.perm = ox_crossover(tournament().perm, tournament().perm, rng);
-      if (rng.bernoulli(cfg.ga_mutation_rate)) {
+      if (rng.bernoulli(kGaMutationRate)) {
         const std::size_t a = rng.uniform_index(m);
         std::size_t b = rng.uniform_index(m - 1);
         if (b >= a) ++b;
@@ -301,9 +307,9 @@ std::vector<std::size_t> optimize_assignment(const InterfaceCost& cost,
     case RemapAlgorithm::kNone:
       return identity_perm(cost.size());
     case RemapAlgorithm::kGreedySwap:
-      return greedy_swap(cost, cfg, rng);
+      return greedy_swap(cost, rng);
     case RemapAlgorithm::kGenetic:
-      return genetic(cost, cfg, rng);
+      return genetic(cost, rng);
     case RemapAlgorithm::kHungarian:
       return hungarian_assignment(cost);
   }
@@ -366,15 +372,14 @@ RemapReport remap_network(Network& net, const DetectedFaults& detected,
                           Rng& rng) {
   RemapReport report;
   for (const RemapInterface& iface : find_remap_interfaces(net)) {
-    const InterfaceCost cost =
-        build_interface_cost(iface, detected, prune, cfg.cost_model);
+    const InterfaceCost cost = build_interface_cost(iface, detected, prune);
     const std::vector<std::size_t> cur = current_assignment(iface);
     const double before = cost.total(cur);
     std::vector<std::size_t> perm = optimize_assignment(cost, cfg, rng);
     double after = cost.total(perm);
     // Install only clear wins: a re-map rewrites every moved cell, so a
     // marginal cost reduction is a net loss.
-    if (after >= before * (1.0 - cfg.min_improvement)) {
+    if (after >= before * (1.0 - kMinImprovement)) {
       perm = cur;
       after = before;
     }

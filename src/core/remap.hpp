@@ -6,7 +6,9 @@
 // so no routing hardware is added. The goal (Eq. 3-4) is the permutation
 // minimizing Dist(P, F): the number of cells where an unpruned weight
 // collides with a stuck cell, so that the network's inherent sparsity
-// "absorbs" SA0 faults.
+// "absorbs" SA0 faults. The cost here weights each collision by what the
+// cell reads under the |w|+sign encoding, so an SA1 cell under a pruned
+// weight counts too (build_interface_cost).
 //
 // Because the placement cost decomposes per (logical neuron j → physical
 // slot p) pair once neighboring interfaces are fixed, each interface is a
@@ -29,32 +31,8 @@ class Rng;
 /// Search strategy for the per-interface assignment problem.
 enum class RemapAlgorithm { kNone, kGreedySwap, kGenetic, kHungarian };
 
-/// Collision cost model.
-///  - kPaperExact: Eq. 3 verbatim — an error iff the weight is unpruned and
-///    the cell is faulty (any fault kind).
-///  - kPhysical: accounts for the |w|+sign encoding — SA0 under an unpruned
-///    weight costs 2; SA1 under a pruned weight costs 2 (it would read
-///    ±w_max instead of 0); SA1 under an unpruned weight costs 1.
-enum class RemapCostModel { kPaperExact, kPhysical };
-
 struct RemapConfig {
   RemapAlgorithm algorithm = RemapAlgorithm::kGreedySwap;
-  RemapCostModel cost_model = RemapCostModel::kPhysical;
-  /// Random swap attempts per neuron for kGreedySwap.
-  std::size_t greedy_trials_per_neuron = 60;
-  /// Genetic-algorithm knobs.
-  std::size_t ga_population = 24;
-  std::size_t ga_generations = 80;
-  double ga_mutation_rate = 0.25;
-  std::size_t ga_tournament = 3;
-  std::size_t ga_elites = 2;
-  /// Install a new permutation only if it cuts the collision cost by at
-  /// least this fraction. Re-mapping rewrites every moved cell (endurance +
-  /// write-noise cost) and invalidates the network's adaptation to the old
-  /// fault placement; measured end-to-end (ABL_REMAP), installs below
-  /// ~20 % cost more accuracy than they recover, so the default is
-  /// conservative.
-  double min_improvement = 0.2;
 };
 
 /// One re-orderable neuron interface between consecutive matrix layers.
@@ -99,11 +77,13 @@ class InterfaceCost {
 };
 
 /// Build the assignment cost for one interface from the detected faults and
-/// the pruning masks (missing maps/masks contribute zero cost).
+/// the pruning masks (missing maps/masks contribute zero cost). The cost
+/// accounts for the |w|+sign encoding: SA0 under an unpruned weight costs
+/// 2; SA1 under a pruned weight costs 2 (it would read ±w_max instead of
+/// 0); SA1 under an unpruned weight costs 1.
 InterfaceCost build_interface_cost(const RemapInterface& iface,
                                    const DetectedFaults& detected,
-                                   const PruneState& prune,
-                                   RemapCostModel model);
+                                   const PruneState& prune);
 
 /// Solve the assignment problem with the chosen algorithm.
 std::vector<std::size_t> optimize_assignment(const InterfaceCost& cost,
@@ -120,7 +100,10 @@ struct RemapReport {
 };
 
 /// Optimize every eligible interface (coordinate descent, one sweep) and
-/// install the resulting permutations on the crossbar stores.
+/// install the resulting permutations on the crossbar stores. A
+/// permutation is installed only if it cuts the interface's collision cost
+/// by at least 20 %; otherwise the interface keeps its placement and
+/// reports cost_after == cost_before.
 RemapReport remap_network(Network& net, const DetectedFaults& detected,
                           const PruneState& prune, const RemapConfig& cfg,
                           Rng& rng);

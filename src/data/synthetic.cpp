@@ -11,6 +11,11 @@ namespace refit {
 
 namespace {
 
+// Maximum random translation (pixels) applied per sample.
+constexpr int kMaxShift = 2;
+// Per-sample brightness scaling range [1-a, 1+a].
+constexpr double kAmplitudeJitter = 0.25;
+
 /// Draw `strokes` random-walk strokes into `img` (size hw×hw).
 void draw_strokes(std::vector<float>& img, std::size_t hw, int strokes,
                   Rng& rng) {
@@ -121,13 +126,11 @@ void synthesize_split(const std::vector<std::vector<float>>& protos,
     const auto cls =
         static_cast<std::uint8_t>(rng.uniform_index(protos.size()));
     labels[i] = cls;
-    const int sx = static_cast<int>(
-        rng.uniform_int(-cfg.max_shift, cfg.max_shift));
-    const int sy = static_cast<int>(
-        rng.uniform_int(-cfg.max_shift, cfg.max_shift));
+    const int sx = static_cast<int>(rng.uniform_int(-kMaxShift, kMaxShift));
+    const int sy = static_cast<int>(rng.uniform_int(-kMaxShift, kMaxShift));
     shifted_copy(protos[cls], ch, hw, sx, sy, shifted.data());
     const float amp = static_cast<float>(
-        rng.uniform(1.0 - cfg.amplitude_jitter, 1.0 + cfg.amplitude_jitter));
+        rng.uniform(1.0 - kAmplitudeJitter, 1.0 + kAmplitudeJitter));
     float* dst = images.data() + i * per_img;
     for (std::size_t p = 0; p < per_img; ++p) {
       float v = amp * shifted[p] +

@@ -18,16 +18,14 @@ class Rng;
 
 /// Knobs for the synthetic generators. Defaults give a fault-free accuracy
 /// ceiling in the ~85-95 % range, mirroring the paper's 85.2 % ideal case.
+/// Every sample is also translated by up to 2 pixels and scaled in
+/// brightness by a factor in [0.75, 1.25].
 struct SyntheticConfig {
   std::size_t train_size = 4096;
   std::size_t test_size = 1024;
   std::size_t num_classes = 10;
   /// Pixel-wise Gaussian noise added to every sample.
   float noise_stddev = 0.35f;
-  /// Maximum random translation (pixels) applied per sample.
-  int max_shift = 2;
-  /// Per-sample brightness scaling range [1-a, 1+a].
-  float amplitude_jitter = 0.25f;
   /// Pixels below this value are clipped to exactly 0 (mimics MNIST's
   /// black background; ignored by the CIFAR-like generator, whose real
   /// counterpart is dense). Gives the sparse activations/gradients the

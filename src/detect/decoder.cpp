@@ -9,6 +9,9 @@ namespace refit {
 
 namespace {
 
+// Sweeps of the exact rules before the fallback takes over.
+constexpr std::size_t kMaxIterations = 16;
+
 enum class CellState : unsigned char { kUnknown, kHealthy, kFaulty };
 
 struct SegmentState {
@@ -74,7 +77,7 @@ std::vector<bool> decode_segments(const DecodeInput& in) {
   if (in.use_constraint_propagation) {
     bool changed = true;
     std::size_t iters = 0;
-    while (changed && iters++ < in.max_iterations) {
+    while (changed && iters++ < kMaxIterations) {
       changed = false;
       for (auto* vec : {&rs, &cs}) {
         for (SegmentState& ss : *vec) {

@@ -39,8 +39,8 @@ struct DecodeInput {
   std::vector<bool> candidate;
   std::vector<Segment> row_segments;
   std::vector<Segment> col_segments;
+  /// Run the exact rules (step 1, at most 16 sweeps) before the fallback.
   bool use_constraint_propagation = true;
-  std::size_t max_iterations = 16;
 };
 
 /// Per-cell verdicts; flat row-major, true = predicted faulty.

@@ -5,7 +5,7 @@
 
 namespace refit {
 
-MarchOutcome march_test(Crossbar& xbar, const MarchConfig& cfg) {
+MarchOutcome march_test(Crossbar& xbar) {
   const std::size_t rows = xbar.rows(), cols = xbar.cols();
   const auto levels = static_cast<int>(xbar.config().levels);
   const double gap = xbar.config().level_gap();
@@ -45,11 +45,9 @@ MarchOutcome march_test(Crossbar& xbar, const MarchConfig& cfg) {
         if (readback >= original && original == levels - 1) stuck_high = true;
       }
 
-      if (cfg.restore) {
-        xbar.write(r, c, original * gap);
-        ++out.cycles;
-        ++out.device_writes;
-      }
+      xbar.write(r, c, original * gap);
+      ++out.cycles;
+      ++out.device_writes;
 
       if (stuck_low) {
         out.predicted.set(r, c, FaultKind::kStuckAt0);

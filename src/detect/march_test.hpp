@@ -25,14 +25,8 @@ struct MarchOutcome {
   std::uint64_t device_writes = 0; ///< endurance-consuming pulses issued
 };
 
-/// Knobs for the March baseline.
-struct MarchConfig {
-  /// Restore each cell's original level after testing (2 extra cycles of
-  /// the sequence; disabling models a destructive test).
-  bool restore = true;
-};
-
-/// Run the per-cell March sequence over the whole crossbar.
-MarchOutcome march_test(Crossbar& xbar, const MarchConfig& cfg = {});
+/// Run the per-cell March sequence over the whole crossbar; each cell is
+/// restored to its original level after it is tested.
+MarchOutcome march_test(Crossbar& xbar);
 
 }  // namespace refit

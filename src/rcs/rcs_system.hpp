@@ -7,7 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/check.hpp"
 #include "rcs/crossbar_store.hpp"
 
 namespace refit {
@@ -21,16 +20,6 @@ class RcsSystem {
   explicit RcsSystem(RcsConfig cfg, Rng rng);
 
   [[nodiscard]] const RcsConfig& config() const { return cfg_; }
-
-  /// Builder-style setter for tweaking the config after construction but
-  /// BEFORE any store is registered. A later change would silently apply
-  /// only to future stores (the old mutable_config() footgun) — so it is
-  /// rejected once the factory has produced a store.
-  void set_config(const RcsConfig& cfg) {
-    REFIT_DCHECK_MSG(stores_.empty(),
-                     "RcsSystem config is frozen once stores exist");
-    cfg_ = cfg;
-  }
 
   /// StoreFactory that builds crossbar stores registered with this system.
   [[nodiscard]] StoreFactory factory();

@@ -208,22 +208,61 @@ TEST(EngineCheckpoint, ThreadCountDoesNotChangeTheResult) {
   expect_identical(serial, parallel);
 }
 
+/// Checkpoint of the default Rig after one step of the full flow.
+std::string one_step_checkpoint(const Dataset& data) {
+  std::stringstream checkpoint;
+  Rig rig;
+  FtEngine engine(ft_flow());
+  engine.begin(rig.net, &rig.sys, data, Rng(3));
+  engine.step();
+  engine.save_checkpoint(checkpoint);
+  return checkpoint.str();
+}
+
 TEST(EngineCheckpoint, LoadRejectsMismatchedFlowConfig) {
   const Dataset data = small_mnist();
-  std::stringstream checkpoint;
-  {
-    Rig rig;
-    FtEngine engine(ft_flow());
-    engine.begin(rig.net, &rig.sys, data, Rng(3));
-    engine.step();
-    engine.save_checkpoint(checkpoint);
-  }
+  std::stringstream checkpoint(one_step_checkpoint(data));
   Rig rig;
   FtFlowConfig other = ft_flow();
   other.iterations = 480;  // different schedule → not the same run
   FtEngine engine(other);
   EXPECT_THROW(engine.load_checkpoint(rig.net, &rig.sys, data, checkpoint),
                CheckError);
+}
+
+TEST(EngineCheckpoint, OtherVersionIsRejected) {
+  const Dataset data = small_mnist();
+  std::string bytes = one_step_checkpoint(data);
+  // The u32 format version follows the u64 tag.
+  const std::uint32_t old_version = 2;
+  std::memcpy(bytes.data() + 8, &old_version, sizeof old_version);
+  std::stringstream stale(bytes);
+  Rig rig;
+  FtEngine engine(ft_flow());
+  EXPECT_THROW(engine.load_checkpoint(rig.net, &rig.sys, data, stale),
+               CheckError);
+}
+
+TEST(EngineCheckpoint, RejectedLoadLeavesEngineUnstarted) {
+  const Dataset data = small_mnist();
+  const std::string bytes = one_step_checkpoint(data);
+  // Cut right after the config block (the context is reset, nothing read
+  // back) and at half length (the context is half-restored).
+  const std::size_t after_config = 8 + 4 + sizeof(FtFlowConfig);
+  for (std::size_t cut : {after_config, bytes.size() / 2}) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    Rig rig;
+    FtEngine engine(ft_flow());
+    engine.begin(rig.net, &rig.sys, data, Rng(3));
+    engine.step();
+    std::stringstream truncated(bytes.substr(0, cut));
+    EXPECT_THROW(engine.load_checkpoint(rig.net, &rig.sys, data, truncated),
+                 CheckError);
+    EXPECT_THROW(engine.step(), CheckError);
+    EXPECT_THROW((void)engine.finish(), CheckError);
+    std::stringstream out;
+    EXPECT_THROW(engine.save_checkpoint(out), CheckError);
+  }
 }
 
 /// The per-layer tail of a checkpoint of the default Rig saved after the
@@ -329,6 +368,26 @@ TEST(EngineObserver, SeesEveryPhaseBoundaryInOrder) {
       "run-end",
   };
   EXPECT_EQ(rec.events, want);
+}
+
+TEST(FtEngine, RemapRunsInTheFirstTwoDetectionPhasesOnly) {
+  struct PhaseCounter final : EngineObserver {
+    std::size_t detections = 0;
+    std::size_t remaps = 0;
+    void on_phase_begin(const Phase& p, const EngineContext&) override {
+      const std::string name = p.name();
+      if (name == "detection") ++detections;
+      if (name == "remap") ++remaps;
+    }
+  };
+  const Dataset data = small_mnist();
+  Rig rig;
+  PhaseCounter counter;
+  FtEngine engine(ft_flow());
+  engine.add_observer(&counter);
+  (void)engine.run(rig.net, &rig.sys, data, Rng(3));
+  EXPECT_GE(counter.detections, 3u);
+  EXPECT_EQ(counter.remaps, 2u);
 }
 
 TEST(FtEngine, StandardPhasesMatchTheMonolithicOrder) {

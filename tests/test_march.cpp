@@ -105,19 +105,5 @@ TEST(MarchTest, WearsTestedCells) {
   EXPECT_GE(out.device_writes, 2u * 64);  // ≥2 pulses per healthy cell
 }
 
-TEST(MarchTest, NoRestoreSavesCycles) {
-  Crossbar a = make_xbar(16, 15);
-  Crossbar b = make_xbar(16, 15);
-  Rng r1(16), r2(16);
-  randomize_crossbar_content(a, 0.3, 0.2, r1);
-  randomize_crossbar_content(b, 0.3, 0.2, r2);
-  MarchConfig with{};
-  MarchConfig without{};
-  without.restore = false;
-  const MarchOutcome ow = march_test(a, with);
-  const MarchOutcome on = march_test(b, without);
-  EXPECT_LT(on.cycles, ow.cycles);
-}
-
 }  // namespace
 }  // namespace refit

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/dense.hpp"
@@ -194,8 +196,9 @@ TEST(Remap, NeverInstallsWorsePlacement) {
   for (std::size_t j = 0; j < 8; ++j) EXPECT_EQ(store->col_perm()[j], j);
 }
 
-TEST(Remap, PaperCostModelIgnoresSa1UnderPruned) {
-  // The two cost models must diverge on an SA1 cell under a pruned weight.
+TEST(Remap, Sa1UnderPrunedWeightCostsTwo) {
+  // An SA1 cell reads ±w_max, so it costs 2 under a pruned weight (which
+  // should read 0) and 1 under an unpruned one (merely distorted).
   Rng rng(14);
   RcsSystem sys(clean_rcs(), Rng(15));
   Network net = make_mlp({2, 2, 2}, sys.factory(), rng);
@@ -211,14 +214,55 @@ TEST(Remap, PaperCostModelIgnoresSa1UnderPruned) {
   PruneConfig pcfg;
   pcfg.fc_sparsity = 0.5;
   PruneState prune = PruneState::compute(net, pcfg);
+  ASSERT_TRUE(prune.mask_for(0)->at(0, 0));
+  ASSERT_FALSE(prune.mask_for(0)->at(0, 1));
   const auto ifaces = find_remap_interfaces(net);
   ASSERT_EQ(ifaces.size(), 1u);
-  const InterfaceCost paper = build_interface_cost(
-      ifaces[0], detected, prune, RemapCostModel::kPaperExact);
-  const InterfaceCost phys = build_interface_cost(
-      ifaces[0], detected, prune, RemapCostModel::kPhysical);
-  // Paper model: pruned-on-SA1 is free; physical model penalizes it.
-  EXPECT_LT(paper.at(0, 0), phys.at(0, 0));
+  const InterfaceCost cost = build_interface_cost(ifaces[0], detected, prune);
+  EXPECT_DOUBLE_EQ(cost.at(0, 0), 2.0);  // pruned neuron 0 on the SA1 cell
+  EXPECT_DOUBLE_EQ(cost.at(1, 0), 1.0);  // unpruned neuron 1 on it
+  EXPECT_DOUBLE_EQ(cost.at(0, 1), 0.0);  // physical column 1 is healthy
+}
+
+/// Remap of an 8-8-4 MLP whose producer column 0 is all SA0 (cost 2 per
+/// unpruned cell) and whose logical column 3 has its first `pruned` weights
+/// masked: moving column 3 onto physical column 0 cuts the cost from 16 to
+/// 16 − 2·pruned. Returns the report and the producer's column permutation.
+std::pair<RemapReport, std::vector<std::size_t>> remap_with_pruned_cells(
+    std::size_t pruned) {
+  Rng rng(18);
+  RcsSystem sys(clean_rcs(), Rng(19));
+  Network net = make_mlp({8, 8, 4}, sys.factory(), rng);
+  auto* store =
+      dynamic_cast<CrossbarWeightStore*>(&net.matrix_layers()[0]->weights());
+  for (std::size_t r = 0; r < 8; ++r)
+    store->tile(0, 0).force_fault(r, 0, FaultKind::kStuckAt0);
+  DetectedFaults detected(2);
+  detected[0] = store->true_fault_matrix();
+  PruneMask mask{8, 8, std::vector<std::uint8_t>(64, 0)};
+  for (std::size_t r = 0; r < pruned; ++r) mask.pruned[r * 8 + 3] = 1;
+  PruneState prune;
+  prune.merge_mask(0, mask);
+  RemapConfig rcfg;
+  rcfg.algorithm = RemapAlgorithm::kHungarian;
+  const RemapReport report = remap_network(net, detected, prune, rcfg, rng);
+  return {report, store->col_perm()};
+}
+
+TEST(Remap, SmallCutIsNotInstalled) {
+  std::vector<std::size_t> ident(8);
+  std::iota(ident.begin(), ident.end(), 0);
+  // One pruned cell: the best placement cuts 16 → 14 (12.5 %), below the
+  // 20 % a re-map must save, so nothing moves.
+  const auto [small, kept] = remap_with_pruned_cells(1);
+  EXPECT_DOUBLE_EQ(small.cost_before, 16.0);
+  EXPECT_DOUBLE_EQ(small.cost_after, small.cost_before);
+  EXPECT_EQ(kept, ident);
+  // Two pruned cells: 16 → 12 (25 %) clears the bar and is installed.
+  const auto [large, moved] = remap_with_pruned_cells(2);
+  EXPECT_DOUBLE_EQ(large.cost_before, 16.0);
+  EXPECT_DOUBLE_EQ(large.cost_after, 12.0);
+  EXPECT_EQ(moved[3], 0u);
 }
 
 TEST(Remap, GeneticImprovesOverRandomOnStructuredCost) {
