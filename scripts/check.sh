@@ -7,8 +7,8 @@
 #               smoke, bench-diff and the observability captures
 #               (docs/tooling.md)
 #   asan-ubsan  the suite without the gates under AddressSanitizer + UBSan
-#   tsan        parallel-backend, device, store, detector, eval, update and
-#               obs tests under ThreadSanitizer (REFIT_THREADS=4)
+#   tsan        parallel-backend, device, store, detector, eval, train-step,
+#               update and obs tests under ThreadSanitizer (REFIT_THREADS=4)
 #
 # All stages run even when an earlier one fails; a per-stage summary prints
 # at the end and the exit status is non-zero if any stage failed. Extra
@@ -44,20 +44,21 @@ asan() {
 # Runs the same GEMM kernel the flows run. The Device, CrossbarStore and
 # Detector suites cover the tile-parallel lanes that write cells and bump
 # per-tile mutation counts (tick_noise, program_tiles, detect_store); the
-# Evaluate, Threshold and ObsTest suites cover the eval sample chunks, the
-# one update pass across stores and the span rule inside pool chunks.
+# Evaluate, TrainStep, Threshold and ObsTest suites cover the eval and
+# train-step sample chunks, the weight-gradient items, the one update pass
+# across stores and the span rule inside pool chunks.
 tsan() {
   cmake -B build-tsan -S . -DREFIT_SANITIZE=thread &&
     cmake --build build-tsan -j --target test_backend test_device \
       test_crossbar_store test_detector test_network test_threshold \
       test_obs &&
     (cd build-tsan && REFIT_THREADS=4 ctest --output-on-failure \
-       -R '^Backend|^Device|^CrossbarStore|^Detector|^Evaluate|^Threshold|^ObsTest')
+       -R '^Backend|^Device|^CrossbarStore|^Detector|^Evaluate|^TrainStep|^Threshold|^ObsTest')
 }
 
 stage tier1 "build (-Werror) + full test suite with gates" tier1 "$@"
 stage asan-ubsan "test suite under ASan + UBSan" asan
-stage tsan "backend/device/store/detector/eval/update/obs tests under TSan (REFIT_THREADS=4)" tsan
+stage tsan "backend/device/store/detector/eval/train-step/update/obs tests under TSan (REFIT_THREADS=4)" tsan
 
 echo
 overall=0

@@ -8,7 +8,6 @@
 
 #include "common/log.hpp"
 #include "common/serialize.hpp"
-#include "nn/loss.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 
@@ -72,9 +71,7 @@ bool TrainStepPhase::due(const EngineContext& ctx) const {
 void TrainStepPhase::run(EngineContext& ctx) {
   const FtFlowConfig& cfg = *ctx.cfg;
   const Batch batch = ctx.batcher->next();
-  Tensor logits = ctx.net->forward(batch.images, /*train=*/true);
-  LossResult loss = softmax_cross_entropy(logits, batch.labels);
-  ctx.net->backward(loss.grad_logits);
+  (void)ctx.net->train_gradients(batch.images, batch.labels);
   auto params = ctx.net->params();
   const ThresholdStepStats st = updater_.step(
       params, ctx.iteration,

@@ -6,15 +6,10 @@
 // — the re-mapping engine permutes whole blocks when re-ordering channels.
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "nn/layer.hpp"
 #include "tensor/ops.hpp"
 
 namespace refit {
-
-class Rng;
 
 class Conv2D final : public MatrixLayer {
  public:
@@ -25,14 +20,11 @@ class Conv2D final : public MatrixLayer {
          std::size_t stride, std::size_t pad, const StoreFactory& factory,
          Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void collect_params(std::vector<Param>& out) override;
-  void zero_grad() override;
+  Tensor forward_chunk(const Tensor& x, std::size_t offset,
+                       bool train) override;
+  Tensor backward_chunk(const Tensor& grad_out, std::size_t offset) override;
   [[nodiscard]] const char* kind() const override { return "conv"; }
 
-  [[nodiscard]] WeightStore& weights() override { return *store_; }
-  [[nodiscard]] const WeightStore& weights() const override { return *store_; }
   [[nodiscard]] std::size_t out_neurons() const override { return oc_; }
   [[nodiscard]] std::size_t in_neurons() const override {
     return geom_.in_channels;
@@ -45,15 +37,14 @@ class Conv2D final : public MatrixLayer {
   [[nodiscard]] std::size_t out_h() const { return geom_.out_h(); }
   [[nodiscard]] std::size_t out_w() const { return geom_.out_w(); }
 
+ protected:
+  Shape size_train_caches(const Shape& in) override;
+
  private:
+  void check_input(const Shape& in) const;
+
   ConvGeometry geom_;
   std::size_t oc_;
-  std::unique_ptr<WeightStore> store_;
-  Tensor bias_;
-  Tensor wgrad_;
-  Tensor bgrad_;
-  Tensor cached_cols_;
-  std::size_t cached_batch_ = 0;
 };
 
 }  // namespace refit

@@ -1,62 +1,49 @@
 // Fully-connected layer (see dense.hpp).
 #include "nn/dense.hpp"
 
-#include <cmath>
 #include <utility>
 
-#include "common/rng.hpp"
 #include "tensor/ops.hpp"
 
 namespace refit {
 
 Dense::Dense(std::string name, std::size_t in, std::size_t out,
              const StoreFactory& factory, Rng& rng)
-    : MatrixLayer(std::move(name)),
-      in_(in),
-      out_(out),
-      bias_({out}),
-      wgrad_({in, out}),
-      bgrad_({out}) {
-  REFIT_CHECK(in > 0 && out > 0);
-  const float stddev = std::sqrt(2.0f / static_cast<float>(in));
-  store_ = factory(this->name(), Tensor::randn({in, out}, rng, stddev));
-  REFIT_CHECK(store_ != nullptr);
+    : MatrixLayer(std::move(name), in, out, factory, rng), in_(in), out_(out) {}
+
+void Dense::check_input(const Shape& in) const {
+  REFIT_CHECK_MSG(in.size() == 2 && in[1] == in_,
+                  "Dense " << name() << ": bad input " << shape_to_string(in));
 }
 
-Tensor Dense::forward(const Tensor& x, bool train) {
-  REFIT_CHECK_MSG(x.rank() == 2 && x.dim(1) == in_,
-                  "Dense " << name() << ": bad input "
-                           << shape_to_string(x.shape()));
-  if (train) cached_input_ = x;
+Shape Dense::size_train_caches(const Shape& in) {
+  check_input(in);
+  size_grad_caches(in[0], 1);
+  return {in[0], out_};
+}
+
+Tensor Dense::forward_chunk(const Tensor& x, std::size_t offset, bool train) {
+  check_input(x.shape());
   // Through the store seam: the RCS backend fuses this multiply with the
   // device read-out (no effective-matrix materialization).
-  Tensor y = store_->forward_matmul(x);
-  add_row_vector(y, bias_);
+  Tensor y = affine(x);
+  if (train) {
+    check_chunk(offset, x.dim(0));
+    save_inputs(offset, x);
+  }
   return y;
 }
 
-Tensor Dense::backward(const Tensor& grad_out) {
-  REFIT_CHECK_MSG(!cached_input_.empty(),
-                  "Dense " << name() << ": backward before forward(train)");
+Tensor Dense::backward_chunk(const Tensor& grad_out, std::size_t offset) {
   REFIT_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_);
-  wgrad_ += matmul_tn(cached_input_, grad_out);
-  bgrad_ += column_sums(grad_out);
+  check_chunk(offset, grad_out.dim(0));
+  save_output_grads(offset, grad_out);
   // Back-propagation runs in the digital domain on the *stored* weight
   // copy: the training engine cannot read the whole array every iteration,
   // so it does not see stuck cells through the gradient. (This is exactly
   // why the paper needs an explicit fault-detection phase.) Only the
   // forward pass above went through the faulty crossbar.
-  return matmul_nt(grad_out, store_->target());
-}
-
-void Dense::collect_params(std::vector<Param>& out) {
-  out.push_back(Param{name() + ".W", store_.get(), nullptr, &wgrad_});
-  out.push_back(Param{name() + ".b", nullptr, &bias_, &bgrad_});
-}
-
-void Dense::zero_grad() {
-  wgrad_.zero();
-  bgrad_.zero();
+  return matmul_nt(grad_out, weights().target());
 }
 
 }  // namespace refit

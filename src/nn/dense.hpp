@@ -1,13 +1,9 @@
 // Fully-connected layer: y = x·W + b with W on a WeightStore.
 #pragma once
 
-#include <memory>
-
 #include "nn/layer.hpp"
 
 namespace refit {
-
-class Rng;
 
 class Dense final : public MatrixLayer {
  public:
@@ -16,28 +12,23 @@ class Dense final : public MatrixLayer {
   Dense(std::string name, std::size_t in, std::size_t out,
         const StoreFactory& factory, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void collect_params(std::vector<Param>& out) override;
-  void zero_grad() override;
+  Tensor forward_chunk(const Tensor& x, std::size_t offset,
+                       bool train) override;
+  Tensor backward_chunk(const Tensor& grad_out, std::size_t offset) override;
   [[nodiscard]] const char* kind() const override { return "dense"; }
 
-  [[nodiscard]] WeightStore& weights() override { return *store_; }
-  [[nodiscard]] const WeightStore& weights() const override { return *store_; }
   [[nodiscard]] std::size_t out_neurons() const override { return out_; }
   [[nodiscard]] std::size_t in_neurons() const override { return in_; }
   [[nodiscard]] std::size_t rows_per_in_neuron() const override { return 1; }
 
-  [[nodiscard]] Tensor& bias() { return bias_; }
+ protected:
+  Shape size_train_caches(const Shape& in) override;
 
  private:
+  void check_input(const Shape& in) const;
+
   std::size_t in_;
   std::size_t out_;
-  std::unique_ptr<WeightStore> store_;
-  Tensor bias_;
-  Tensor wgrad_;
-  Tensor bgrad_;
-  Tensor cached_input_;
 };
 
 }  // namespace refit

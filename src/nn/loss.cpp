@@ -29,12 +29,20 @@ Tensor softmax_rows(const Tensor& logits) {
 LossResult softmax_cross_entropy(const Tensor& logits,
                                  const std::vector<std::uint8_t>& labels) {
   REFIT_CHECK(logits.rank() == 2);
+  return softmax_cross_entropy_chunk(logits, labels, logits.dim(0));
+}
+
+LossResult softmax_cross_entropy_chunk(const Tensor& logits,
+                                       std::span<const std::uint8_t> labels,
+                                       std::size_t batch) {
+  REFIT_CHECK(logits.rank() == 2);
   const std::size_t rows = logits.dim(0), cols = logits.dim(1);
   REFIT_CHECK_MSG(labels.size() == rows, "label count mismatch");
+  REFIT_CHECK(rows <= batch);
   LossResult res;
   res.grad_logits = softmax_rows(logits);
   double loss = 0.0;
-  const auto inv_batch = static_cast<float>(1.0 / static_cast<double>(rows));
+  const auto inv_batch = static_cast<float>(1.0 / static_cast<double>(batch));
   for (std::size_t i = 0; i < rows; ++i) {
     const std::size_t y = labels[i];
     REFIT_CHECK_MSG(y < cols, "label " << y << " out of range " << cols);
@@ -46,7 +54,7 @@ LossResult softmax_cross_entropy(const Tensor& logits,
     row[y] -= 1.0f;
     for (std::size_t j = 0; j < cols; ++j) row[j] *= inv_batch;
   }
-  res.loss = loss / static_cast<double>(rows);
+  res.loss = loss / static_cast<double>(batch);
   return res;
 }
 

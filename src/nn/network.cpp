@@ -2,11 +2,22 @@
 #include "nn/network.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/thread_pool.hpp"
 
 namespace refit {
+
+namespace {
+
+/// Samples per train_gradients work item. A constant, not a function of
+/// the pool size, so that the per-call counters (store.fused_forward.calls)
+/// and every artifact stay the same at any thread count: a batch of 8 is
+/// four items, one per lane of a 4-thread pool.
+constexpr std::size_t kTrainChunk = 2;
+
+}  // namespace
 
 Layer& Network::add(std::unique_ptr<Layer> layer) {
   REFIT_CHECK(layer != nullptr);
@@ -27,6 +38,40 @@ Tensor Network::backward(const Tensor& grad_logits) {
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
     cur = (*it)->backward(cur);
   return cur;
+}
+
+Tensor Network::train_gradients(const Tensor& images,
+                                const std::vector<std::uint8_t>& labels) {
+  REFIT_CHECK_MSG(!layers_.empty(), "train_gradients on empty network");
+  const std::size_t n = images.rank() >= 2 ? images.dim(0) : 0;
+  REFIT_CHECK(n > 0 && labels.size() == n);
+  // Every read-out cache is made current and every training cache sized
+  // for the whole batch here, so the lanes below write only their own
+  // samples' rows (Layer::begin_train).
+  for (MatrixLayer* ml : matrix_layers()) ml->weights().prepare_forward();
+  Shape shape = images.shape();
+  for (auto& layer : layers_) shape = layer->begin_train(shape);
+  REFIT_CHECK_MSG(shape.size() == 2, "logits must be [batch, classes]");
+  Tensor logits(shape);
+  const std::size_t classes = shape[1];
+  const std::size_t chunks = (n + kTrainChunk - 1) / kTrainChunk;
+  parallel_for(chunks, [&](std::size_t c0, std::size_t c1) {
+    for (std::size_t c = c0; c < c1; ++c) {
+      const std::size_t begin = c * kTrainChunk;
+      const std::size_t end = std::min(begin + kTrainChunk, n);
+      Tensor cur = slice_batch(images, begin, end);
+      for (auto& layer : layers_) cur = layer->forward_chunk(cur, begin, true);
+      std::copy(cur.data(), cur.data() + cur.numel(),
+                logits.data() + begin * classes);
+      cur = softmax_cross_entropy_chunk(
+                cur, std::span(labels).subspan(begin, end - begin), n)
+                .grad_logits;
+      for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
+        cur = (*it)->backward_chunk(cur, begin);
+    }
+  });
+  accumulate_weight_grads(matrix_layers());
+  return logits;
 }
 
 std::vector<Param> Network::params() {

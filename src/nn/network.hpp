@@ -27,6 +27,16 @@ class Network {
   /// each layer. Returns the gradient w.r.t. the network input.
   Tensor backward(const Tensor& grad_logits);
 
+  /// One training step's gradients: forward(images, true), the mean
+  /// softmax cross-entropy against `labels` and backward, accumulated into
+  /// every layer's parameter gradients; returns the logits. Two pool jobs:
+  /// the forward, loss and input gradients of fixed 2-sample chunks across
+  /// lanes, then every weight-gradient item (accumulate_weight_grads). The
+  /// gradients and logits are bit-identical to the whole-batch calls, at
+  /// any thread count.
+  Tensor train_gradients(const Tensor& images,
+                         const std::vector<std::uint8_t>& labels);
+
   /// References to every trainable parameter (rebuilt on each call).
   [[nodiscard]] std::vector<Param> params();
 

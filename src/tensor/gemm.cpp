@@ -18,10 +18,6 @@ namespace refit::gemm {
 
 namespace {
 
-/// Row-block height of the mid loop: bounds the A slab a lane streams per
-/// strip pass to kMC×k floats so it stays L2-resident at bench shapes.
-constexpr std::size_t kMC = 64;
-
 /// One micro-kernel: C[mr, nvalid] = A[mr, k] · one packed strip.
 using MicroFn = void (*)(std::size_t k, const float* a, std::size_t lda,
                          const float* bp, float* c, std::size_t ldc,
@@ -210,11 +206,17 @@ void pack_bt(const float* bt, std::size_t n, std::size_t k, float* bp) {
 
 void pack_at(const float* a, std::size_t k, std::size_t m, float* at) {
   parallel_for_grained(m, k, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      float* dst = at + i * k;
-      for (std::size_t kk = 0; kk < k; ++kk) dst[kk] = a[kk * m + i];
-    }
+    pack_at_rows(a, k, m, i0, i1, at + i0 * k, k);
   });
+}
+
+void pack_at_rows(const float* a, std::size_t k, std::size_t m,
+                  std::size_t i0, std::size_t i1, float* at,
+                  std::size_t ldat) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    float* dst = at + (i - i0) * ldat;
+    for (std::size_t kk = 0; kk < k; ++kk) dst[kk] = a[kk * m + i];
+  }
 }
 
 void run(std::size_t m, std::size_t k, std::size_t n, const float* a,

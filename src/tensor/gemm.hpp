@@ -28,6 +28,11 @@ namespace refit::gemm {
 inline constexpr std::size_t kMR = 8;
 inline constexpr std::size_t kNR = 8;
 
+/// Row-block height of run()'s mid loop: bounds the A slab a lane streams
+/// per strip pass to kMC×k floats so it stays L2-resident at bench shapes.
+/// Callers that split one GEMM into row-block work items use it too.
+inline constexpr std::size_t kMC = 64;
+
 /// Number of kNR-wide column strips covering n columns.
 [[nodiscard]] constexpr std::size_t strip_count(std::size_t n) {
   return (n + kNR - 1) / kNR;
@@ -56,6 +61,12 @@ void pack_bt(const float* bt, std::size_t n, std::size_t k, float* bp);
 /// Transpose-pack column-walked A[k,m] into row-major At[m,k] — removes
 /// matmul_tn's stride-m column walk from the inner loop.
 void pack_at(const float* a, std::size_t k, std::size_t m, float* at);
+
+/// Rows [i0, i1) of pack_at's At, serially: at[(i - i0)·ldat + kk] =
+/// a[kk·m + i]. With ldat > k, an A that arrives in row chunks packs each
+/// chunk at its k offset of one At (a train step's sample chunks do).
+void pack_at_rows(const float* a, std::size_t k, std::size_t m,
+                  std::size_t i0, std::size_t i1, float* at, std::size_t ldat);
 
 /// C[m,n] (row-major, ldc) = A[m,k] (row-major, lda) · packed B. Fans C
 /// rows across the pool with grain control. `zero_skip` replicates the

@@ -78,10 +78,30 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   REFIT_CHECK_MSG(b.dim(1) == k, "inner dims mismatch in matmul_nt");
   Tensor c({m, n});
   count_gemm_flops(m, k, n);
+  // The pre-blocking nt kernel had no zero skip; keep its exact FP path.
+  if (m <= gemm::kMC) {
+    // One row block, as in a train chunk's input gradient: each packed
+    // strip is read by one kernel pass only, so lanes pack and use a group
+    // of strips at a time instead of packing all of B into their scratch.
+    constexpr std::size_t kGroupCols = 8 * gemm::kNR;
+    parallel_for_grained(
+        (n + kGroupCols - 1) / kGroupCols, 2 * m * k * kGroupCols,
+        [&](std::size_t g0, std::size_t g1) {
+          std::vector<float> panels;
+          for (std::size_t g = g0; g < g1; ++g) {
+            const std::size_t j0 = g * kGroupCols;
+            const std::size_t cols = std::min(kGroupCols, n - j0);
+            panels.resize(gemm::packed_size(k, cols));
+            gemm::pack_bt(b.data() + j0 * k, cols, k, panels.data());
+            gemm::run(m, k, cols, a.data(), k, panels.data(), c.data() + j0,
+                      n, /*zero_skip=*/false);
+          }
+        });
+    return c;
+  }
   std::vector<float>& panels = gemm::scratch(0);
   panels.resize(gemm::packed_size(k, n));
   gemm::pack_bt(b.data(), n, k, panels.data());
-  // The pre-blocking nt kernel had no zero skip; keep its exact FP path.
   gemm::run(m, k, n, a.data(), k, panels.data(), c.data(), n,
             /*zero_skip=*/false);
   return c;
@@ -106,19 +126,6 @@ void add_row_vector(Tensor& m, const Tensor& bias) {
     float* row = mp + i * cols;
     for (std::size_t j = 0; j < cols; ++j) row[j] += bp[j];
   }
-}
-
-Tensor column_sums(const Tensor& m) {
-  check_rank2(m, "m");
-  const std::size_t rows = m.dim(0), cols = m.dim(1);
-  Tensor s({cols});
-  const float* mp = m.data();
-  float* sp = s.data();
-  for (std::size_t i = 0; i < rows; ++i) {
-    const float* row = mp + i * cols;
-    for (std::size_t j = 0; j < cols; ++j) sp[j] += row[j];
-  }
-  return s;
 }
 
 // im2col and col2im walk each patch as (c, kh) kernel rows. A kernel row
@@ -264,41 +271,45 @@ Tensor nchw_to_rows(const Tensor& t) {
   return rows;
 }
 
+Shape maxpool2d_shape(const Shape& input, std::size_t window,
+                      std::size_t stride) {
+  REFIT_CHECK(input.size() == 4 && window > 0 && stride > 0);
+  REFIT_CHECK(input[2] >= window && input[3] >= window);
+  return {input[0], input[1], (input[2] - window) / stride + 1,
+          (input[3] - window) / stride + 1};
+}
+
 Tensor maxpool2d(const Tensor& input, std::size_t window, std::size_t stride,
-                 std::vector<std::size_t>& argmax) {
-  REFIT_CHECK(input.rank() == 4);
-  const std::size_t batch = input.dim(0), ch = input.dim(1),
-                    ih = input.dim(2), iw = input.dim(3);
-  REFIT_CHECK(ih >= window && iw >= window);
-  const std::size_t oh = (ih - window) / stride + 1;
-  const std::size_t ow = (iw - window) / stride + 1;
-  Tensor out({batch, ch, oh, ow});
-  argmax.assign(out.numel(), 0);
+                 std::span<std::size_t> argmax) {
+  Tensor out(maxpool2d_shape(input.shape(), window, stride));
+  REFIT_CHECK(argmax.size() == out.numel());
+  const std::size_t ch = input.dim(1), ih = input.dim(2), iw = input.dim(3);
+  const std::size_t oh = out.dim(2), ow = out.dim(3);
   // Output index derived from (n, c, y, x) instead of a running counter so
   // each image's windows can run on a separate lane; grained so small pools
-  // stay inline.
-  parallel_for_grained(batch, ch * oh * ow * window * window,
+  // stay inline. The running maximum and its index update through
+  // conditional selects (maxss and cmov at -O2) rather than the branch
+  // that mispredicted on activations.
+  parallel_for_grained(input.dim(0), ch * oh * ow * window * window,
                        [&](std::size_t n0, std::size_t n1) {
   for (std::size_t n = n0; n < n1; ++n) {
     for (std::size_t c = 0; c < ch; ++c) {
+      const std::size_t plane = (n * ch + c) * ih;
       for (std::size_t y = 0; y < oh; ++y) {
         for (std::size_t x = 0; x < ow; ++x) {
-          const std::size_t oi = ((n * ch + c) * oh + y) * ow + x;
           float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
+          std::size_t best_idx = (plane + y * stride) * iw + x * stride;
           for (std::size_t wy = 0; wy < window; ++wy) {
             for (std::size_t wx = 0; wx < window; ++wx) {
-              const std::size_t yy = y * stride + wy;
-              const std::size_t xx = x * stride + wx;
               const std::size_t flat =
-                  ((n * ch + c) * ih + yy) * iw + xx;
+                  (plane + y * stride + wy) * iw + x * stride + wx;
               const float v = input[flat];
-              if (v > best) {
-                best = v;
-                best_idx = flat;
-              }
+              const bool take = v > best;
+              best = take ? v : best;
+              best_idx = take ? flat : best_idx;
             }
           }
+          const std::size_t oi = ((n * ch + c) * oh + y) * ow + x;
           out[oi] = best;
           argmax[oi] = best_idx;
         }
@@ -309,8 +320,14 @@ Tensor maxpool2d(const Tensor& input, std::size_t window, std::size_t stride,
   return out;
 }
 
+Tensor maxpool2d(const Tensor& input, std::size_t window, std::size_t stride,
+                 std::vector<std::size_t>& argmax) {
+  argmax.resize(shape_numel(maxpool2d_shape(input.shape(), window, stride)));
+  return maxpool2d(input, window, stride, std::span<std::size_t>(argmax));
+}
+
 Tensor maxpool2d_backward(const Tensor& grad_out, const Shape& input_shape,
-                          const std::vector<std::size_t>& argmax) {
+                          std::span<const std::size_t> argmax) {
   REFIT_CHECK(grad_out.numel() == argmax.size());
   Tensor grad_in(input_shape);
   for (std::size_t i = 0; i < argmax.size(); ++i) {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -23,9 +24,6 @@ Tensor transpose(const Tensor& m);
 
 /// Add a length-n bias vector to every row of an [m,n] matrix.
 void add_row_vector(Tensor& m, const Tensor& bias);
-
-/// Column sums of an [m,n] matrix → [n]  (bias gradient).
-Tensor column_sums(const Tensor& m);
 
 /// Geometry of a 2-D convolution / pooling window.
 struct ConvGeometry {
@@ -64,13 +62,23 @@ Tensor rows_to_nchw(const Tensor& rows, std::size_t batch, std::size_t oc,
 /// Inverse of rows_to_nchw.
 Tensor nchw_to_rows(const Tensor& t);
 
+/// Output shape of maxpool2d over an [N,C,H,W] input.
+Shape maxpool2d_shape(const Shape& input, std::size_t window,
+                      std::size_t stride);
+
 /// 2-D max pooling over [N,C,H,W]; returns pooled output and writes the
-/// flat argmax index of each window into `argmax` (same numel as output).
+/// flat input index of each window's maximum into `argmax` (one per output
+/// element). Strict `>`: ties go to the window's first maximum, and NaN is
+/// never selected; an all-NaN or all −∞ window yields −∞ at its first
+/// element.
+Tensor maxpool2d(const Tensor& input, std::size_t window, std::size_t stride,
+                 std::span<std::size_t> argmax);
+/// maxpool2d into a vector resized to the output's numel.
 Tensor maxpool2d(const Tensor& input, std::size_t window, std::size_t stride,
                  std::vector<std::size_t>& argmax);
 
 /// Scatter pooled gradients back through the recorded argmax indices.
 Tensor maxpool2d_backward(const Tensor& grad_out, const Shape& input_shape,
-                          const std::vector<std::size_t>& argmax);
+                          std::span<const std::size_t> argmax);
 
 }  // namespace refit

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <string>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -16,6 +17,7 @@
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
+#include "obs/metrics.hpp"
 #include "rcs/rcs_system.hpp"
 
 namespace refit {
@@ -239,6 +241,131 @@ TEST(Evaluate, ChunkedMatchesOneBatchForward) {
     expect_chunks_match_full_batch(net, x, y, [&] {
       tile.force_fault(2, 3, FaultKind::kStuckAt1);
     });
+  }
+}
+
+/// Counter total from the process-wide registry (0 when never recorded).
+std::uint64_t counter_total(const std::string& name) {
+  for (const obs::MetricSnapshot& m :
+       obs::MetricsRegistry::instance().snapshot()) {
+    if (m.name == name) return m.count;
+  }
+  return 0;
+}
+
+/// Restores the metrics switch and the default pool after a test.
+struct MetricsOn {
+  MetricsOn() : was_(obs::metrics_enabled()) {
+    obs::MetricsRegistry::instance().set_enabled(true);
+  }
+  ~MetricsOn() {
+    obs::MetricsRegistry::instance().set_enabled(was_);
+    ThreadPool::set_global_threads(1);
+  }
+  bool was_;
+};
+
+/// Every parameter gradient, copied in params() order.
+std::vector<Tensor> grads_of(Network& net) {
+  std::vector<Tensor> out;
+  for (const Param& p : net.params()) out.push_back(*p.grad);
+  return out;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// train_gradients' chunked job at 1–4 threads against the layer-by-layer
+/// whole-batch forward(train), loss and backward at 1 thread: the logits
+/// and every parameter gradient bit for bit, and the same fused-forward
+/// and GEMM-flop counts at every thread count. `stale` runs before each
+/// pass and leaves a crossbar tile's read-out cache stale, so the lanes
+/// would race on its re-pack unless train_gradients made it current first.
+void expect_chunked_train_matches_layers(Network& net, const Tensor& images,
+                                         Crossbar& tile) {
+  // Re-pinning a stuck cell changes nothing after the first time, but
+  // bumps the tile's mutation count.
+  const auto stale = [&] { tile.force_fault(2, 3, FaultKind::kStuckAt1); };
+  std::vector<std::uint8_t> all(images.dim(0));
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = (i * 7 + 3) % 10;
+  for (const std::size_t batch : {8UL, 7UL, 1UL}) {
+    SCOPED_TRACE(batch);
+    const Tensor x = slice_batch(images, 0, batch);
+    const std::vector<std::uint8_t> y(all.begin(), all.begin() + batch);
+    ThreadPool::set_global_threads(1);
+    net.zero_grad();
+    stale();
+    Tensor want = x;
+    for (std::size_t i = 0; i < net.size(); ++i)
+      want = net.layer(i).forward(want, /*train=*/true);
+    Tensor grad = softmax_cross_entropy(want, y).grad_logits;
+    for (std::size_t i = net.size(); i-- > 0;)
+      grad = net.layer(i).backward(grad);
+    const std::vector<Tensor> want_grads = grads_of(net);
+    std::uint64_t want_calls = 0, want_flops = 0;
+    for (const std::size_t threads : {1UL, 2UL, 3UL, 4UL}) {
+      SCOPED_TRACE(threads);
+      ThreadPool::set_global_threads(threads);
+      net.zero_grad();
+      stale();
+      const std::uint64_t calls0 = counter_total("store.fused_forward.calls");
+      const std::uint64_t flops0 = counter_total("tensor.gemm.flops");
+      const Tensor logits = net.train_gradients(x, y);
+      const std::uint64_t calls =
+          counter_total("store.fused_forward.calls") - calls0;
+      const std::uint64_t flops = counter_total("tensor.gemm.flops") - flops0;
+      EXPECT_TRUE(same_bits(logits, want));
+      const std::vector<Tensor> got = grads_of(net);
+      ASSERT_EQ(got.size(), want_grads.size());
+      for (std::size_t p = 0; p < got.size(); ++p)
+        EXPECT_TRUE(same_bits(got[p], want_grads[p])) << "param " << p;
+      if (threads == 1) {
+        want_calls = calls;
+        want_flops = flops;
+        EXPECT_GT(flops, 0u);
+      }
+      EXPECT_EQ(calls, want_calls);
+      EXPECT_EQ(flops, want_flops);
+    }
+  }
+}
+
+TEST(TrainStep, ChunkedMatchesWholeBatchLayers) {
+  MetricsOn metrics;
+  RcsConfig rc;
+  rc.tile_rows = 16;  // several tiles per layer
+  rc.tile_cols = 16;
+  rc.fabrication.fraction = 0.1;
+  {
+    SCOPED_TRACE("crossbar mlp");
+    RcsSystem rcs(rc, Rng(12));
+    Rng rng(13);
+    // 100 inputs: two weight-gradient row blocks; 37 hidden: a part strip.
+    Network net = make_mlp({100, 37, 10}, rcs.factory(), rng);
+    expect_chunked_train_matches_layers(net, Tensor::randn({8, 100}, rng),
+                                        rcs.stores()[0]->tile(0, 0));
+  }
+  {
+    SCOPED_TRACE("crossbar vgg-mini");
+    RcsSystem rcs(rc, Rng(14));
+    Rng rng(15);
+    Network net = make_vgg_mini(VggMiniConfig{}, rcs.factory(),
+                                rcs.factory(), rng);
+    expect_chunked_train_matches_layers(net,
+                                        Tensor::randn({8, 3, 16, 16}, rng),
+                                        rcs.stores()[1]->tile(0, 0));
+  }
+  {
+    SCOPED_TRACE("fc-only vgg-mini");
+    RcsSystem rcs(rc, Rng(16));
+    Rng rng(17);
+    Network net = make_vgg_mini(VggMiniConfig{}, software_store_factory(),
+                                rcs.factory(), rng);
+    expect_chunked_train_matches_layers(net,
+                                        Tensor::randn({8, 3, 16, 16}, rng),
+                                        rcs.stores()[0]->tile(0, 0));
   }
 }
 

@@ -76,14 +76,6 @@ TEST(AddRowVector, Broadcasts) {
   EXPECT_FLOAT_EQ(m.at(1, 2), 4.0f);
 }
 
-TEST(ColumnSums, Basics) {
-  Tensor m({2, 3}, std::vector<float>{1, 2, 3, 4, 5, 6});
-  Tensor s = column_sums(m);
-  EXPECT_FLOAT_EQ(s[0], 5.0f);
-  EXPECT_FLOAT_EQ(s[1], 7.0f);
-  EXPECT_FLOAT_EQ(s[2], 9.0f);
-}
-
 TEST(ConvGeometry, OutputDims) {
   ConvGeometry g{3, 16, 16, 3, 1, 1};
   EXPECT_EQ(g.out_h(), 16u);
@@ -165,6 +157,61 @@ TEST(MaxPool, BackwardScattersToArgmax) {
   EXPECT_FLOAT_EQ(gx[15], 1.0f);
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
   EXPECT_FLOAT_EQ(gx.sum(), 4.0f);
+}
+
+TEST(MaxPool, NanWindowKeepsGradientInWindow) {
+  // Image 1 is all NaN: its window has no maximum, so it must pick its own
+  // first element, not element 0 of the batch (image 0's).
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor x({2, 1, 2, 2}, std::vector<float>{1, 2, 3, 4, nan, nan, nan, nan});
+  std::vector<std::size_t> argmax;
+  const Tensor y = maxpool2d(x, 2, 2, argmax);
+  EXPECT_EQ(argmax, (std::vector<std::size_t>{3, 4}));
+  EXPECT_FLOAT_EQ(y[0], 4.0f);
+  const Tensor gx = maxpool2d_backward(Tensor(y.shape(), 1.0f), x.shape(),
+                                       argmax);
+  for (std::size_t i = 0; i < 8; ++i)
+    EXPECT_EQ(gx[i], (i == 3 || i == 4) ? 1.0f : 0.0f) << i;
+}
+
+TEST(MaxPool, MatchesNaiveReferenceOnSpecialValues) {
+  // Ties, NaN, ±inf and all −inf windows against a per-window reference:
+  // strict >, the first maximum wins, NaN is never picked, and a window
+  // with no maximum picks its first element.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float pool[] = {nan, inf, -inf, 1.0f, 1.0f, -2.0f, 0.0f, -0.0f};
+  Rng rng(19);
+  Tensor x({3, 2, 5, 6});
+  for (std::size_t i = 0; i < x.numel(); ++i)
+    x[i] = pool[rng.uniform_index(8)];
+  for (std::size_t i = 0; i < 4; ++i) x.at4(2, 1, i / 2, i % 2) = -inf;
+  for (const std::size_t stride : {std::size_t{1}, std::size_t{2}}) {
+    std::vector<std::size_t> argmax;
+    const Tensor y = maxpool2d(x, 2, stride, argmax);
+    for (std::size_t n = 0; n < 3; ++n)
+      for (std::size_t c = 0; c < 2; ++c)
+        for (std::size_t oy = 0; oy < y.dim(2); ++oy)
+          for (std::size_t ox = 0; ox < y.dim(3); ++ox) {
+            const std::size_t first =
+                ((n * 2 + c) * 5 + oy * stride) * 6 + ox * stride;
+            float best = -inf;
+            std::size_t idx = first;
+            for (std::size_t wy = 0; wy < 2; ++wy)
+              for (std::size_t wx = 0; wx < 2; ++wx) {
+                const std::size_t f = first + wy * 6 + wx;
+                if (x[f] > best) {
+                  best = x[f];
+                  idx = f;
+                }
+              }
+            const std::size_t oi = ((n * 2 + c) * y.dim(2) + oy) * y.dim(3) + ox;
+            EXPECT_EQ(argmax[oi], idx) << "stride " << stride << " out " << oi;
+            const float got = y[oi];
+            EXPECT_EQ(std::memcmp(&got, &best, sizeof(float)), 0)
+                << "stride " << stride << " out " << oi;
+          }
+  }
 }
 
 TEST(MaxPool, OverlappingWindows) {
@@ -378,6 +425,42 @@ TEST(GemmBlocked, PackedIndexMatchesPackB) {
   for (std::size_t kk = 0; kk < k; ++kk)
     for (std::size_t j = 0; j < n; ++j)
       EXPECT_EQ(bp[gemm::packed_index(k, kk, j)], b.at(kk, j));
+}
+
+TEST(GemmBlocked, RowRangePackMatchesMatmulTnRows) {
+  // A weight-gradient item: rows [i0, i1) of Aᵀ·B from an A held in row
+  // chunks (a train step's sample chunks), each packed at its k offset.
+  PoolGuard pool_guard;
+  Rng rng(17);
+  for (const auto& sh : kOddShapes) {
+    const Tensor at = sparse_randn({sh.k, sh.m}, rng);  // A, [k, m]
+    const Tensor b = sparse_randn({sh.k, sh.n}, rng);
+    const Tensor ref = matmul_tn(at, b);
+    std::vector<float> bp(gemm::packed_size(sh.k, sh.n));
+    gemm::pack_b(b.data(), sh.k, sh.n, bp.data());
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ThreadPool::set_global_threads(threads);
+      for (const std::size_t block : {std::size_t{5}, gemm::kMC}) {
+        for (std::size_t i0 = 0; i0 < sh.m; i0 += block) {
+          const std::size_t rows = std::min(block, sh.m - i0);
+          std::vector<float> a_rows(rows * sh.k);
+          for (std::size_t k0 = 0; k0 < sh.k; k0 += 3) {
+            const std::size_t kc = std::min<std::size_t>(3, sh.k - k0);
+            gemm::pack_at_rows(at.data() + k0 * sh.m, kc, sh.m, i0, i0 + rows,
+                               a_rows.data() + k0, sh.k);
+          }
+          std::vector<float> c(rows * sh.n);
+          gemm::run(rows, sh.k, sh.n, a_rows.data(), sh.k, bp.data(),
+                    c.data(), sh.n, /*zero_skip=*/true);
+          EXPECT_EQ(std::memcmp(c.data(), ref.data() + i0 * sh.n,
+                                c.size() * sizeof(float)),
+                    0)
+              << sh.m << "x" << sh.k << "x" << sh.n << " rows " << i0
+              << "+" << rows << " @" << threads;
+        }
+      }
+    }
+  }
 }
 
 // ---- Masked zero skip -------------------------------------------------------
