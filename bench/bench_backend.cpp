@@ -36,6 +36,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -323,6 +324,10 @@ int main(int argc, char** argv) {
   Rng rng(1);
   const Tensor a = Tensor::randn({n, n}, rng);
   const Tensor b = Tensor::randn({n, n}, rng);
+  // One +inf in B sends every zero-skip call on it to the masked kernel,
+  // so this row keeps that kernel timed.
+  Tensor b_nonfinite = b;
+  b_nonfinite.at(0, 0) = std::numeric_limits<float>::infinity();
   const Tensor img = Tensor::randn({32, 3, 16, 16}, rng);
   refit::ConvGeometry geom;
   geom.in_channels = 3;
@@ -348,6 +353,8 @@ int main(int argc, char** argv) {
   const std::vector<Kernel> kernels = {
       {"matmul_512", [&] { return refit::matmul(a, b); }, gemm_flops,
        [&] { return naive_matmul(a, b); }},
+      {"matmul_512_nonfinite",
+       [&] { return refit::matmul(a, b_nonfinite); }, gemm_flops, nullptr},
       {"matmul_tn_512", [&] { return refit::matmul_tn(a, b); }, gemm_flops,
        [&] { return naive_matmul_tn(a, b); }},
       {"matmul_nt_512", [&] { return refit::matmul_nt(a, b); }, gemm_flops,

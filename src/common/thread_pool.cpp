@@ -15,6 +15,7 @@
 #include <numeric>
 #include <string>
 
+#include "common/check.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -37,14 +38,12 @@ struct InsidePoolGuard {
   ~InsidePoolGuard() { obs::set_in_pool_chunk(false); }
 };
 
+/// REFIT_THREADS when set and non-empty, else the hardware's threads.
 std::size_t default_thread_count() {
-  if (const char* env = std::getenv("REFIT_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::size_t>(v);
-  }
+  const char* env = std::getenv("REFIT_THREADS");
+  if (env != nullptr && *env != '\0') return parse_thread_count(env);
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  return std::clamp<std::size_t>(hw, 1, kMaxThreads);
 }
 
 /// Chunk `lane` of [0, n) split into `lanes` contiguous ranges.
@@ -55,6 +54,19 @@ std::pair<std::size_t, std::size_t> chunk_range(std::size_t n,
 }
 
 }  // namespace
+
+std::size_t parse_thread_count(const char* value) {
+  // Digit by digit, stopping once past the cap, so no value overflows.
+  std::size_t v = 0;
+  const char* p = value;
+  for (; *p >= '0' && *p <= '9' && v <= kMaxThreads; ++p)
+    v = v * 10 + static_cast<std::size_t>(*p - '0');
+  REFIT_CHECK_MSG(p != value && *p == '\0' && v >= 1 && v <= kMaxThreads,
+                  "REFIT_THREADS=\"" << value
+                                     << "\" is not a lane count in [1, "
+                                     << kMaxThreads << "]");
+  return v;
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t lanes = std::max<std::size_t>(1, threads);

@@ -11,7 +11,8 @@
 //
 // The global pool is sized from REFIT_THREADS when set (1 disables
 // workers entirely and parallel_for degenerates to an inline loop on the
-// caller), otherwise from std::thread::hardware_concurrency().
+// caller), otherwise from std::thread::hardware_concurrency(), at most
+// kMaxThreads lanes either way.
 // Exceptions thrown inside a chunk are captured and rethrown on the
 // calling thread. parallel_for called from inside a worker runs inline
 // (no nested fan-out, no deadlock).
@@ -71,6 +72,15 @@ class ThreadPool {
   const std::function<void(std::size_t, std::size_t)>* job_body_ = nullptr;
   std::exception_ptr job_error_;
 };
+
+/// Most lanes the global pool runs: a REFIT_THREADS above it is rejected,
+/// and a larger hardware_concurrency() is capped to it.
+inline constexpr std::size_t kMaxThreads = 256;
+
+/// The lane count a REFIT_THREADS value names: decimal digits only, in
+/// [1, kMaxThreads]. Throws CheckError naming the variable and the value
+/// otherwise ("4x", "1e9", "0", "-2", "300").
+[[nodiscard]] std::size_t parse_thread_count(const char* value);
 
 /// parallel_for on the global pool — the call sites' spelling.
 inline void parallel_for(

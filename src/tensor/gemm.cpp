@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "common/thread_pool.hpp"
+#include "obs/metrics.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -112,18 +114,36 @@ template <bool ZeroSkip, std::size_t... R>
 constexpr MicroSet avx_set(std::index_sequence<R...>) {
   return {{&micro_avx<R + 1, ZeroSkip>...}};
 }
+
+/// True when no float of p[0, count) is ±inf or NaN; count is a multiple
+/// of kNR, as every packed panel's size is. |x| ≥ inf, unordered
+/// included, flags a lane.
+__attribute__((target("avx"))) bool all_finite_avx(const float* p,
+                                                   std::size_t count) {
+  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+  const __m256 inf = _mm256_set1_ps(std::numeric_limits<float>::infinity());
+  __m256 bad = _mm256_setzero_ps();
+  for (std::size_t i = 0; i < count; i += kNR) {
+    const __m256 v = _mm256_and_ps(_mm256_loadu_ps(p + i), abs_mask);
+    bad = _mm256_or_ps(bad, _mm256_cmp_ps(v, inf, _CMP_NLT_UQ));
+  }
+  return _mm256_movemask_ps(bad) == 0;
+}
 #endif
 
-/// The deterministic kernels of one ISA, indexed by zero_skip.
+/// The deterministic kernels of one ISA, indexed by zero_skip, and the
+/// panel scan that lets a zero-skip call run det[0] (null: never).
 struct DetKernels {
   const char* isa;
   MicroSet det[2];
+  bool (*all_finite)(const float* p, std::size_t count);
 };
 
 constexpr DetKernels kPortable = {
     "portable",
     {portable_set<false>(std::make_index_sequence<kMR>{}),
-     portable_set<true>(std::make_index_sequence<kMR>{})}};
+     portable_set<true>(std::make_index_sequence<kMR>{})},
+    nullptr};
 
 /// Chosen once per process: AVX when the CPU (and OS) support it.
 const DetKernels& dispatched() {
@@ -131,7 +151,8 @@ const DetKernels& dispatched() {
   static constexpr DetKernels kAvx = {
       "avx",
       {avx_set<false>(std::make_index_sequence<kMR>{}),
-       avx_set<true>(std::make_index_sequence<kMR>{})}};
+       avx_set<true>(std::make_index_sequence<kMR>{})},
+      &all_finite_avx};
   static const DetKernels& chosen =
       __builtin_cpu_supports("avx") ? kAvx : kPortable;
   return chosen;
@@ -222,7 +243,22 @@ void pack_at_rows(const float* a, std::size_t k, std::size_t m,
 void run(std::size_t m, std::size_t k, std::size_t n, const float* a,
          std::size_t lda, const float* bp, float* c, std::size_t ldc,
          bool zero_skip) {
-  drive(dispatched().det[zero_skip ? 1 : 0], m, k, n, a, lda, bp, c, ldc);
+  // Against a finite panel a skipped term's +0 or −0 product leaves the
+  // accumulator's bits unchanged, so the plain kernel gives the skip's
+  // bits (docs/kernels.md). Below one register block the scan costs about
+  // what the product does, so those calls keep the mask unscanned.
+  const DetKernels& ks = dispatched();
+  if (zero_skip && ks.all_finite != nullptr && m >= kMR) {
+    if (ks.all_finite(bp, packed_size(k, n))) {
+      zero_skip = false;
+    } else {
+      static obs::Counter masked_calls =
+          obs::MetricsRegistry::instance().counter("tensor.gemm.masked_calls",
+                                                   "calls");
+      masked_calls.add();
+    }
+  }
+  drive(ks.det[zero_skip ? 1 : 0], m, k, n, a, lda, bp, c, ldc);
 }
 
 const char* kernel_isa() { return dispatched().isa; }

@@ -13,7 +13,9 @@
 // sequence the pre-blocking naive kernels performed — so results are
 // bit-identical to them (and across thread counts; lanes write disjoint C
 // rows). On AVX hosts the zero skip of matmul/matmul_tn is a mask rather
-// than a branch, with the same bits (docs/kernels.md).
+// than a branch, with the same bits, and run() drops the mask when the
+// packed right-hand panel is all finite: a skipped term's ±0 product then
+// leaves every accumulator's bits unchanged (docs/kernels.md).
 #pragma once
 
 #include <cstddef>
@@ -71,7 +73,10 @@ void pack_at_rows(const float* a, std::size_t k, std::size_t m,
 /// C[m,n] (row-major, ldc) = A[m,k] (row-major, lda) · packed B. Fans C
 /// rows across the pool with grain control. `zero_skip` replicates the
 /// naive kernels' `if (a == 0) continue` (the post-ReLU sparsity
-/// shortcut) without changing any bit.
+/// shortcut) without changing any bit. With the AVX kernel and m ≥ kMR,
+/// a zero-skip call first scans the packed_size(k, n) panel on the
+/// calling lane: all finite runs the plain kernel, otherwise the masked
+/// one (counted in tensor.gemm.masked_calls).
 void run(std::size_t m, std::size_t k, std::size_t n, const float* a,
          std::size_t lda, const float* bp, float* c, std::size_t ldc,
          bool zero_skip);

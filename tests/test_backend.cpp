@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/threshold_trainer.hpp"
 #include "detect/quiescent_detector.hpp"
@@ -75,6 +76,27 @@ TEST(Backend, ParallelForPropagatesExceptions) {
     n += static_cast<int>(e - b);
   });
   EXPECT_EQ(n.load(), 10);
+}
+
+TEST(Backend, ThreadCountParseRejectsMalformedAndHugeValues) {
+  // Only the parse: no pool of a rejected size is ever built.
+  EXPECT_EQ(parse_thread_count("1"), 1u);
+  EXPECT_EQ(parse_thread_count("4"), 4u);
+  EXPECT_EQ(parse_thread_count("007"), 7u);
+  EXPECT_EQ(parse_thread_count("256"), kMaxThreads);
+  for (const char* bad : {"4x", "1e9", "0", "-2", "+4", " 4", "4 ", "", "x",
+                          "257", "1000000000",
+                          "99999999999999999999999999"}) {
+    try {
+      (void)parse_thread_count(bad);
+      ADD_FAILURE() << "accepted REFIT_THREADS=\"" << bad << "\"";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("REFIT_THREADS=\"" +
+                                           std::string(bad) + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Backend, GemmVariantsBitIdenticalAcrossThreadCounts) {

@@ -1,17 +1,22 @@
 // Unit tests for tensor kernels (src/tensor/ops.hpp): GEMM variants and
-// both micro-kernels against the naive loops, the masked zero skip,
-// im2col/col2im against their per-tap reference, pooling.
+// both micro-kernels against the naive loops, the masked zero skip and the
+// finite-panel rule that drops it, im2col/col2im against their per-tap
+// reference, pooling.
 #include "tensor/ops.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "nn/dense.hpp"
+#include "obs/metrics.hpp"
 #include "rcs/crossbar_store.hpp"
 #include "tensor/gemm.hpp"
 
@@ -552,6 +557,200 @@ TEST(GemmBlocked, FusedForwardMaskedSkipMatchesMatmul) {
         << "threads=" << threads;
     EXPECT_TRUE(same_bits(fused, ref)) << "threads=" << threads;
   }
+}
+
+// ---- Finite-panel dispatch --------------------------------------------------
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+const float kNonFinite[] = {kInf, -kInf,
+                            std::numeric_limits<float>::quiet_NaN()};
+
+/// C = A·B through gemm::run on a pack_b panel, with the zero skip.
+Tensor gemm_run_skip(const Tensor& a, const Tensor& b) {
+  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  std::vector<float> bp(gemm::packed_size(k, n));
+  gemm::pack_b(b.data(), k, n, bp.data());
+  Tensor c({m, n});
+  gemm::run(m, k, n, a.data(), k, bp.data(), c.data(), n, /*zero_skip=*/true);
+  return c;
+}
+
+/// gemm::run, matmul and matmul_tn on (a, b) at 1 and 4 threads, each
+/// against the naive skip loops and the portable kernel.
+void expect_skip_paths_exact(const Tensor& a, const Tensor& b,
+                             const std::string& what) {
+  PoolGuard pool_guard;
+  const Tensor at = transpose(a);
+  const Tensor ref = naive_matmul(a, b);
+  const Tensor ref_tn = naive_matmul_tn(at, b);
+  EXPECT_TRUE(same_bits(portable_matmul(a, b), ref)) << "portable " << what;
+  EXPECT_TRUE(same_bits(portable_matmul_tn(at, b), ref_tn))
+      << "portable tn " << what;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::set_global_threads(threads);
+    EXPECT_TRUE(same_bits(gemm_run_skip(a, b), ref))
+        << "run " << what << " @" << threads;
+    EXPECT_TRUE(same_bits(matmul(a, b), ref)) << what << " @" << threads;
+    EXPECT_TRUE(same_bits(matmul_tn(at, b), ref_tn))
+        << "tn " << what << " @" << threads;
+  }
+}
+
+TEST(GemmBlocked, FinitePanelSkipsWithoutMask) {
+  // B stays finite, so every call below with m ≥ kMR runs the plain
+  // kernel. Columns of A cycle through three kinds: ±0 (skipped terms),
+  // negative entries facing all-zero B rows (−0 products), and one NaN,
+  // +inf or −inf entry facing a random B row.
+  Rng rng(18);
+  for (const std::size_t m : {8, 13, 70, 130}) {
+    for (const std::size_t k : {1, 2, 33}) {
+      for (const std::size_t n : {9, 19}) {
+        Tensor a = Tensor::randn({m, k}, rng);
+        Tensor b = Tensor::randn({k, n}, rng);
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          if (kk % 3 == 0) {
+            for (std::size_t i = 0; i < m; ++i)
+              a.at(i, kk) = (i + kk) % 2 == 0 ? 0.0f : -0.0f;
+          } else if (kk % 3 == 1) {
+            for (std::size_t i = 0; i < m; ++i)
+              a.at(i, kk) = -0.5f - std::fabs(a.at(i, kk));
+            for (std::size_t j = 0; j < n; ++j) b.at(kk, j) = 0.0f;
+          } else {
+            a.at((kk / 3) % m, kk) = kNonFinite[(kk / 3) % 3];
+          }
+        }
+        expect_skip_paths_exact(a, b, std::to_string(m) + "x" +
+                                          std::to_string(k) + "x" +
+                                          std::to_string(n));
+      }
+    }
+  }
+}
+
+TEST(GemmBlocked, OneNonFiniteEntryKeepsTheMask) {
+  // One non-finite B entry faces an A column of ±0. The naive loops skip
+  // those terms, so the reference stays finite; the plain kernel would
+  // turn 0·inf into NaN. (k−1, n−1) is the last valid column of a
+  // tail-padded strip.
+  const GemmShape shapes[] = {{13, 33, 19}, {8, 2, 9}, {70, 33, 9}};
+  Rng rng(19);
+  for (const auto& sh : shapes) {
+    const std::pair<std::size_t, std::size_t> slots[] = {
+        {0, 0}, {sh.k - 1, sh.n - 1}, {sh.k / 2, sh.n / 2}};
+    for (const auto& [kk, j] : slots) {
+      for (const float special : kNonFinite) {
+        Tensor a = Tensor::randn({sh.m, sh.k}, rng);
+        Tensor b = Tensor::randn({sh.k, sh.n}, rng);
+        for (std::size_t i = 0; i < sh.m; ++i)
+          a.at(i, kk) = i % 2 == 0 ? 0.0f : -0.0f;
+        b.at(kk, j) = special;
+        const Tensor ref = naive_matmul(a, b);
+        for (std::size_t e = 0; e < ref.numel(); ++e)
+          ASSERT_TRUE(std::isfinite(ref[e]));
+        expect_skip_paths_exact(
+            a, b,
+            std::to_string(sh.m) + "x" + std::to_string(sh.k) + "x" +
+                std::to_string(sh.n) + " B(" + std::to_string(kk) + "," +
+                std::to_string(j) + ")=" + std::to_string(special));
+      }
+    }
+  }
+}
+
+TEST(GemmBlocked, WeightGradientKeepsTheMaskForNonFiniteGrad) {
+  // One +inf output gradient faces a sample whose inputs are all ±0: the
+  // weight gradient skips those terms and stays finite.
+  PoolGuard pool_guard;
+  const std::size_t in = 13, out = 9, batch = 4;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::set_global_threads(threads);
+    Rng rng(20);
+    Dense d("fc", in, out, software_store_factory(), rng);
+    Tensor x = Tensor::randn({batch, in}, rng);
+    for (std::size_t i = 0; i < in; ++i)
+      x.at(2, i) = i % 2 == 0 ? 0.0f : -0.0f;
+    Tensor gy = Tensor::randn({batch, out}, rng);
+    gy.at(2, out - 1) = kInf;
+    d.zero_grad();
+    (void)d.forward(x, true);
+    (void)d.backward(gy);
+    std::vector<Param> params;
+    d.collect_params(params);
+    const Tensor& wgrad = *params[0].grad;
+    const Tensor ref = naive_matmul_tn(x, gy);
+    for (std::size_t e = 0; e < ref.numel(); ++e)
+      ASSERT_TRUE(std::isfinite(ref[e]));
+    EXPECT_TRUE(same_bits(wgrad, ref)) << "threads=" << threads;
+  }
+}
+
+TEST(GemmBlocked, FusedForwardKeepsTheMaskForNaNWeight) {
+  // A NaN delta reaches the device (the update writes every nonzero
+  // delta), so the store's read-out panel holds one NaN effective weight.
+  // ±0 activations facing it are skipped.
+  PoolGuard pool_guard;
+  const std::size_t k = 40, n = 24, nan_row = 21, nan_col = 23;
+  Rng rng(21);
+  RcsConfig cfg;
+  cfg.tile_rows = 16;
+  cfg.tile_cols = 16;
+  cfg.levels = 64;
+  cfg.write_noise_sigma = 0.0;
+  cfg.inject_fabrication = false;
+  CrossbarWeightStore store(cfg, Tensor::randn({k, n}, rng), Rng(22));
+  Tensor delta({k, n});
+  delta.at(nan_row, nan_col) = std::numeric_limits<float>::quiet_NaN();
+  store.apply_delta(delta);
+  const Tensor w = store.effective();
+  ASSERT_TRUE(std::isnan(w.at(nan_row, nan_col)));
+
+  Tensor x = Tensor::randn({11, k}, rng);
+  for (std::size_t i = 0; i < x.dim(0); ++i)
+    x.at(i, nan_row) = i % 2 == 0 ? 0.0f : -0.0f;
+  const Tensor ref = naive_matmul(x, w);
+  for (std::size_t e = 0; e < ref.numel(); ++e)
+    ASSERT_TRUE(std::isfinite(ref[e]));
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::set_global_threads(threads);
+    store.prepare_forward();
+    const Tensor fused = store.forward_matmul(x);
+    EXPECT_TRUE(same_bits(fused, matmul(x, store.effective())))
+        << "threads=" << threads;
+    EXPECT_TRUE(same_bits(fused, ref)) << "threads=" << threads;
+  }
+}
+
+TEST(GemmBlocked, MaskedCallsCountsNonFinitePanelsOnly) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  struct RegistryGuard {
+    ~RegistryGuard() {
+      obs::MetricsRegistry::instance().set_enabled(false);
+      obs::MetricsRegistry::instance().reset_for_tests();
+    }
+  } registry_guard;
+  reg.reset_for_tests();
+  reg.set_enabled(true);
+  const auto masked_calls = [&] {
+    for (const obs::MetricSnapshot& s : reg.snapshot())
+      if (s.name == "tensor.gemm.masked_calls") return s.count;
+    return std::uint64_t{0};
+  };
+  // Only the AVX kernel has a mask to drop, so only it scans the panel.
+  const std::uint64_t scanned =
+      std::string(gemm::kernel_isa()) == "avx" ? 1 : 0;
+  Rng rng(23);
+  const Tensor a = Tensor::randn({gemm::kMR, 5}, rng);
+  Tensor b = Tensor::randn({5, 9}, rng);
+  (void)matmul(a, b);
+  EXPECT_EQ(masked_calls(), 0u);
+  b.at(4, 8) = kInf;
+  (void)matmul(a, b);
+  EXPECT_EQ(masked_calls(), scanned);
+  (void)matmul_nt(a, transpose(b));  // no zero skip: nothing to mask
+  EXPECT_EQ(masked_calls(), scanned);
+  // Below one register block the call keeps the mask without a scan.
+  (void)matmul(Tensor::randn({gemm::kMR - 1, 5}, rng), b);
+  EXPECT_EQ(masked_calls(), scanned);
 }
 
 // ---- im2col / col2im vs the per-tap loops -----------------------------------
