@@ -2,7 +2,9 @@
 #include "core/remap.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -89,40 +91,107 @@ double InterfaceCost::total(const std::vector<std::size_t>& perm) const {
   return s;
 }
 
+namespace {
+
+/// Fault kinds a detected cell can hold besides kNone: 1 ... kSoftStuck1.
+constexpr std::size_t kFaultKinds =
+    static_cast<std::size_t>(FaultKind::kSoftStuck1);
+
+/// One side of an interface as bitsets over a neuron's n logical positions
+/// on that side (the producer's rows, or the consumer's b·cols block
+/// cells): for each slot p and fault kind, where p's cells are stuck; for
+/// each neuron j, where its mask prunes.
+class CollisionSets {
+ public:
+  CollisionSets(std::size_t m, std::size_t n, bool masked)
+      : m_(m),
+        words_((n + 63) / 64),
+        stuck_(m * kFaultKinds * words_, 0),
+        pruned_(masked ? m * words_ : 0, 0) {}
+
+  void stuck(std::size_t p, std::size_t pos, FaultKind k) {
+    if (k == FaultKind::kNone) return;
+    const auto kind = static_cast<std::size_t>(k) - 1;
+    REFIT_CHECK_MSG(kind < kFaultKinds, "bad fault kind in a detected map");
+    set(&stuck_[(p * kFaultKinds + kind) * words_], pos);
+  }
+  void prune(std::size_t j, std::size_t pos) {
+    set(&pruned_[j * words_], pos);
+  }
+
+  /// cost(j, p) += Σ cell_cost(pruned, kind) over p's stuck positions, as
+  /// counts: the n_k positions of kind k of which a_k are pruned for j add
+  /// (n_k − a_k)·cell_cost(false, k) + a_k·cell_cost(true, k). Every term
+  /// is a small integer, so the sum is exact in double in any order.
+  void add_to(InterfaceCost& cost) const {
+    for (std::size_t p = 0; p < m_; ++p) {
+      for (std::size_t kind = 0; kind < kFaultKinds; ++kind) {
+        const std::uint64_t* s = &stuck_[(p * kFaultKinds + kind) * words_];
+        const std::size_t n = count(s, nullptr);
+        if (n == 0) continue;
+        const auto k = static_cast<FaultKind>(kind + 1);
+        const double kept = cell_cost(false, k), cut = cell_cost(true, k);
+        for (std::size_t j = 0; j < m_; ++j) {
+          const std::size_t a =
+              pruned_.empty() ? 0 : count(s, &pruned_[j * words_]);
+          cost.add(j, p,
+                   static_cast<double>(n - a) * kept +
+                       static_cast<double>(a) * cut);
+        }
+      }
+    }
+  }
+
+ private:
+  static void set(std::uint64_t* bits, std::size_t pos) {
+    bits[pos / 64] |= std::uint64_t{1} << (pos % 64);
+  }
+  /// |a| when b is null, else |a ∩ b|.
+  std::size_t count(const std::uint64_t* a, const std::uint64_t* b) const {
+    std::size_t c = 0;
+    for (std::size_t w = 0; w < words_; ++w)
+      c += static_cast<std::size_t>(
+          std::popcount(b != nullptr ? a[w] & b[w] : a[w]));
+    return c;
+  }
+
+  std::size_t m_;
+  std::size_t words_;
+  std::vector<std::uint64_t> stuck_;
+  std::vector<std::uint64_t> pruned_;
+};
+
+}  // namespace
+
 InterfaceCost build_interface_cost(const RemapInterface& iface,
                                    const DetectedFaults& detected,
                                    const PruneState& prune) {
   const std::size_t m = iface.neurons;
   InterfaceCost cost(m);
 
-  // Producer side: logical column j placed at physical column p.
+  // Producer side: logical column j placed at physical column p; positions
+  // are the producer's logical rows i, whose cells sit on row row_perm[i].
   if (const auto* xp = dynamic_cast<const CrossbarWeightStore*>(
           &iface.producer->weights())) {
     if (const FaultMatrix* fm = detected_for(detected, iface.layer)) {
       const PruneMask* mask = prune.mask_for(iface.layer);
       const std::size_t rows = xp->rows();
       const auto& row_perm = xp->mapping().row_perm();
-      for (std::size_t p = 0; p < m; ++p) {
-        // Collect the faulty physical rows of column p once.
-        std::vector<std::pair<std::size_t, FaultKind>> faulty_rows;
-        for (std::size_t i = 0; i < rows; ++i) {
-          const FaultKind k = fm->at(row_perm[i], p);
-          if (k != FaultKind::kNone) faulty_rows.emplace_back(i, k);
-        }
-        if (faulty_rows.empty()) continue;
-        for (std::size_t j = 0; j < m; ++j) {
-          double c = 0.0;
-          for (const auto& [i, k] : faulty_rows) {
-            const bool pruned = mask != nullptr && mask->at(i, j);
-            c += cell_cost(pruned, k);
-          }
-          cost.add(j, p, c);
-        }
+      CollisionSets sets(m, rows, mask != nullptr);
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t p = 0; p < m; ++p)
+          sets.stuck(p, i, fm->at(row_perm[i], p));
+        if (mask != nullptr)
+          for (std::size_t j = 0; j < m; ++j)
+            if (mask->at(i, j)) sets.prune(j, i);
       }
+      sets.add_to(cost);
     }
   }
 
-  // Consumer side: logical row-block j placed at physical block p.
+  // Consumer side: logical row-block j placed at physical block p;
+  // positions are the block's cells bb·cols + c, whose cell sits on row
+  // p·b + bb and column col_perm[c].
   if (const auto* xc = dynamic_cast<const CrossbarWeightStore*>(
           &iface.consumer->weights())) {
     if (const FaultMatrix* fm = detected_for(detected, iface.layer + 1)) {
@@ -130,26 +199,19 @@ InterfaceCost build_interface_cost(const RemapInterface& iface,
       const std::size_t b = iface.consumer->rows_per_in_neuron();
       const std::size_t cols = xc->cols();
       const auto& col_perm = xc->mapping().col_perm();
-      for (std::size_t p = 0; p < m; ++p) {
-        std::vector<std::pair<std::size_t, FaultKind>> faulty;  // (flat b*cols+c)
+      CollisionSets sets(m, b * cols, mask != nullptr);
+      // Block q is both physical slot q (its stuck cells) and logical
+      // neuron q (its mask rows).
+      for (std::size_t q = 0; q < m; ++q) {
         for (std::size_t bb = 0; bb < b; ++bb) {
           for (std::size_t c = 0; c < cols; ++c) {
-            const FaultKind k = fm->at(p * b + bb, col_perm[c]);
-            if (k != FaultKind::kNone) faulty.emplace_back(bb * cols + c, k);
+            sets.stuck(q, bb * cols + c, fm->at(q * b + bb, col_perm[c]));
+            if (mask != nullptr && mask->at(q * b + bb, c))
+              sets.prune(q, bb * cols + c);
           }
-        }
-        if (faulty.empty()) continue;
-        for (std::size_t j = 0; j < m; ++j) {
-          double csum = 0.0;
-          for (const auto& [flat, k] : faulty) {
-            const std::size_t bb = flat / cols;
-            const std::size_t c = flat % cols;
-            const bool pruned = mask != nullptr && mask->at(j * b + bb, c);
-            csum += cell_cost(pruned, k);
-          }
-          cost.add(j, p, csum);
         }
       }
+      sets.add_to(cost);
     }
   }
   return cost;

@@ -81,6 +81,14 @@ class InterfaceCost {
 /// accounts for the |w|+sign encoding: SA0 under an unpruned weight costs
 /// 2; SA1 under a pruned weight costs 2 (it would read ±w_max instead of
 /// 0); SA1 under an unpruned weight costs 1.
+///
+/// Each entry is counted, not summed cell by cell. Over one side's
+/// positions of a neuron (the producer's logical rows, or the consumer's
+/// b·cols block cells), let SA0_p and SA1_p be where slot p's cells are
+/// stuck and P_j where neuron j is pruned; then that side adds
+/// 2·|SA0_p ∖ P_j| + |SA1_p| + |SA1_p ∩ P_j| to cost(j, p), each count a
+/// popcount over bitsets. Every term is a small integer, exact in double,
+/// so the entry has the bits of the per-cell sum.
 InterfaceCost build_interface_cost(const RemapInterface& iface,
                                    const DetectedFaults& detected,
                                    const PruneState& prune);

@@ -1,7 +1,6 @@
 // Activation functions and derivatives (see activations.hpp).
 #include "nn/activations.hpp"
 
-#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -10,15 +9,6 @@
 namespace refit {
 
 namespace {
-
-/// x where keep holds, +0 elsewhere — an AND with an all-ones/all-zeros
-/// mask, so the compiler cannot turn the select into a branch that
-/// mispredicts on half-negative activations (GCC 12 at -O2 compiles a
-/// plain `keep ? x : 0.0f` to one, about five times slower here).
-float keep_or_zero(bool keep, float x) {
-  const std::uint32_t mask = 0u - static_cast<std::uint32_t>(keep);
-  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(x) & mask);
-}
 
 /// Elements per sample of an [N, ...] shape.
 std::size_t per_sample(const Shape& s) { return shape_numel(s) / s[0]; }

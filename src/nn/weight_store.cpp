@@ -30,7 +30,7 @@ class SoftwareUpdate final : public UpdateItems {
     // Plain floats, identity mapping: logical and physical cells coincide.
     // A filtered-out delta adds exactly 0, so every cell takes the sum.
     for (std::size_t n = 0; n < w_.numel(); ++n) {
-      float d = delta_[n];
+      float d = delta_[n] * policy_.scale;
       (void)policy_.admit(d, policy_.pruned != nullptr && policy_.pruned[n] != 0,
                           policy_.skip != nullptr && policy_.skip[n] != 0,
                           policy_.threshold, stats_);

@@ -50,6 +50,10 @@ struct UpdatePolicy {
   double wear_beta = 0.0;
   /// Program every cell, zero deltas included (the "original" scheme).
   bool full_write = false;
+  /// Cell n's delta is fl(delta[n] · scale). The threshold trainer passes
+  /// the raw gradient with scale = fl(−lr), so no scaled copy is made;
+  /// everyone else leaves 1 (x · 1.0f == x).
+  float scale = 1.0f;
 
   /// Filter one cell: `d` becomes the delta to apply (0 when suppressed);
   /// returns whether the cell is programmed.
@@ -116,8 +120,9 @@ class WeightStore {
   [[nodiscard]] virtual Tensor forward_matmul(const Tensor& x) = 0;
 
   /// One filtered update step as independent work items: every cell's
-  /// delta passes `policy` (mask, threshold, detected-fault skip), target
-  /// += the surviving delta, and the admitted cells are programmed. Made on
+  /// delta (`delta` times `policy.scale`) passes `policy` (mask, threshold,
+  /// detected-fault skip), target += the surviving delta, and the admitted
+  /// cells are programmed. Made on
   /// the caller, which fixes every input of the step (a device backend's
   /// wear-leveling mean, for one); `delta` and the policy's masks must
   /// outlive the items.

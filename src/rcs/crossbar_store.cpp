@@ -371,7 +371,7 @@ std::unique_ptr<UpdateItems> CrossbarWeightStore::split_update(
       thr *= 1.0 + policy.wear_beta * std::max(0.0, ratio - 1.0);
     }
     const std::size_t at = i * n + j;
-    float d = delta[at];
+    float d = delta[at] * policy.scale;
     const bool pruned = policy.pruned != nullptr && policy.pruned[at] != 0;
     const bool skipped =
         policy.skip != nullptr &&

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/models.hpp"
 #include "rcs/rcs_system.hpp"
@@ -284,6 +287,179 @@ TEST(Remap, GeneticImprovesOverRandomOnStructuredCost) {
   // GA should close most of the gap between identity and optimal.
   EXPECT_LT(c.total(ga) - c.total(opt),
             0.5 * (c.total(ident) - c.total(opt)));
+}
+
+/// The per-cell collision penalty, as remap.hpp states it.
+double pairwise_cell_cost(bool pruned, FaultKind fault) {
+  if (fault == FaultKind::kNone) return 0.0;
+  if (fault == FaultKind::kStuckAt0) return pruned ? 0.0 : 2.0;
+  return pruned ? 2.0 : 1.0;
+}
+
+/// The interface cost summed cell by cell: for every (j, p), each faulty
+/// cell of slot p adds its penalty under neuron j's weight.
+InterfaceCost pairwise_cost(const RemapInterface& iface,
+                            const DetectedFaults& detected,
+                            const PruneState& prune) {
+  const std::size_t m = iface.neurons;
+  InterfaceCost cost(m);
+  if (const auto* xp = dynamic_cast<const CrossbarWeightStore*>(
+          &iface.producer->weights())) {
+    if (const FaultMatrix* fm = detected_for(detected, iface.layer)) {
+      const PruneMask* mask = prune.mask_for(iface.layer);
+      const auto& row_perm = xp->row_perm();
+      for (std::size_t p = 0; p < m; ++p) {
+        for (std::size_t j = 0; j < m; ++j) {
+          double c = 0.0;
+          for (std::size_t i = 0; i < xp->rows(); ++i) {
+            const bool pruned = mask != nullptr && mask->at(i, j);
+            c += pairwise_cell_cost(pruned, fm->at(row_perm[i], p));
+          }
+          cost.add(j, p, c);
+        }
+      }
+    }
+  }
+  if (const auto* xc = dynamic_cast<const CrossbarWeightStore*>(
+          &iface.consumer->weights())) {
+    if (const FaultMatrix* fm = detected_for(detected, iface.layer + 1)) {
+      const PruneMask* mask = prune.mask_for(iface.layer + 1);
+      const std::size_t b = iface.consumer->rows_per_in_neuron();
+      const auto& col_perm = xc->col_perm();
+      for (std::size_t p = 0; p < m; ++p) {
+        for (std::size_t j = 0; j < m; ++j) {
+          double c = 0.0;
+          for (std::size_t bb = 0; bb < b; ++bb) {
+            for (std::size_t col = 0; col < xc->cols(); ++col) {
+              const bool pruned = mask != nullptr && mask->at(j * b + bb, col);
+              c += pairwise_cell_cost(pruned,
+                                      fm->at(p * b + bb, col_perm[col]));
+            }
+          }
+          cost.add(j, p, c);
+        }
+      }
+    }
+  }
+  return cost;
+}
+
+/// Stuck-at faults on about a fifth of the cells, soft pins on a few more.
+FaultMatrix random_faults(std::size_t rows, std::size_t cols, Rng& rng) {
+  FaultMatrix fm(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const double u = rng.uniform();
+      if (u < 0.10) fm.set(r, c, FaultKind::kStuckAt0);
+      else if (u < 0.20) fm.set(r, c, FaultKind::kStuckAt1);
+      else if (u < 0.22) fm.set(r, c, FaultKind::kSoftStuck0);
+      else if (u < 0.24) fm.set(r, c, FaultKind::kSoftStuck1);
+    }
+  }
+  return fm;
+}
+
+PruneMask random_mask(std::size_t rows, std::size_t cols, Rng& rng) {
+  PruneMask mask{rows, cols, std::vector<std::uint8_t>(rows * cols, 0)};
+  for (auto& b : mask.pruned) b = rng.bernoulli(0.5) ? 1 : 0;
+  return mask;
+}
+
+std::vector<std::size_t> shuffled(std::size_t n, Rng& rng) {
+  std::vector<std::size_t> p(n);
+  std::iota(p.begin(), p.end(), 0);
+  rng.shuffle(p);
+  return p;
+}
+
+TEST(Remap, CountedCostMatchesPairwiseSum) {
+  // Three two-layer nets, each one re-orderable interface: a dense
+  // producer of 150 rows on crossbars (consumer in software), a conv
+  // consumer with b = 9 on crossbars (producer in software), and two
+  // crossbar convs. Every crossbar store gets a non-identity placement and
+  // a random detected map; masks on neither, either or both sides.
+  struct Net {
+    const char* name;
+    std::function<Network(RcsSystem&, Rng&)> build;
+  };
+  const Net nets[] = {
+      {"producer-only",
+       [](RcsSystem& sys, Rng& rng) {
+         Network n;
+         n.add(std::make_unique<Dense>("p", 150, 20, sys.factory(), rng));
+         n.add(std::make_unique<Dense>("c", 20, 7, software_store_factory(), rng));
+         return n;
+       }},
+      {"consumer-only conv",
+       [](RcsSystem& sys, Rng& rng) {
+         Network n;
+         n.add(std::make_unique<Conv2D>("p", 3, 6, 6, 12, 3, 1, 1, software_store_factory(),
+                                        rng));
+         n.add(std::make_unique<Conv2D>("c", 12, 6, 6, 10, 3, 1, 1, sys.factory(),
+                                        rng));
+         return n;
+       }},
+      {"both conv",
+       [](RcsSystem& sys, Rng& rng) {
+         Network n;
+         n.add(std::make_unique<Conv2D>("p", 8, 6, 6, 16, 3, 1, 1, sys.factory(),
+                                        rng));
+         n.add(std::make_unique<Conv2D>("c", 16, 6, 6, 9, 3, 1, 1, sys.factory(),
+                                        rng));
+         return n;
+       }},
+  };
+  std::uint64_t seed = 30;
+  for (const Net& spec : nets) {
+    for (const bool mask_p : {false, true}) {
+      for (const bool mask_c : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << spec.name << ", masks "
+                                          << mask_p << mask_c);
+        Rng rng(seed++);
+        RcsSystem sys(clean_rcs(), Rng(seed++));
+        Network net = spec.build(sys, rng);
+        const auto ifaces = find_remap_interfaces(net);
+        ASSERT_EQ(ifaces.size(), 1u);
+        const RemapInterface& iface = ifaces[0];
+        const std::size_t m = iface.neurons;
+        const std::size_t b = iface.consumer->rows_per_in_neuron();
+        DetectedFaults detected(2);
+        PruneState prune;
+        if (auto* xp = dynamic_cast<CrossbarWeightStore*>(
+                &iface.producer->weights())) {
+          xp->set_permutations(shuffled(xp->rows(), rng), shuffled(m, rng));
+          detected[0] = random_faults(xp->rows(), m, rng);
+        }
+        if (auto* xc = dynamic_cast<CrossbarWeightStore*>(
+                &iface.consumer->weights())) {
+          const std::vector<std::size_t> blocks = shuffled(m, rng);
+          std::vector<std::size_t> rows(m * b);
+          for (std::size_t j = 0; j < m; ++j)
+            for (std::size_t bb = 0; bb < b; ++bb)
+              rows[j * b + bb] = blocks[j] * b + bb;
+          xc->set_permutations(rows, shuffled(xc->cols(), rng));
+          detected[1] = random_faults(xc->rows(), xc->cols(), rng);
+        }
+        const Tensor& wp = iface.producer->weights().target();
+        const Tensor& wc = iface.consumer->weights().target();
+        if (mask_p) prune.merge_mask(0, random_mask(wp.dim(0), m, rng));
+        if (mask_c)
+          prune.merge_mask(1, random_mask(wc.dim(0), wc.dim(1), rng));
+
+        const InterfaceCost got = build_interface_cost(iface, detected, prune);
+        const InterfaceCost want = pairwise_cost(iface, detected, prune);
+        ASSERT_EQ(got.size(), m);
+        double total = 0.0;
+        for (std::size_t j = 0; j < m; ++j) {
+          for (std::size_t p = 0; p < m; ++p) {
+            EXPECT_EQ(got.at(j, p), want.at(j, p)) << "j " << j << " p " << p;
+            total += want.at(j, p);
+          }
+        }
+        EXPECT_GT(total, 0.0);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,11 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/remap.hpp"
 #include "nn/dense.hpp"
+#include "nn/network.hpp"
 #include "rcs/crossbar_store.hpp"
 #include "rcs/rcs_system.hpp"
 
@@ -219,6 +226,149 @@ TEST(Threshold, DwMaxIsTakenAcrossLayers) {
   const auto st = t.step(params, 0);
   EXPECT_EQ(st.dw_max, 1.0);
   EXPECT_EQ(st.writes_issued, 4u);
+}
+
+/// Restores the default global pool when a test is done overriding it.
+struct PoolGuard {
+  ~PoolGuard() { ThreadPool::set_global_threads(1); }
+};
+
+std::vector<std::uint32_t> bits_of(const Tensor& t) {
+  std::vector<std::uint32_t> b(t.numel());
+  for (std::size_t i = 0; i < t.numel(); ++i)
+    b[i] = std::bit_cast<std::uint32_t>(t[i]);
+  return b;
+}
+
+/// One 40×24 dense layer, on six 16×16 crossbar tiles (write noise and
+/// fabrication faults on) or in software, built from fixed seeds.
+struct StepRig {
+  RcsSystem sys;
+  Network net;
+  std::vector<Param> params;
+
+  explicit StepRig(bool crossbar) : sys(rig_config(), Rng(21)) {
+    Rng rng(22);
+    net.add(std::make_unique<Dense>(
+        "fc", 40, 24, crossbar ? sys.factory() : software_store_factory(),
+        rng));
+    params = net.params();
+  }
+  static RcsConfig rig_config() {
+    RcsConfig cfg;
+    cfg.tile_rows = 16;
+    cfg.tile_cols = 16;
+    cfg.fabrication.fraction = 0.05;
+    return cfg;
+  }
+};
+
+TEST(Threshold, ScaledGradientStepMatchesPrescaledDelta) {
+  // The trainer hands each store the raw gradient with scale = fl(−lr) and
+  // takes δw_max as a branch-free masked max; the reference below is the
+  // step written out with a scaled copy and a serial masked scan.
+  PoolGuard guard;
+  constexpr std::size_t kRows = 40, kCols = 24;
+  Rng mrng(23);
+  PruneMask mask{kRows, kCols, std::vector<std::uint8_t>(kRows * kCols, 0)};
+  for (auto& b : mask.pruned) b = mrng.bernoulli(0.3) ? 1 : 0;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  mask.pruned[0] = 0;  // −0.0 on a free entry
+  mask.pruned[1] = 0;  // NaN on a free entry: written, never δw_max
+  mask.pruned[2] = 1;  // NaN on a pruned entry
+  mask.pruned[3] = 1;  // the largest |g|, pruned: not δw_max either
+  mask.pruned[4] = 0;  // δw_max, followed by NaNs in the tail
+  constexpr std::size_t kNaNTail = 40;
+  for (std::size_t n = kRows * kCols - kNaNTail; n < kRows * kCols; ++n)
+    mask.pruned[n] = 0;
+  PruneState prune;
+  prune.merge_mask(0, mask);
+  DetectedFaults detected(1, FaultMatrix(kRows, kCols));
+  for (std::size_t r = 0; r < kRows; ++r)
+    for (std::size_t c = 0; c < kCols; ++c)
+      if (mrng.bernoulli(0.1)) detected[0].set(r, c, FaultKind::kStuckAt0);
+
+  struct Case {
+    ThresholdConfig cfg;
+    double lr;
+  };
+  const Case cases[] = {
+      {{0.01, 0.0}, 0.05},  // threshold filter
+      {{0.0, 0.0}, 0.05},   // full_write: the original scheme
+      {{0.01, 0.0}, 0.0},   // lr = 0: every δw is ±0 or NaN
+      {{0.01, 2.0}, 0.05},  // wear-leveling
+  };
+  for (const bool crossbar : {true, false}) {
+    for (const std::size_t threads : {1UL, 4UL}) {
+      ThreadPool::set_global_threads(threads);
+      for (const Case& c : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << (crossbar ? "crossbar" : "software") << ", "
+                     << threads << " threads, θ " << c.cfg.threshold_ratio
+                     << ", β " << c.cfg.wear_leveling_beta << ", lr "
+                     << c.lr);
+        StepRig got(crossbar), want(crossbar);
+        const ThresholdTrainer trainer(c.cfg, LrSchedule{c.lr, 1.0, 0, 0.0});
+        Rng grng(24);
+        for (int step = 0; step < 3; ++step) {
+          Tensor g({kRows, kCols});
+          for (std::size_t n = 0; n < g.numel(); ++n)
+            g[n] = static_cast<float>(grng.normal(0.0, 0.5));
+          g[0] = -0.0f;
+          g[1] = nan;
+          g[2] = nan;
+          g[3] = 1e3f;
+          g[4] = 50.0f;
+          for (std::size_t n = g.numel() - kNaNTail; n < g.numel(); ++n)
+            g[n] = nan;
+          Tensor gb({kCols});
+          for (std::size_t n = 0; n < gb.numel(); ++n)
+            gb[n] = static_cast<float>(grng.normal(0.0, 0.5));
+          for (StepRig* r : {&got, &want}) {
+            *r->params[0].grad = g;
+            *r->params[1].grad = gb;
+          }
+
+          const ThresholdStepStats st =
+              trainer.step(got.params, 0, &prune, &detected);
+
+          const float scale = static_cast<float>(-c.lr);
+          Tensor delta = g;
+          delta *= scale;
+          double dw_max = 0.0;
+          for (std::size_t n = 0; n < delta.numel(); ++n)
+            if (mask.pruned[n] == 0)
+              dw_max = std::max(dw_max,
+                                static_cast<double>(std::fabs(delta[n])));
+          UpdatePolicy policy;
+          policy.pruned = mask.pruned.data();
+          policy.skip = detected[0].bytes();
+          policy.threshold = c.cfg.threshold_ratio * dw_max;
+          policy.wear_beta = c.cfg.wear_leveling_beta;
+          policy.full_write = c.cfg.threshold_ratio <= 0.0;
+          const UpdateStats ref =
+              want.params[0].store->apply_update(delta, policy);
+          Tensor delta_b = gb;
+          delta_b *= scale;
+          *want.params[1].value += delta_b;
+
+          EXPECT_EQ(st.dw_max, dw_max);
+          EXPECT_EQ(st.writes_issued, ref.writes_issued);
+          EXPECT_EQ(st.writes_suppressed, ref.writes_suppressed);
+          EXPECT_EQ(st.updates_zero, ref.updates_zero);
+          EXPECT_EQ(bits_of(got.params[0].store->target()),
+                    bits_of(want.params[0].store->target()));
+          EXPECT_EQ(bits_of(got.params[0].store->effective()),
+                    bits_of(want.params[0].store->effective()));
+          EXPECT_EQ(bits_of(*got.params[1].value),
+                    bits_of(*want.params[1].value));
+          if (c.lr > 0.0) {
+            EXPECT_GT(st.writes_issued, 0u);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
