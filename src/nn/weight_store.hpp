@@ -11,7 +11,6 @@
 // output neurons, matching the paper's Fig. 5.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -36,8 +35,9 @@ struct UpdateStats {
   }
 };
 
-/// Threshold training's per-cell write filter (paper §5.1, Algorithm 1)
-/// for WeightStore::apply_update; the default writes every nonzero delta.
+/// The settings of threshold training's write filter (paper §5.1,
+/// Algorithm 1; filter_update_run) for WeightStore::apply_update; the
+/// default writes every nonzero delta.
 struct UpdatePolicy {
   /// Row-major logical bytes, nonzero = pruned (delta forced to 0).
   const std::uint8_t* pruned = nullptr;
@@ -54,25 +54,39 @@ struct UpdatePolicy {
   /// the raw gradient with scale = fl(−lr), so no scaled copy is made;
   /// everyone else leaves 1 (x · 1.0f == x).
   float scale = 1.0f;
-
-  /// Filter one cell: `d` becomes the delta to apply (0 when suppressed);
-  /// returns whether the cell is programmed.
-  bool admit(float& d, bool pruned_cell, bool skipped, double thr,
-             UpdateStats& st) const {
-    if (pruned_cell) d = 0.0f;
-    if (d == 0.0f) {
-      ++(full_write ? st.writes_issued : st.updates_zero);
-      return full_write;
-    }
-    if (skipped || std::fabs(d) < thr) {
-      d = 0.0f;  // Algorithm 1, lines 6-8: suppress the write
-      ++st.writes_suppressed;
-      return full_write;
-    }
-    ++st.writes_issued;
-    return true;
-  }
 };
+
+/// One run of consecutive cells for filter_update_run: cell k's inputs are
+/// g[k], pruned[k], skip[k] and thr[k].
+struct UpdateRun {
+  const float* g = nullptr;              ///< deltas, times UpdatePolicy::scale
+  const std::uint8_t* pruned = nullptr;  ///< nonzero = pruned; null: none
+  const std::uint8_t* skip = nullptr;    ///< nonzero = no write; null: none
+  /// Per-cell thresholds (wear-leveling); null: UpdatePolicy::threshold.
+  const double* thr = nullptr;
+  std::size_t n = 0;
+};
+
+/// Threshold training's write filter (paper §5.1, Algorithm 1) over one
+/// run, with no data-dependent branch. Cell k's delta is
+/// fl(g[k] · policy.scale), +0 when pruned; a nonzero delta with skip[k]
+/// set or |delta| < thr[k] (compared in double) is suppressed to +0, and
+/// a zero delta keeps its sign. Writes cell k's applied delta to d[k],
+/// counts it in `st` as issued, suppressed or zero, and appends
+/// first + k of every programmed cell (each issued one; every cell under
+/// full_write) to `programmed` in ascending order unless it is null.
+/// Returns the programmed count; `programmed` needs room for run.n
+/// entries. Dispatched once per process: an AVX2 body (no FMA) when the
+/// CPU has it, else the portable one, with the same bits.
+std::size_t filter_update_run(const UpdatePolicy& policy, const UpdateRun& run,
+                              float* d, std::uint32_t* programmed,
+                              std::uint32_t first, UpdateStats& st);
+/// The portable scalar body of filter_update_run: the fallback, and the
+/// reference the dispatched body must match bit for bit.
+std::size_t filter_update_run_portable(const UpdatePolicy& policy,
+                                       const UpdateRun& run, float* d,
+                                       std::uint32_t* programmed,
+                                       std::uint32_t first, UpdateStats& st);
 
 /// One store's update step split into work items that share no state
 /// (WeightStore::split_update), so that one pool job can run the items of
@@ -120,12 +134,11 @@ class WeightStore {
   [[nodiscard]] virtual Tensor forward_matmul(const Tensor& x) = 0;
 
   /// One filtered update step as independent work items: every cell's
-  /// delta (`delta` times `policy.scale`) passes `policy` (mask, threshold,
-  /// detected-fault skip), target += the surviving delta, and the admitted
-  /// cells are programmed. Made on
-  /// the caller, which fixes every input of the step (a device backend's
-  /// wear-leveling mean, for one); `delta` and the policy's masks must
-  /// outlive the items.
+  /// delta (`delta` times `policy.scale`) passes filter_update_run (mask,
+  /// threshold, detected-fault skip), target += the surviving delta, and
+  /// the programmed cells are written. Made on the caller, which fixes
+  /// every input of the step (a device backend's wear-leveling mean, for
+  /// one); `delta` and the policy's masks must outlive the items.
   [[nodiscard]] virtual std::unique_ptr<UpdateItems> split_update(
       const Tensor& delta, const UpdatePolicy& policy) = 0;
 
@@ -170,7 +183,8 @@ class SoftwareWeightStore final : public WeightStore {
   [[nodiscard]] Tensor effective() override { return w_; }
   [[nodiscard]] const Tensor& target() const override { return w_; }
   [[nodiscard]] Tensor forward_matmul(const Tensor& x) override;
-  /// One item: the filter-and-add loop over every float.
+  /// One item per block of whole rows (about 8192 cells): filter_update_run
+  /// over the block, then w += the applied deltas.
   [[nodiscard]] std::unique_ptr<UpdateItems> split_update(
       const Tensor& delta, const UpdatePolicy& policy) override;
   void assign(const Tensor& w) override;

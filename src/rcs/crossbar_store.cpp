@@ -98,7 +98,7 @@ CrossbarWeightStore::CrossbarWeightStore(const RcsConfig& cfg, Tensor init,
                                     static_cast<float>(weight_max_));
     }
   }
-  (void)program_tiles([](auto&&...) { return true; });
+  (void)program_tiles([](std::size_t, std::size_t) { return true; });
 }
 
 Crossbar& CrossbarWeightStore::tile(std::size_t ti, std::size_t tj,
@@ -124,9 +124,9 @@ CrossbarWeightStore::WriteTally& CrossbarWeightStore::WriteTally::operator+=(
   return *this;
 }
 
-template <class Select>
+template <class SelectRow>
 CrossbarWeightStore::WriteTally CrossbarWeightStore::program_tile(
-    const TileSpan& span, const Select& select) {
+    const TileSpan& span, const SelectRow& select_row) {
   const std::size_t k = rows();
   const std::size_t legs = this->legs(), tile_count = grid_.tile_count();
   Crossbar* xs[kMaxEncodingLegs] = {};
@@ -140,23 +140,33 @@ CrossbarWeightStore::WriteTally CrossbarWeightStore::program_tile(
   }
   // The tile hosts the product of these logical rows and columns; sorted,
   // they replay the order of a serial logical row-major sweep.
-  std::vector<std::size_t> li(span.rows), lj(span.cols);
+  std::vector<std::size_t> li(span.rows);
   for (std::size_t lr = 0; lr < span.rows; ++lr)
     li[lr] = map_.logical_row(span.row0 + lr);
-  for (std::size_t lc = 0; lc < span.cols; ++lc)
-    lj[lc] = map_.logical_col(span.col0 + lc);
   std::sort(li.begin(), li.end());
-  std::sort(lj.begin(), lj.end());
+  HostedCols hc;
+  hc.lj.resize(span.cols);
+  hc.lc.resize(span.cols);
+  for (std::size_t lc = 0; lc < span.cols; ++lc)
+    hc.lj[lc] = map_.logical_col(span.col0 + lc);
+  std::sort(hc.lj.begin(), hc.lj.end());
+  for (std::size_t p = 0; p < span.cols; ++p) {
+    hc.lc[p] = map_.physical_col(hc.lj[p]) - span.col0;
+    if (p == 0 || hc.lj[p] != hc.lj[p - 1] + 1) hc.runs.push_back(p);
+  }
+  hc.runs.push_back(span.cols);
+  std::vector<std::uint32_t> pos(span.cols);
   // Write-through keeps a current tile's panel entries current; a stale
   // tile is re-packed whole before the next read anyway.
   const bool through = packed_current(span.index);
   double g[kMaxEncodingLegs] = {};
   for (const std::size_t i : li) {
     const std::size_t lr = map_.physical_row(i) - span.row0;
-    for (const std::size_t j : lj) {
-      const std::size_t lc = map_.physical_col(j) - span.col0;
-      if (!select(i, j, span, xs, lr, lc, tally.update)) continue;
-      ++tally.cells;
+    const std::size_t count =
+        select_row(hc, xs, i, lr, pos.data(), tally.update);
+    tally.cells += count;
+    for (std::size_t n = 0; n < count; ++n) {
+      const std::size_t j = hc.lj[pos[n]], lc = hc.lc[pos[n]];
       const float target = target_.at(i, j);
       enc_->encode(target, weight_max_, g);
       for (std::size_t leg = 0; leg < legs; ++leg)
@@ -180,10 +190,18 @@ CrossbarWeightStore::WriteTally CrossbarWeightStore::program_tile(
 template <class Select>
 CrossbarWeightStore::WriteTally CrossbarWeightStore::program_tiles(
     const Select& select) {
+  const auto select_row = [&select](const HostedCols& hc, Crossbar* const*,
+                                    std::size_t i, std::size_t,
+                                    std::uint32_t* pos, UpdateStats&) {
+    std::size_t count = 0;
+    for (std::size_t p = 0; p < hc.lj.size(); ++p)
+      if (select(i, hc.lj[p])) pos[count++] = static_cast<std::uint32_t>(p);
+    return count;
+  };
   std::vector<WriteTally> per_tile(grid_.tile_count());
   grid_.for_each_tile(
       [&](const TileSpan& span) {
-        per_tile[span.index] = program_tile(span, select);
+        per_tile[span.index] = program_tile(span, select_row);
       },
       kWriteCost);
   WriteTally total;
@@ -313,12 +331,14 @@ Tensor CrossbarWeightStore::forward_matmul(const Tensor& x) {
 
 /// One item per tile, all legs together; the tallies are summed in tile
 /// order and published by finish().
-template <class Select>
 class CrossbarWeightStore::TileUpdates final : public UpdateItems {
  public:
-  TileUpdates(CrossbarWeightStore& store, Select select)
+  TileUpdates(CrossbarWeightStore& store, const Tensor& delta,
+              const UpdatePolicy& policy, double mean_writes)
       : store_(store),
-        select_(std::move(select)),
+        delta_(delta),
+        policy_(policy),
+        mean_writes_(mean_writes),
         tallies_(store.grid_.tile_count()) {}
 
   [[nodiscard]] std::size_t count() const override { return tallies_.size(); }
@@ -327,7 +347,18 @@ class CrossbarWeightStore::TileUpdates final : public UpdateItems {
     return span.rows * span.cols * store_.legs() * kWriteCost;
   }
   void run(std::size_t k) override {
-    tallies_[k] = store_.program_tile(store_.grid_.span(k), select_);
+    const TileSpan span = store_.grid_.span(k);
+    // The item's row buffers, indexed by position in the sorted hosted
+    // columns; sized once here, not per row.
+    RowBuffers buf;
+    buf.d.resize(span.cols);
+    if (policy_.skip != nullptr) buf.skip.resize(span.cols);
+    if (mean_writes_ > 0.0) buf.thr.resize(span.cols);
+    tallies_[k] = store_.program_tile(
+        span, [&](const HostedCols& hc, Crossbar* const* xs, std::size_t i,
+                  std::size_t lr, std::uint32_t* pos, UpdateStats& st) {
+          return filter_row(span, hc, xs, i, lr, buf, pos, st);
+        });
   }
   UpdateStats finish() override {
     WriteTally total;
@@ -337,8 +368,69 @@ class CrossbarWeightStore::TileUpdates final : public UpdateItems {
   }
 
  private:
+  struct RowBuffers {
+    std::vector<float> d;            ///< applied deltas
+    std::vector<std::uint8_t> skip;  ///< detected-fault bytes, gathered
+    std::vector<double> thr;         ///< wear-leveled thresholds, gathered
+  };
+
+  /// Algorithm 1's filter over hosted row i (tile-local physical row lr):
+  /// gathers the inputs indexed by physical cell, runs filter_update_run
+  /// over each run of consecutive logical columns and adds each programmed
+  /// cell's nonzero delta to its clamped target.
+  std::size_t filter_row(const TileSpan& span, const HostedCols& hc,
+                         Crossbar* const* xs, std::size_t i, std::size_t lr,
+                         RowBuffers& buf, std::uint32_t* pos,
+                         UpdateStats& st) const {
+    const std::size_t n = store_.cols(), m = hc.lj.size();
+    if (!buf.skip.empty()) {
+      const std::uint8_t* row =
+          policy_.skip + (span.row0 + lr) * n + span.col0;
+      for (std::size_t p = 0; p < m; ++p) buf.skip[p] = row[hc.lc[p]];
+    }
+    // Wear-leveling compares each leg's own write count with the mean per
+    // physical cell; a row's cells are read before any of them is written.
+    if (!buf.thr.empty()) {
+      for (std::size_t p = 0; p < m; ++p) {
+        std::uint64_t w = 0;
+        for (std::size_t leg = 0; leg < store_.legs(); ++leg)
+          w = std::max(w, xs[leg]->write_count(lr, hc.lc[p]));
+        const double ratio = static_cast<double>(w) / mean_writes_;
+        buf.thr[p] = policy_.threshold *
+                     (1.0 + policy_.wear_beta * std::max(0.0, ratio - 1.0));
+      }
+    }
+    const float* g = delta_.data() + i * n;
+    const std::uint8_t* pruned =
+        policy_.pruned != nullptr ? policy_.pruned + i * n : nullptr;
+    std::size_t count = 0;
+    for (std::size_t r = 0; r + 1 < hc.runs.size(); ++r) {
+      const std::size_t p0 = hc.runs[r], j0 = hc.lj[p0];
+      UpdateRun run;
+      run.g = g + j0;
+      run.pruned = pruned != nullptr ? pruned + j0 : nullptr;
+      run.skip = buf.skip.empty() ? nullptr : buf.skip.data() + p0;
+      run.thr = buf.thr.empty() ? nullptr : buf.thr.data() + p0;
+      run.n = hc.runs[r + 1] - p0;
+      count += filter_update_run(policy_, run, buf.d.data() + p0, pos + count,
+                                 static_cast<std::uint32_t>(p0), st);
+    }
+    const auto wmax = static_cast<float>(store_.weight_max_);
+    for (std::size_t c = 0; c < count; ++c) {
+      const float d = buf.d[pos[c]];
+      if (d != 0.0f) {
+        float& t = store_.target_.at(i, hc.lj[pos[c]]);
+        t = std::clamp(t + d, -wmax, wmax);
+      }
+    }
+    return count;
+  }
+
   CrossbarWeightStore& store_;
-  const Select select_;
+  const Tensor& delta_;
+  const UpdatePolicy policy_;
+  /// Mean writes per physical cell at split time; 0 disables wear-leveling.
+  const double mean_writes_;
   std::vector<WriteTally> tallies_;
 };
 
@@ -346,51 +438,22 @@ std::unique_ptr<UpdateItems> CrossbarWeightStore::split_update(
     const Tensor& delta, const UpdatePolicy& policy) {
   REFIT_CHECK_MSG(delta.shape() == target_.shape(),
                   "delta shape mismatch in CrossbarWeightStore");
-  const std::size_t n = cols();
-  const float wmax = static_cast<float>(weight_max_);
-  // Wear-leveling compares each leg's own write count with the mean per
-  // physical cell (write_count() counts both legs of a pair), taken here,
-  // before any tile is written.
-  const std::size_t legs = this->legs();
+  // The wear-leveling mean per physical cell (write_count() counts both
+  // legs of a pair), taken here, before any tile is written.
   const double mean_writes =
       policy.wear_beta > 0.0
           ? static_cast<double>(write_count()) /
                 static_cast<double>(
                     std::max<std::size_t>(1, physical_cell_count()))
           : 0.0;
-  auto select = [this, &delta, policy, n, wmax, legs, mean_writes](
-                    std::size_t i, std::size_t j, const TileSpan& span,
-                    Crossbar* const* xs, std::size_t lr, std::size_t lc,
-                    UpdateStats& st) {
-    double thr = policy.threshold;
-    if (mean_writes > 0.0) {
-      std::uint64_t w = 0;
-      for (std::size_t leg = 0; leg < legs; ++leg)
-        w = std::max(w, xs[leg]->write_count(lr, lc));
-      const double ratio = static_cast<double>(w) / mean_writes;
-      thr *= 1.0 + policy.wear_beta * std::max(0.0, ratio - 1.0);
-    }
-    const std::size_t at = i * n + j;
-    float d = delta[at] * policy.scale;
-    const bool pruned = policy.pruned != nullptr && policy.pruned[at] != 0;
-    const bool skipped =
-        policy.skip != nullptr &&
-        policy.skip[(span.row0 + lr) * n + span.col0 + lc] != 0;
-    if (!policy.admit(d, pruned, skipped, thr, st)) return false;
-    if (d != 0.0f) {
-      target_.at(i, j) = std::clamp(target_.at(i, j) + d, -wmax, wmax);
-    }
-    return true;
-  };
-  return std::make_unique<TileUpdates<decltype(select)>>(*this,
-                                                         std::move(select));
+  return std::make_unique<TileUpdates>(*this, delta, policy, mean_writes);
 }
 
 void CrossbarWeightStore::assign(const Tensor& w) {
   REFIT_CHECK_MSG(w.shape() == target_.shape(),
                   "assign shape mismatch in CrossbarWeightStore");
   const float wmax = static_cast<float>(weight_max_);
-  publish(program_tiles([&](std::size_t i, std::size_t j, auto&&...) {
+  publish(program_tiles([&](std::size_t i, std::size_t j) {
     const float nv = std::clamp(w.at(i, j), -wmax, wmax);
     if (nv == target_.at(i, j)) return false;
     target_.at(i, j) = nv;
@@ -454,7 +517,7 @@ void CrossbarWeightStore::set_permutations(std::vector<std::size_t> row_perm,
   // means every physical cell with a new occupant is rewritten here, and
   // the write-through carries each moved weight's panel entry along.
   const WriteTally t =
-      program_tiles([&](std::size_t i, std::size_t j, auto&&...) {
+      program_tiles([&](std::size_t i, std::size_t j) {
         return old_rows[i] != map_.physical_row(i) ||
                old_cols[j] != map_.physical_col(j);
       });

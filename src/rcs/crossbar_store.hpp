@@ -88,9 +88,10 @@ class CrossbarWeightStore final : public WeightStore {
   /// out of band re-pack. Same micro-kernel as matmul(x, effective()), so
   /// the result is bit-identical to it at any thread count and permutation.
   [[nodiscard]] Tensor forward_matmul(const Tensor& x) override;
-  /// The fused update pass, one item per tile (program_tile): mask,
-  /// threshold with wear-leveling and fault skip, clamp, encode, write,
-  /// write through.
+  /// The fused update pass, one item per tile (program_tile): each hosted
+  /// row's runs of consecutive logical columns pass filter_update_run
+  /// (mask, threshold with wear-leveling, fault skip), then the programmed
+  /// cells clamp, encode, write and write through.
   [[nodiscard]] std::unique_ptr<UpdateItems> split_update(
       const Tensor& delta, const UpdatePolicy& policy) override;
   void assign(const Tensor& w) override;
@@ -201,20 +202,30 @@ class CrossbarWeightStore final : public WeightStore {
     WriteTally& operator+=(const WriteTally& o);
   };
   /// split_update's items, one per tile (defined in the .cpp).
-  template <class Select>
   class TileUpdates;
+  /// The logical columns one tile hosts, sorted: a serial logical
+  /// row-major sweep's order.
+  struct HostedCols {
+    std::vector<std::size_t> lj;  ///< logical column at position p
+    std::vector<std::size_t> lc;  ///< tile-local physical column of lj[p]
+    /// Start positions of the maximal runs of consecutive lj, then
+    /// lj.size(): run r is positions [runs[r], runs[r + 1]).
+    std::vector<std::size_t> runs;
+  };
 
   /// The one per-cell write loop, over one tile: it visits the tile's
-  /// cells in a serial logical row-major sweep's order, so the tile's bits
-  /// do not depend on which lane runs it or on what runs beside it.
-  /// `select(i, j, span, xs, lr, lc, stats)` — `xs` the tile on each leg
-  /// plane — may update target_(i, j) and returns whether to program the
-  /// cell from it; if the tile's panel block was current at the start,
+  /// hosted logical rows sorted and, in each, the cells that
+  /// `select_row(hc, xs, i, lr, pos, stats)` names — `xs` the tile on each
+  /// leg plane. The selector may update target_(i, hc.lj[p]), writes the
+  /// positions p to program to `pos` (room for hc.lj.size()) ascending,
+  /// and returns their count. So the tile's bits follow a serial logical
+  /// row-major sweep's order, whichever lane runs it and whatever runs
+  /// beside it. If the tile's panel block was current at the start,
   /// programmed cells are written through. Writes only this tile's state.
-  template <class Select>
-  WriteTally program_tile(const TileSpan& span, const Select& select);
-  /// program_tile over every tile, one pool lane per tile; tallies summed
-  /// in tile order.
+  template <class SelectRow>
+  WriteTally program_tile(const TileSpan& span, const SelectRow& select_row);
+  /// program_tile over every tile, one pool lane per tile, programming the
+  /// cells (i, j) with select(i, j) true; tallies summed in tile order.
   template <class Select>
   WriteTally program_tiles(const Select& select);
   /// Add a pass's writes to the store.* metrics.

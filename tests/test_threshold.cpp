@@ -8,7 +8,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <iterator>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -367,6 +371,345 @@ TEST(Threshold, ScaledGradientStepMatchesPrescaledDelta) {
           }
         }
       }
+    }
+  }
+}
+
+/// Gradients and targets that stress the filter: signed zeros, NaNs of
+/// both signs, infinities, subnormals and the float range's ends.
+float special_value(Rng& rng) {
+  const float specials[] = {
+      0.0f,
+      -0.0f,
+      std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      1e-39f,  // subnormal
+      -3e-40f,
+      std::numeric_limits<float>::min(),
+      std::numeric_limits<float>::max(),
+      -std::numeric_limits<float>::max(),
+  };
+  if (rng.bernoulli(0.6)) return static_cast<float>(rng.normal(0.0, 0.5));
+  return specials[rng.uniform_index(std::size(specials))];
+}
+
+/// One filter_update_run call's outputs.
+struct FilterResult {
+  std::vector<std::uint32_t> d_bits;
+  std::vector<std::uint32_t> programmed;
+  std::size_t count = 0;
+  UpdateStats st;
+};
+
+FilterResult filter_with(bool portable, const UpdatePolicy& policy,
+                         const UpdateRun& run, std::uint32_t first,
+                         bool record) {
+  std::vector<float> d(run.n, 1.5f);
+  std::vector<std::uint32_t> programmed(run.n, 0xdeadbeefu);
+  FilterResult r;
+  // Start the counts off zero: the kernel adds to them.
+  r.st.writes_issued = 7;
+  r.st.writes_suppressed = 11;
+  r.st.updates_zero = 13;
+  std::uint32_t* out = record ? programmed.data() : nullptr;
+  r.count = portable ? filter_update_run_portable(policy, run, d.data(), out,
+                                                  first, r.st)
+                     : filter_update_run(policy, run, d.data(), out, first,
+                                         r.st);
+  for (const float v : d) r.d_bits.push_back(std::bit_cast<std::uint32_t>(v));
+  if (record) programmed.resize(r.count);
+  r.programmed = record ? programmed : std::vector<std::uint32_t>{};
+  return r;
+}
+
+TEST(Threshold, FilterKernelMatchesPortableBody) {
+  // On a host without AVX2 both sides run the portable body.
+  constexpr std::size_t kMaxLen = 33, kMaxOffset = 7;
+  constexpr std::size_t kCells = kMaxLen + kMaxOffset;
+  Rng rng(31);
+  const float scales[] = {1.0f, -0.05f, 0.0f, -0.0f, 3.0f, 1e-30f};
+  std::size_t checked = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    std::vector<float> g(kCells);
+    std::vector<std::uint8_t> pruned(kCells), skip(kCells);
+    std::vector<double> thr(kCells);
+    for (float& v : g) v = special_value(rng);
+    // Any nonzero byte prunes or skips, not only 1.
+    const std::uint8_t marks[] = {1, 0x80, 0xff};
+    for (auto& b : pruned)
+      b = rng.bernoulli(0.3) ? marks[rng.uniform_index(3)] : 0;
+    for (auto& b : skip)
+      b = rng.bernoulli(0.2) ? marks[rng.uniform_index(3)] : 0;
+    UpdatePolicy policy;
+    policy.scale = scales[static_cast<std::size_t>(trial) % std::size(scales)];
+    // Per-cell thresholds: 0, a random one, or exactly this cell's |δ|, so
+    // that |δ| == threshold (not suppressed) comes up.
+    for (std::size_t k = 0; k < kCells; ++k) {
+      const double exact = std::fabs(g[k] * policy.scale);
+      const double pick[] = {0.0, rng.uniform(0.0, 0.6), exact,
+                             std::nextafter(exact, 1e300)};
+      thr[k] = pick[rng.uniform_index(4)];
+    }
+    // The uniform threshold: 0, one cell's exact |δ|, or a typical one.
+    const double uniform[] = {0.0, std::fabs(g[trial % kCells] * policy.scale),
+                              0.3};
+    policy.threshold = uniform[static_cast<std::size_t>(trial) % 3];
+    for (unsigned inputs = 0; inputs < 16; ++inputs) {
+      policy.full_write = (inputs & 8u) != 0;
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        for (std::size_t off = 0; off <= kMaxOffset; ++off) {
+          UpdateRun run;
+          run.g = g.data() + off;
+          run.pruned = (inputs & 1u) != 0 ? pruned.data() + off : nullptr;
+          run.skip = (inputs & 2u) != 0 ? skip.data() + off : nullptr;
+          run.thr = (inputs & 4u) != 0 ? thr.data() + off : nullptr;
+          run.n = len;
+          const auto first = static_cast<std::uint32_t>(1000 + 3 * off);
+          for (const bool record : {true, false}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "trial " << trial << ", inputs " << inputs
+                         << ", len " << len << ", offset " << off
+                         << (record ? ", recorded" : ", counted"));
+            const FilterResult want =
+                filter_with(true, policy, run, first, record);
+            const FilterResult got =
+                filter_with(false, policy, run, first, record);
+            ASSERT_EQ(got.d_bits, want.d_bits);
+            ASSERT_EQ(got.count, want.count);
+            ASSERT_EQ(got.programmed, want.programmed);
+            ASSERT_EQ(got.st.writes_issued, want.st.writes_issued);
+            ASSERT_EQ(got.st.writes_suppressed, want.st.writes_suppressed);
+            ASSERT_EQ(got.st.updates_zero, want.st.updates_zero);
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 24u * 16u * (kMaxLen + 1) * (kMaxOffset + 1) * 2u);
+}
+
+/// Algorithm 1's filter for one cell, written out as the rule reads: the
+/// delta cell n applies (+0 when pruned or suppressed, a zero δ keeps its
+/// sign) and whether it is programmed.
+bool scalar_rule(const UpdatePolicy& p, float g, bool pruned, bool skipped,
+                 double thr, float& d, UpdateStats& st) {
+  d = g * p.scale;
+  if (pruned) d = 0.0f;
+  if (d == 0.0f) {
+    ++(p.full_write ? st.writes_issued : st.updates_zero);
+    return p.full_write;
+  }
+  if (skipped || std::fabs(d) < thr) {
+    d = 0.0f;
+    ++st.writes_suppressed;
+    return p.full_write;
+  }
+  ++st.writes_issued;
+  return true;
+}
+
+TEST(Threshold, SoftwareRowBlocksMatchScalarRule) {
+  PoolGuard guard;
+  // 300 × 64 is three row blocks of the software update (128, 128 and 44
+  // rows), and each block is more than one filter chunk.
+  constexpr std::size_t kRows = 300, kCols = 64, kCells = kRows * kCols;
+  Rng rng(41);
+  Tensor w0({kRows, kCols});
+  for (std::size_t n = 0; n < kCells; ++n) w0[n] = special_value(rng);
+  std::vector<std::uint8_t> pruned(kCells), skip(kCells);
+  for (auto& b : pruned) b = rng.bernoulli(0.25) ? 1 : 0;
+  for (auto& b : skip) b = rng.bernoulli(0.1) ? 1 : 0;
+  Tensor delta({kRows, kCols});
+  // NaN + NaN returns one operand's payload, and which one the compiled
+  // addition picks is not fixed by C++, so no cell adds a NaN to a NaN.
+  for (std::size_t n = 0; n < kCells; ++n) {
+    delta[n] = special_value(rng);
+    if (std::isnan(w0[n]) && std::isnan(delta[n])) delta[n] = 0.5f;
+  }
+  // Signed zeros, spelled out: w = −0 keeps −0 under a free δ of −0, and
+  // becomes +0 when the cell is pruned or its δ is suppressed.
+  w0[0] = -0.0f, delta[0] = 0.0f, pruned[0] = 0, skip[0] = 0;
+  w0[1] = -0.0f, delta[1] = 0.5f, pruned[1] = 1;
+  w0[2] = -0.0f, delta[2] = 1e-3f, pruned[2] = 0, skip[2] = 0;
+  w0[3] = -0.0f, delta[3] = 0.25f, pruned[3] = 0, skip[3] = 1;
+  struct Case {
+    double threshold;
+    bool full_write;
+    bool masks;
+  };
+  const Case cases[] = {{0.1, false, true},
+                        {0.0, false, true},
+                        {0.1, true, true},
+                        {std::fabs(delta[5] * -0.5f), false, false}};
+  for (const std::size_t threads : {1UL, 4UL}) {
+    ThreadPool::set_global_threads(threads);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(::testing::Message()
+                   << threads << " lanes, threshold " << c.threshold
+                   << (c.full_write ? ", full write" : "")
+                   << (c.masks ? ", masks" : ""));
+      UpdatePolicy policy;
+      policy.scale = -0.5f;
+      policy.threshold = c.threshold;
+      policy.full_write = c.full_write;
+      if (c.masks) {
+        policy.pruned = pruned.data();
+        policy.skip = skip.data();
+      }
+      SoftwareWeightStore store(w0);
+      const UpdateStats got = store.apply_update(delta, policy);
+      Tensor want = w0;
+      UpdateStats st;
+      for (std::size_t n = 0; n < kCells; ++n) {
+        float d = 0.0f;
+        (void)scalar_rule(policy, delta[n], c.masks && pruned[n] != 0,
+                          c.masks && skip[n] != 0, c.threshold, d, st);
+        want[n] += d;
+      }
+      EXPECT_EQ(bits_of(store.target()), bits_of(want));
+      EXPECT_EQ(got.writes_issued, st.writes_issued);
+      EXPECT_EQ(got.writes_suppressed, st.writes_suppressed);
+      EXPECT_EQ(got.updates_zero, st.updates_zero);
+      if (c.masks && c.threshold > 0.0 && !c.full_write) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(store.target()[0]),
+                  std::bit_cast<std::uint32_t>(-0.0f));
+        for (std::size_t n = 1; n <= 3; ++n) {
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(store.target()[n]), 0u)
+              << "cell " << n << " adds +0";
+        }
+      }
+    }
+  }
+}
+
+std::uint64_t fnv1a_bytes(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char ch : s) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// A column permutation that deals consecutive logical columns to the two
+/// tile columns of a 160-column store in turns of 1, 2, …, 7 columns, so
+/// every tile row is fed runs shorter than 8 (the last turns, once tile
+/// column 1's 32 columns are full, make one long run in tile column 0).
+std::vector<std::size_t> two_tile_column_perm() {
+  std::vector<std::size_t> cp;
+  std::size_t next[2] = {0, 128};
+  const std::size_t end[2] = {128, 160};
+  for (std::size_t turn = 0; cp.size() < 160; ++turn) {
+    std::size_t side = turn % 2;
+    if (next[side] == end[side]) side = 1 - side;
+    for (std::size_t k = 0; k <= turn % 7 && next[side] < end[side]; ++k)
+      cp.push_back(next[side]++);
+  }
+  return cp;
+}
+
+/// Threshold, full-write, wear-leveling, prune and fault-skip update steps
+/// on a 200 × 160 crossbar store (2 × 2 tiles of 128 × 128) whose column
+/// permutation spans both tile columns, with special-valued deltas. Each
+/// step's targets and write accounting are checked against the scalar
+/// rule; returns the checkpoint after its config block.
+std::string permuted_store_steps(EncodingKind kind) {
+  RcsConfig cfg;
+  cfg.write_noise_sigma = 0.02;
+  cfg.fabrication.fraction = 0.05;
+  cfg.endurance = EnduranceModel::gaussian(9.0, 2.0);
+  cfg.encoding = kind;
+  constexpr std::size_t kRows = 200, kCols = 160, kCells = kRows * kCols;
+  Rng rng(51);
+  CrossbarWeightStore store(cfg, Tensor::randn({kRows, kCols}, rng, 0.1f),
+                            Rng(52));
+  std::vector<std::size_t> rp(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) rp[i] = kRows - 1 - i;
+  store.set_permutations(rp, two_tile_column_perm());
+  std::vector<std::uint8_t> pruned(kCells);
+  for (auto& b : pruned) b = rng.bernoulli(0.2) ? 1 : 0;
+  for (int step = 0; step < 8; ++step) {
+    Tensor delta({kRows, kCols});
+    for (std::size_t n = 0; n < kCells; ++n) {
+      delta[n] = rng.bernoulli(0.02)
+                     ? special_value(rng)
+                     : static_cast<float>(rng.normal(0.0, 0.02));
+      if (std::isnan(store.target()[n]) && std::isnan(delta[n]))
+        delta[n] = 0.5f;  // no NaN + NaN (see above)
+    }
+    const FaultMatrix detected = store.true_fault_matrix();
+    UpdatePolicy policy;
+    policy.scale = step % 2 == 0 ? 1.0f : -0.75f;
+    policy.pruned = step % 4 == 1 ? nullptr : pruned.data();
+    policy.skip = step % 3 == 0 ? detected.bytes() : nullptr;
+    policy.full_write = step % 4 == 2;
+    policy.threshold = policy.full_write ? 0.0 : 0.012;
+    policy.wear_beta = step >= 4 ? 2.0 : 0.0;
+
+    // The scalar rule over a serial logical row-major sweep, with each
+    // cell's wear-leveled threshold read before the step.
+    const double mean =
+        static_cast<double>(store.write_count()) /
+        static_cast<double>(store.physical_cell_count());
+    Tensor want = store.target();
+    UpdateStats want_st;
+    const auto wmax = static_cast<float>(store.weight_max());
+    for (std::size_t i = 0; i < kRows; ++i) {
+      for (std::size_t j = 0; j < kCols; ++j) {
+        const std::size_t r = store.mapping().physical_row(i);
+        const std::size_t c = store.mapping().physical_col(j);
+        double thr = policy.threshold;
+        if (policy.wear_beta > 0.0) {
+          const TileGrid::Coord tc = store.grid().locate(r, c);
+          const TileSpan span = store.grid().span(tc.tile);
+          std::uint64_t w = 0;
+          for (std::size_t leg = 0; leg < store.legs(); ++leg)
+            w = std::max(w, store.tile(span.ti, span.tj, leg)
+                                .write_count(tc.lr, tc.lc));
+          thr *= 1.0 + policy.wear_beta *
+                           std::max(0.0, static_cast<double>(w) / mean - 1.0);
+        }
+        const std::size_t at = i * kCols + j;
+        float d = 0.0f;
+        const bool program = scalar_rule(
+            policy, delta[at], policy.pruned != nullptr && pruned[at] != 0,
+            policy.skip != nullptr && detected.faulty(r, c), thr, d, want_st);
+        if (program && d != 0.0f)
+          want[at] = std::clamp(want[at] + d, -wmax, wmax);
+      }
+    }
+    const UpdateStats got = store.apply_update(delta, policy);
+    EXPECT_EQ(bits_of(store.target()), bits_of(want)) << "step " << step;
+    EXPECT_EQ(got.writes_issued, want_st.writes_issued) << "step " << step;
+    EXPECT_EQ(got.writes_suppressed, want_st.writes_suppressed)
+        << "step " << step;
+    EXPECT_EQ(got.updates_zero, want_st.updates_zero) << "step " << step;
+  }
+  EXPECT_GT(store.wearout_fault_count(), 0u) << "steps should wear cells out";
+  std::ostringstream os;
+  store.save_state(os);
+  return os.str().substr(8 + sizeof(RcsConfig));
+}
+
+TEST(Threshold, PermutedCrossbarRunsMatchScalarRule) {
+  PoolGuard guard;
+  // FNV-1a of the checkpoint the same steps produced through the per-cell
+  // filter that the row kernel replaced.
+  const std::pair<EncodingKind, std::uint64_t> cases[] = {
+      {EncodingKind::kSingleCell, 0xc3f722907b690cc2ULL},
+      {EncodingKind::kDifferentialPair, 0x14a7413e5cd1a36fULL},
+  };
+  for (const auto& [kind, want] : cases) {
+    for (const std::size_t threads : {1UL, 4UL}) {
+      ThreadPool::set_global_threads(threads);
+      SCOPED_TRACE(::testing::Message() << "encoding " << static_cast<int>(kind)
+                                        << ", " << threads << " lanes");
+      EXPECT_EQ(fnv1a_bytes(permuted_store_steps(kind)), want);
     }
   }
 }
