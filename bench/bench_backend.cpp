@@ -1,14 +1,21 @@
-// Micro-benchmark for the parallel compute backend (common/thread_pool.hpp)
-// and the packed GEMM / fused faulty-forward kernels (tensor/gemm.hpp,
-// rcs/crossbar_store.hpp).
+// Micro-benchmark for the packed GEMM / fused faulty-forward kernels
+// (tensor/gemm.hpp, rcs/crossbar_store.hpp) and for one pool-parallel
+// train step (common/thread_pool.hpp, nn/network.hpp).
 //
-// Times the pooled tensor kernels against (a) the serial 1-thread path and
-// (b) serial copies of the pre-blocking naive kernels, the effective-weight
-// read-out after an update, and the fused faulty forward against
-// materialize-then-matmul; verifies pooled outputs are bit-identical to
-// serial; and writes the results as JSON (default ./BENCH_backend.json,
-// override with REFIT_BENCH_OUT). Every row runs at 1, 2 and 4 threads;
+// Times the serial tensor kernels against serial copies of the
+// pre-blocking naive kernels, the effective-weight read-out after an
+// update, and the fused faulty forward against materialize-then-matmul,
+// all at 1 thread: the kernels run serially inside the pool's jobs. The
+// one job-shaped row, train_step_vgg_mini (Network::train_gradients on a
+// VGG-mini batch of 8), runs at 1, 2 and 4 threads. Writes the results as
+// JSON (default ./BENCH_backend.json, override with REFIT_BENCH_OUT);
 // REFIT_FAST=1 shrinks repetitions (but not the peak probe's).
+//
+// Two hashes make the thread-count contracts checkable: gemm_output_hash
+// (a 512×512 matmul, against bench/gemm_golden_hash.txt) and
+// train_step_hash (the train step's logits and every parameter gradient,
+// computed on the pool REFIT_THREADS sized, compared across thread counts
+// by Gate.ThreadIdentity.TrainStepHash).
 //
 // GEMM-shaped rows carry achieved GFLOP/s and a roofline-style
 // fraction-of-peak column, where "peak" is measured in-process by a
@@ -44,6 +51,7 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "nn/models.hpp"
 #include "obs/capture.hpp"
 #include "obs/clock.hpp"
 #include "rcs/crossbar_store.hpp"
@@ -57,6 +65,7 @@
 namespace {
 
 using refit::CrossbarWeightStore;
+using refit::Network;
 using refit::RcsConfig;
 using refit::Rng;
 using refit::Tensor;
@@ -85,7 +94,7 @@ struct Row {
   double speedup_vs_naive = 0.0;  ///< 0 for rows without a naive baseline
 };
 
-/// Pool sizes every scaling row is measured at.
+/// Pool sizes the train-step row is measured at.
 constexpr std::size_t kThreadCounts[] = {1, 2, 4};
 
 bool same_bits(const Tensor& a, const Tensor& b) {
@@ -93,10 +102,10 @@ bool same_bits(const Tensor& a, const Tensor& b) {
          std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
 }
 
-/// FNV-1a 64-bit over the tensor's float bytes — the golden hash asserted
-/// by the Gate.GemmGoldenHash ctest.
-std::uint64_t fnv1a64(const Tensor& t) {
-  std::uint64_t h = 1469598103934665603ULL;
+/// FNV-1a 64-bit over the tensor's float bytes, continuing from `h` — the
+/// golden hash asserted by the Gate.GemmGoldenHash ctest.
+std::uint64_t fnv1a64(const Tensor& t,
+                      std::uint64_t h = 1469598103934665603ULL) {
   const auto* p = reinterpret_cast<const unsigned char*>(t.data());
   for (std::size_t i = 0; i < t.numel() * sizeof(float); ++i) {
     h ^= p[i];
@@ -286,6 +295,16 @@ std::unique_ptr<CrossbarWeightStore> make_store(std::size_t n) {
   return store;
 }
 
+/// FNV-1a over the logits and then every parameter gradient (params()
+/// order) of one train_gradients call on the current global pool.
+std::uint64_t train_step_hash(Network& net, const Tensor& images,
+                              const std::vector<std::uint8_t>& labels) {
+  net.zero_grad();
+  std::uint64_t h = fnv1a64(net.train_gradients(images, labels));
+  for (const refit::Param& p : net.params()) h = fnv1a64(*p.grad, h);
+  return h;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -307,6 +326,24 @@ int main(int argc, char** argv) {
                  "oversubscription, not the backend. Treat scaling rows as "
                  "invalid (\"scaling_valid\": false in the JSON).\n";
   }
+
+  // ---- Thread identity of one train step ----------------------------------
+  // Hashed on the pool REFIT_THREADS sized, before any set_global_threads:
+  // the chunked forward/backward job and the weight-gradient items run on
+  // as many lanes as the gate's run asked for.
+  refit::VggMiniConfig vgg;
+  Rng net_rng(9);
+  Network net = refit::make_vgg_mini(vgg, refit::software_store_factory(),
+                                     refit::software_store_factory(), net_rng);
+  const Tensor step_images =
+      Tensor::randn({8, vgg.in_channels, vgg.in_hw, vgg.in_hw}, net_rng);
+  std::vector<std::uint8_t> step_labels(8);
+  for (std::size_t i = 0; i < step_labels.size(); ++i)
+    step_labels[i] = static_cast<std::uint8_t>(i % vgg.num_classes);
+  const std::uint64_t step_hash =
+      train_step_hash(net, step_images, step_labels);
+  std::cout << "train_step_hash=" << std::hex << step_hash << std::dec
+            << " threads=" << ThreadPool::global().size() << "\n";
 
   // Single-lane peak: the best probe of the run, each probe taken right
   // before a GEMM-shaped timing so both see the same host state.
@@ -335,8 +372,9 @@ int main(int argc, char** argv) {
   geom.kernel = 3;
   geom.pad = 1;
 
-  // Golden hash (the Gate.GemmGoldenHash ratchet): stable across hosts and
-  // thread counts because the kernel is bit-exact and Rng is portable.
+  // Golden hash (the Gate.GemmGoldenHash ratchet): stable across hosts
+  // because the kernel is bit-exact and Rng is portable. Every kernel and
+  // store row below runs on a 1-lane pool.
   ThreadPool::set_global_threads(1);
   const std::uint64_t gemm_hash = fnv1a64(refit::matmul(a, b));
   std::cout << "gemm_output_hash=" << std::hex << gemm_hash << std::dec
@@ -366,36 +404,27 @@ int main(int argc, char** argv) {
   };
 
   for (const auto& kern : kernels) {
-    ThreadPool::set_global_threads(1);
     const Tensor ref = kern.run();
-    const double serial = time_best(reps, [&] { sink += kern.run()[0]; });
-    double naive_serial = 0.0;
+    if (kern.flops > 0.0) probe_peak();
+    const double secs = time_best(reps, [&] { sink += kern.run()[0]; });
+    const double gflops = kern.flops > 0.0 ? kern.flops / (secs * 1e9) : 0.0;
+    double naive_secs = 0.0;
     if (kern.naive) {
       const Tensor naive_out = kern.naive();
       probe_peak();
-      naive_serial = time_best(reps, [&] { sink += kern.naive()[0]; });
-      rows.push_back({"naive_" + kern.name, 1, naive_serial, 1.0,
+      naive_secs = time_best(reps, [&] { sink += kern.naive()[0]; });
+      rows.push_back({"naive_" + kern.name, 1, naive_secs, 1.0,
                       same_bits(ref, naive_out),
-                      kern.flops / (naive_serial * 1e9), 0.0});
-      std::cout << "naive_" << kern.name << " threads=1 " << naive_serial
-                << "s; blocked kernel is " << naive_serial / serial
-                << "x faster single-thread\n";
+                      kern.flops / (naive_secs * 1e9), 0.0});
+      std::cout << "naive_" << kern.name << " threads=1 " << naive_secs
+                << "s; blocked kernel is " << naive_secs / secs
+                << "x faster\n";
     }
-    for (const std::size_t t : kThreadCounts) {
-      ThreadPool::set_global_threads(t);
-      const Tensor pooled = kern.run();
-      if (kern.flops > 0.0) probe_peak();
-      const double secs = time_best(reps, [&] { sink += kern.run()[0]; });
-      const double gflops =
-          kern.flops > 0.0 ? kern.flops / (secs * 1e9) : 0.0;
-      rows.push_back({kern.name, t, secs, serial / secs,
-                      same_bits(ref, pooled), gflops,
-                      naive_serial > 0.0 ? naive_serial / secs : 0.0});
-      std::cout << kern.name << " threads=" << t << " " << secs << "s ("
-                << serial / secs << "x)";
-      if (gflops > 0.0) std::cout << " " << gflops << " GFLOP/s";
-      std::cout << "\n";
-    }
+    rows.push_back({kern.name, 1, secs, 1.0, same_bits(ref, kern.run()),
+                    gflops, naive_secs > 0.0 ? naive_secs / secs : 0.0});
+    std::cout << kern.name << " threads=1 " << secs << "s";
+    if (gflops > 0.0) std::cout << " " << gflops << " GFLOP/s";
+    std::cout << "\n";
   }
 
   // ---- Fused faulty forward ----------------------------------------------
@@ -411,44 +440,41 @@ int main(int argc, char** argv) {
     Tensor delta_tile({n, n});
     delta_tile.at(3, 5) = 1e-4f;
 
-    for (const std::size_t t : kThreadCounts) {
-      ThreadPool::set_global_threads(t);
-      auto store = make_store(n);
-      const Tensor ref = refit::matmul(x, store->effective());
-      const Tensor fused = store->forward_matmul(x);
-      const bool bits = same_bits(ref, fused);
+    auto store = make_store(n);
+    const Tensor ref = refit::matmul(x, store->effective());
+    const Tensor fused = store->forward_matmul(x);
+    const bool bits = same_bits(ref, fused);
 
-      probe_peak();
-      const double mat_clean = time_best(
-          reps, [&] { sink += refit::matmul(x, store->effective())[0]; });
-      const double fus_clean =
-          time_best(reps, [&] { sink += store->forward_matmul(x)[0]; });
-      const double fus_gf = fwd_flops / (fus_clean * 1e9);
-      rows.push_back({"materialize_forward_clean", t, mat_clean, 1.0, bits,
-                      fwd_flops / (mat_clean * 1e9), 0.0});
-      rows.push_back({"fused_forward_clean", t, fus_clean,
-                      mat_clean / fus_clean, bits, fus_gf, 0.0});
-      std::cout << "fused_forward_clean threads=" << t << " " << fus_clean
-                << "s vs materialize " << mat_clean << "s ("
-                << mat_clean / fus_clean << "x, bit_identical="
-                << (bits ? "true" : "false") << ")\n";
+    probe_peak();
+    const double mat_clean = time_best(
+        reps, [&] { sink += refit::matmul(x, store->effective())[0]; });
+    const double fus_clean =
+        time_best(reps, [&] { sink += store->forward_matmul(x)[0]; });
+    const double fus_gf = fwd_flops / (fus_clean * 1e9);
+    rows.push_back({"materialize_forward_clean", 1, mat_clean, 1.0, bits,
+                    fwd_flops / (mat_clean * 1e9), 0.0});
+    rows.push_back({"fused_forward_clean", 1, fus_clean,
+                    mat_clean / fus_clean, bits, fus_gf, 0.0});
+    std::cout << "fused_forward_clean threads=1 " << fus_clean
+              << "s vs materialize " << mat_clean << "s ("
+              << mat_clean / fus_clean << "x, bit_identical="
+              << (bits ? "true" : "false") << ")\n";
 
-      const double mat_dirty = time_best(reps, [&] {
-        store->apply_delta(delta_tile);
-        sink += refit::matmul(x, store->effective())[0];
-      });
-      const double fus_dirty = time_best(reps, [&] {
-        store->apply_delta(delta_tile);
-        sink += store->forward_matmul(x)[0];
-      });
-      rows.push_back(
-          {"materialize_forward_dirty_tile", t, mat_dirty, 1.0, bits});
-      rows.push_back({"fused_forward_dirty_tile", t, fus_dirty,
-                      mat_dirty / fus_dirty, bits});
-      std::cout << "fused_forward_dirty_tile threads=" << t << " "
-                << fus_dirty << "s vs materialize " << mat_dirty << "s ("
-                << mat_dirty / fus_dirty << "x)\n";
-    }
+    const double mat_dirty = time_best(reps, [&] {
+      store->apply_delta(delta_tile);
+      sink += refit::matmul(x, store->effective())[0];
+    });
+    const double fus_dirty = time_best(reps, [&] {
+      store->apply_delta(delta_tile);
+      sink += store->forward_matmul(x)[0];
+    });
+    rows.push_back(
+        {"materialize_forward_dirty_tile", 1, mat_dirty, 1.0, bits});
+    rows.push_back({"fused_forward_dirty_tile", 1, fus_dirty,
+                    mat_dirty / fus_dirty, bits});
+    std::cout << "fused_forward_dirty_tile threads=1 "
+              << fus_dirty << "s vs materialize " << mat_dirty << "s ("
+              << mat_dirty / fus_dirty << "x)\n";
   }
 
   // ---- Effective-weight read-out after an update ---------------------------
@@ -480,45 +506,55 @@ int main(int argc, char** argv) {
       {"rebuild_sparse_1pct", &delta_sparse},
       {"rebuild_tile_local", &delta_local},
   };
-  double serial_full_rebuild = 0.0;
+  double full_rebuild = 0.0;
 
   for (const auto& rc : cases) {
-    // Time only the read-out, not store creation or the update.
-    auto timed = [&](std::size_t t, const Tensor* ref) {
-      ThreadPool::set_global_threads(t);
-      double best = 1e300;
-      bool bits = true;
-      for (int i = 0; i < reps; ++i) {
-        auto store = make_store(n);
-        store->apply_delta(*rc.delta);
-        refit::obs::Stopwatch sw;
-        const Tensor& eff = store->effective();
-        best = std::min(best, sw.seconds());
-        sink += eff[0];
-        if (ref != nullptr) bits = bits && same_bits(*ref, eff);
-      }
-      return std::make_pair(best, bits);
-    };
-    ThreadPool::set_global_threads(1);
     Tensor ref;
     {
       auto store = make_store(n);
       store->apply_delta(*rc.delta);
       ref = store->effective();
     }
-    const double serial_rebuild = timed(1, &ref).first;
-    if (rc.name == "rebuild_full") serial_full_rebuild = serial_rebuild;
-    for (const std::size_t t : kThreadCounts) {
-      const auto [secs, bits] = timed(t, &ref);
-      rows.push_back({rc.name, t, secs, serial_rebuild / secs, bits});
-      std::cout << rc.name << " threads=" << t << " " << secs << "s ("
-                << serial_rebuild / secs << "x vs same-case serial, "
-                << serial_full_rebuild / secs << "x vs full serial rebuild)\n";
-      // Each case against the serial read-out after a full update,
-      // recorded as an extra row.
-      rows.push_back({rc.name + "_vs_full_serial", t, secs,
-                      serial_full_rebuild / secs, bits});
+    // Time only the read-out, not store creation or the update.
+    double secs = 1e300;
+    bool bits = true;
+    for (int i = 0; i < reps; ++i) {
+      auto store = make_store(n);
+      store->apply_delta(*rc.delta);
+      refit::obs::Stopwatch sw;
+      const Tensor& eff = store->effective();
+      secs = std::min(secs, sw.seconds());
+      sink += eff[0];
+      bits = bits && same_bits(ref, eff);
     }
+    if (rc.name == "rebuild_full") full_rebuild = secs;
+    rows.push_back({rc.name, 1, secs, 1.0, bits});
+    std::cout << rc.name << " threads=1 " << secs << "s ("
+              << full_rebuild / secs << "x vs full rebuild)\n";
+    // Each case against the read-out after a full update, recorded as an
+    // extra row.
+    rows.push_back(
+        {rc.name + "_vs_full_serial", 1, secs, full_rebuild / secs, bits});
+  }
+
+  // ---- One train step: the job-shaped row ---------------------------------
+  // train_gradients is the pool's real shape: sample-chunk jobs and
+  // weight-gradient items with serial kernels inside. Each pool size must
+  // reproduce train_step_hash.
+  double step_serial = 0.0;
+  for (const std::size_t t : kThreadCounts) {
+    ThreadPool::set_global_threads(t);
+    const bool bits =
+        train_step_hash(net, step_images, step_labels) == step_hash;
+    const double secs = time_best(reps, [&] {
+      net.zero_grad();
+      sink += net.train_gradients(step_images, step_labels)[0];
+    });
+    if (t == 1) step_serial = secs;
+    rows.push_back({"train_step_vgg_mini", t, secs, step_serial / secs, bits});
+    std::cout << "train_step_vgg_mini threads=" << t << " " << secs << "s ("
+              << step_serial / secs << "x, bit_identical="
+              << (bits ? "true" : "false") << ")\n";
   }
 
   // ---- Emit JSON ----------------------------------------------------------
@@ -531,7 +567,8 @@ int main(int argc, char** argv) {
   // hardware_threads and scaling_valid depend on the thread count on
   // purpose: they are provenance — they describe the host the numbers were
   // measured on and are excluded from the deterministic comparison surface
-  // (the gates compare gemm_output_hash and result rows, never provenance).
+  // (the gates compare gemm_output_hash, train_step_hash and result rows,
+  // never provenance).
   os << "    \"hardware_threads\": " << hw_threads << ",\n";
   os << "    \"cpu_model\": \"" << json_escape(prov.cpu_model) << "\",\n";
   os << "    \"compiler\": \"" << json_escape(prov.compiler) << "\",\n";
@@ -545,14 +582,17 @@ int main(int argc, char** argv) {
      << ",\n";
   os << "  \"gemm_output_hash\": \"" << std::hex << gemm_hash << std::dec
      << "\",\n";
-  os << "  \"note\": \"thread speedups are bounded by hardware_threads "
+  os << "  \"train_step_hash\": \"" << std::hex << step_hash << std::dec
+     << "\",\n";
+  os << "  \"note\": \"kernel and store rows run at 1 thread; the "
+        "train_step_vgg_mini speedups are bounded by hardware_threads "
         "(invalid when scaling_valid is false); gflops/frac_peak are "
         "achieved FLOP throughput against the measured in-register peak "
         "at the dispatched kernel's width (gemm_isa), times the lanes a "
         "row can use "
         "(docs/kernels.md); the rebuild rows time the effective() read-out "
         "after an update (the panel is written through), *_vs_full_serial "
-        "against the serial read-out after a full update\",\n";
+        "against the read-out after a full update\",\n";
   os << "  \"shape\": " << n << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

@@ -123,8 +123,7 @@ void ThreadPool::worker_loop(std::size_t lane) {
 }
 
 void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t max_lanes) {
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
   // Nested call from inside a pool chunk: always inline, never measured —
   // the outer call owns the job slots and the trace span.
@@ -138,11 +137,9 @@ void ThreadPool::parallel_for(
       "pool.parallel_for.inline", "calls");
   calls.add();
   obs::TraceSpan span("parallel_for", "pool");
-  const std::size_t lanes =
-      std::min(size(), std::min(max_lanes == 0 ? n : max_lanes, n));
-  // Serial fallback: 1-lane pool, a range too small to split, or a grain
-  // cap of one lane. Runs the exact same chunk math (one chunk = [0, n))
-  // without waking any worker.
+  const std::size_t lanes = std::min(size(), n);
+  // Serial fallback: a 1-lane pool or a range of one item. Runs the exact
+  // same chunk math (one chunk = [0, n)) without waking any worker.
   if (workers_.empty() || lanes <= 1) {
     inline_calls.add();
     InsidePoolGuard guard;
@@ -192,12 +189,9 @@ void parallel_for_weighted(const std::vector<std::size_t>& cost,
   std::atomic<std::size_t> next{0};
   // One chunk per lane; each claims items until none is left (a nested
   // call runs the one chunk inline, which claims them all in order).
-  ThreadPool::global().parallel_for(
-      lanes,
-      [&](std::size_t, std::size_t) {
-        for (std::size_t k = next++; k < n; k = next++) body(order[k]);
-      },
-      lanes);
+  ThreadPool::global().parallel_for(lanes, [&](std::size_t, std::size_t) {
+    for (std::size_t k = next++; k < n; k = next++) body(order[k]);
+  });
 }
 
 namespace {

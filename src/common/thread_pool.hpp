@@ -1,13 +1,18 @@
 // Shared data-parallel backend for the simulation hot paths.
 //
 // A ThreadPool owns N-1 worker threads (the calling thread is the Nth
-// lane) and exposes one primitive: parallel_for(n, body), which splits
-// [0, n) into at most N contiguous chunks by *static* partitioning and
-// runs body(begin, end) on each. Static partitioning is the determinism
-// guarantee: every index is processed by exactly one chunk, chunk
-// boundaries depend only on (n, N), and callers write disjoint output
-// ranges — so pooled results are bit-identical to the serial path at any
-// thread count.
+// lane) and exposes two primitives. parallel_for(n, body) splits [0, n)
+// into at most N contiguous chunks by *static* partitioning and runs
+// body(begin, end) on each: chunk boundaries depend only on (n, N), and
+// callers write disjoint output ranges, so pooled results are
+// bit-identical to the serial path at any thread count.
+// parallel_for_weighted(cost, body) runs body(i) once per item, the lanes
+// claiming items heaviest first; items write disjoint state, so results
+// are again bit-identical at any thread count.
+//
+// These are the only fan-outs: a flow's pass-level jobs (sample chunks,
+// weight-gradient and update items, tile visits) call them, and the
+// tensor kernels below a job are serial.
 //
 // The global pool is sized from REFIT_THREADS when set (1 disables
 // workers entirely and parallel_for degenerates to an inline loop on the
@@ -39,13 +44,12 @@ class ThreadPool {
   /// Total lanes (worker threads + the calling thread).
   [[nodiscard]] std::size_t size() const { return workers_.size() + 1; }
 
-  /// Run body(begin, end) over a static partition of [0, n). Blocks until
-  /// every chunk finished; rethrows the first chunk exception. `max_lanes`
-  /// caps the number of chunks (0 = all lanes); 1 runs inline on the
-  /// caller without waking any worker — the small-op fast path.
+  /// Run body(begin, end) over a static partition of [0, n) into
+  /// min(n, size()) chunks. Blocks until every chunk finished; rethrows
+  /// the first chunk exception. One chunk runs inline on the caller
+  /// without waking any worker.
   void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& body,
-                    std::size_t max_lanes = 0);
+                    const std::function<void(std::size_t, std::size_t)>& body);
 
   /// The process-wide pool (REFIT_THREADS / hardware concurrency).
   static ThreadPool& global();
@@ -54,7 +58,7 @@ class ThreadPool {
 
  private:
   void worker_loop(std::size_t lane);
-  /// Chunk `lane` of the current job; returns false if the range is empty.
+  /// Chunk `lane` of the current job; nothing when the lane has no chunk.
   void run_chunk(std::size_t lane);
 
   std::vector<std::thread> workers_;
@@ -89,26 +93,9 @@ inline void parallel_for(
 }
 
 /// Minimum scalar-op work a lane must amortize before fan-out pays for the
-/// pool handshake (wakeup + join ≈ tens of microseconds). Callers of
-/// parallel_for_grained estimate work_per_item in flops / element visits.
+/// pool handshake (wakeup + join ≈ tens of microseconds):
+/// parallel_for_weighted runs one lane per kParallelGrain of total cost.
 inline constexpr std::size_t kParallelGrain = 65536;
-
-/// Grain-aware parallel_for: fans [0, n) out over at most
-/// ceil(n · work_per_item / kParallelGrain) lanes, so sub-grain ops run
-/// inline on the caller instead of paying the pool handshake. Chunks stay
-/// static and callers write disjoint ranges, so results are bit-identical
-/// to the ungrained spelling at any thread count.
-inline void parallel_for_grained(
-    std::size_t n, std::size_t work_per_item,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  std::size_t lanes = 1;
-  if (work_per_item == 0) work_per_item = 1;
-  if (n > kParallelGrain / work_per_item) {
-    const std::size_t per_lane = kParallelGrain / work_per_item;
-    lanes = per_lane == 0 ? n : (n + per_lane - 1) / per_lane;
-  }
-  ThreadPool::global().parallel_for(n, body, lanes);
-}
 
 /// Run body(i) once for every item i in [0, cost.size()) in one pool job
 /// over at most ceil(Σ cost / kParallelGrain) lanes, `cost` in scalar ops.

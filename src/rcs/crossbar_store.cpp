@@ -35,8 +35,8 @@ constexpr double kWeightClipMultiplier = 4.0;
 
 /// Scalar-op units of one cell write (encode, endurance bookkeeping, a
 /// Gaussian noise draw, the panel write-through) for the pool's grain: a
-/// full 128×128 tile amortizes a lane, so write passes fan out one tile
-/// per lane.
+/// full 128×128 tile amortizes a lane, so write passes run one lane per
+/// tile.
 constexpr std::size_t kWriteCost = 4;
 
 }  // namespace

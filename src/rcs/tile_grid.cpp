@@ -42,22 +42,18 @@ TileGrid::Coord TileGrid::locate(std::size_t phys_r, std::size_t phys_c) const {
 
 void TileGrid::for_each_tile(const TileVisitor& visit,
                              std::size_t work_per_cell) const {
-  // Grained on the full-tile cell count: one- or two-tile visits (the
-  // sub-millisecond re-packs) run inline on the caller instead of paying
-  // the pool handshake.
-  parallel_for_grained(tile_count(), tile_rows_ * tile_cols_ * work_per_cell,
-                       [&](std::size_t t0, std::size_t t1) {
-                         for (std::size_t t = t0; t < t1; ++t) visit(span(t));
-                       });
+  // Each tile costs its full-tile cell count, so one- or two-tile visits
+  // (the sub-millisecond re-packs) run inline on the caller instead of
+  // paying the pool handshake.
+  const std::vector<std::size_t> cost(tile_count(),
+                                      tile_rows_ * tile_cols_ * work_per_cell);
+  parallel_for_weighted(cost, [&](std::size_t t) { visit(span(t)); });
 }
 
 void TileGrid::for_each_tile(const std::vector<std::size_t>& subset,
                              const TileVisitor& visit) const {
-  parallel_for_grained(subset.size(), tile_rows_ * tile_cols_,
-                       [&](std::size_t d0, std::size_t d1) {
-                         for (std::size_t d = d0; d < d1; ++d)
-                           visit(span(subset[d]));
-                       });
+  const std::vector<std::size_t> cost(subset.size(), tile_rows_ * tile_cols_);
+  parallel_for_weighted(cost, [&](std::size_t d) { visit(span(subset[d])); });
 }
 
 }  // namespace refit

@@ -5,8 +5,8 @@
 //
 // The grid is pure geometry: it knows where each tile sits inside the
 // matrix, not what the tile contains. Its one compute primitive,
-// for_each_tile, fans the per-tile visits across the global thread pool
-// with static partitioning, so visitors that write disjoint per-tile
+// for_each_tile, runs the per-tile visits as the items of one
+// parallel_for_weighted job, so visitors that write disjoint per-tile
 // output are bit-identical at any thread count (the same guarantee as
 // common/thread_pool.hpp).
 #pragma once
@@ -59,10 +59,11 @@ class TileGrid {
 
   using TileVisitor = std::function<void(const TileSpan&)>;
 
-  /// Visit every tile, one pool lane per contiguous chunk of tiles; a lane
-  /// takes as many tiles as amortize the pool handshake at `work_per_cell`
-  /// scalar ops per cell. The visitor must confine its writes to per-tile
-  /// state (the static partition makes the result order-independent).
+  /// Visit every tile, each an item of one parallel_for_weighted job
+  /// costed at its full-tile cell count × `work_per_cell` scalar ops, so
+  /// the job runs as many lanes as amortize the pool handshake. Which lane
+  /// visits a tile depends on timing: the visitor must confine its writes
+  /// to per-tile state.
   void for_each_tile(const TileVisitor& visit,
                      std::size_t work_per_cell = 1) const;
 

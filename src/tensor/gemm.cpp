@@ -6,7 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -161,28 +160,25 @@ const DetKernels& dispatched() {
 #endif
 }
 
-/// Lanes own contiguous C row blocks; within a lane the mid loop holds a
-/// kMC-row A slab against every (L1-resident) packed strip, which the
-/// micro-kernels walk kMR rows at a time.
+/// The mid loop holds a kMC-row A slab against every (L1-resident) packed
+/// strip, which the micro-kernels walk kMR rows at a time.
 void drive(const MicroSet& ks, std::size_t m, std::size_t k, std::size_t n,
            const float* a, std::size_t lda, const float* bp, float* c,
            std::size_t ldc) {
   const std::size_t nstrips = strip_count(n);
-  parallel_for_grained(m, 2 * k * n, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t ic = i0; ic < i1; ic += kMC) {
-      const std::size_t ie = std::min(i1, ic + kMC);
-      for (std::size_t s = 0; s < nstrips; ++s) {
-        const float* strip = bp + s * k * kNR;
-        const std::size_t j0 = s * kNR;
-        const std::size_t nvalid = std::min(kNR, n - j0);
-        for (std::size_t i = ic; i < ie; i += kMR) {
-          const std::size_t mr = std::min(kMR, ie - i);
-          ks.fn[mr - 1](k, a + i * lda, lda, strip, c + i * ldc + j0, ldc,
-                        nvalid);
-        }
+  for (std::size_t ic = 0; ic < m; ic += kMC) {
+    const std::size_t ie = std::min(m, ic + kMC);
+    for (std::size_t s = 0; s < nstrips; ++s) {
+      const float* strip = bp + s * k * kNR;
+      const std::size_t j0 = s * kNR;
+      const std::size_t nvalid = std::min(kNR, n - j0);
+      for (std::size_t i = ic; i < ie; i += kMR) {
+        const std::size_t mr = std::min(kMR, ie - i);
+        ks.fn[mr - 1](k, a + i * lda, lda, strip, c + i * ldc + j0, ldc,
+                      nvalid);
       }
     }
-  });
+  }
 }
 
 }  // namespace
@@ -190,45 +186,33 @@ void drive(const MicroSet& ks, std::size_t m, std::size_t k, std::size_t n,
 void pack_b(const float* b, std::size_t k, std::size_t n, float* bp) {
   const std::size_t nstrips = strip_count(n);
   // kk-major walk: reads stream B once; each row scatters into the strip
-  // panels. Lanes own disjoint kk ranges of every panel.
-  parallel_for_grained(k, n, [&](std::size_t k0, std::size_t k1) {
-    for (std::size_t kk = k0; kk < k1; ++kk) {
-      const float* row = b + kk * n;
-      for (std::size_t s = 0; s < nstrips; ++s) {
-        float* dst = bp + (s * k + kk) * kNR;
-        const std::size_t j0 = s * kNR;
-        const std::size_t nvalid = std::min(kNR, n - j0);
-        std::memcpy(dst, row + j0, nvalid * sizeof(float));
-        for (std::size_t r = nvalid; r < kNR; ++r) dst[r] = 0.0f;
-      }
+  // panels.
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* row = b + kk * n;
+    for (std::size_t s = 0; s < nstrips; ++s) {
+      float* dst = bp + (s * k + kk) * kNR;
+      const std::size_t j0 = s * kNR;
+      const std::size_t nvalid = std::min(kNR, n - j0);
+      std::memcpy(dst, row + j0, nvalid * sizeof(float));
+      for (std::size_t r = nvalid; r < kNR; ++r) dst[r] = 0.0f;
     }
-  });
+  }
 }
 
 void pack_bt(const float* bt, std::size_t n, std::size_t k, float* bp) {
   // Strip-major: each strip transposes kNR contiguous Bᵀ rows (L1-resident
-  // sources, contiguous reads). Lanes own disjoint strips.
-  parallel_for_grained(
-      strip_count(n), k * kNR, [&](std::size_t s0, std::size_t s1) {
-        for (std::size_t s = s0; s < s1; ++s) {
-          float* panel = bp + s * k * kNR;
-          const std::size_t j0 = s * kNR;
-          const std::size_t nvalid = std::min(kNR, n - j0);
-          for (std::size_t r = 0; r < nvalid; ++r) {
-            const float* src = bt + (j0 + r) * k;
-            for (std::size_t kk = 0; kk < k; ++kk)
-              panel[kk * kNR + r] = src[kk];
-          }
-          for (std::size_t r = nvalid; r < kNR; ++r)
-            for (std::size_t kk = 0; kk < k; ++kk) panel[kk * kNR + r] = 0.0f;
-        }
-      });
-}
-
-void pack_at(const float* a, std::size_t k, std::size_t m, float* at) {
-  parallel_for_grained(m, k, [&](std::size_t i0, std::size_t i1) {
-    pack_at_rows(a, k, m, i0, i1, at + i0 * k, k);
-  });
+  // sources, contiguous reads).
+  for (std::size_t s = 0; s < strip_count(n); ++s) {
+    float* panel = bp + s * k * kNR;
+    const std::size_t j0 = s * kNR;
+    const std::size_t nvalid = std::min(kNR, n - j0);
+    for (std::size_t r = 0; r < nvalid; ++r) {
+      const float* src = bt + (j0 + r) * k;
+      for (std::size_t kk = 0; kk < k; ++kk) panel[kk * kNR + r] = src[kk];
+    }
+    for (std::size_t r = nvalid; r < kNR; ++r)
+      for (std::size_t kk = 0; kk < k; ++kk) panel[kk * kNR + r] = 0.0f;
+  }
 }
 
 void pack_at_rows(const float* a, std::size_t k, std::size_t m,

@@ -11,11 +11,12 @@
 // Determinism: each output element is an independent dot product whose
 // additions run in k-ascending order from a zero accumulator — exactly the
 // sequence the pre-blocking naive kernels performed — so results are
-// bit-identical to them (and across thread counts; lanes write disjoint C
-// rows). On AVX hosts the zero skip of matmul/matmul_tn is a mask rather
-// than a branch, with the same bits, and run() drops the mask when the
-// packed right-hand panel is all finite: a skipped term's ±0 product then
-// leaves every accumulator's bits unchanged (docs/kernels.md).
+// bit-identical to them. Every routine here is serial; the pool's jobs
+// call them on disjoint outputs. On AVX hosts the zero skip of
+// matmul/matmul_tn is a mask rather than a branch, with the same bits,
+// and run() drops the mask when the packed right-hand panel is all
+// finite: a skipped term's ±0 product then leaves every accumulator's
+// bits unchanged (docs/kernels.md).
 #pragma once
 
 #include <cstddef>
@@ -30,8 +31,8 @@ namespace refit::gemm {
 inline constexpr std::size_t kMR = 8;
 inline constexpr std::size_t kNR = 8;
 
-/// Row-block height of run()'s mid loop: bounds the A slab a lane streams
-/// per strip pass to kMC×k floats so it stays L2-resident at bench shapes.
+/// Row-block height of run()'s mid loop: bounds the A slab streamed per
+/// strip pass to kMC×k floats so it stays L2-resident at bench shapes.
 /// Callers that split one GEMM into row-block work items use it too.
 inline constexpr std::size_t kMC = 64;
 
@@ -60,22 +61,19 @@ void pack_b(const float* b, std::size_t k, std::size_t n, float* bp);
 /// matmul_nt right-hand side (tail lanes zeroed).
 void pack_bt(const float* bt, std::size_t n, std::size_t k, float* bp);
 
-/// Transpose-pack column-walked A[k,m] into row-major At[m,k] — removes
-/// matmul_tn's stride-m column walk from the inner loop.
-void pack_at(const float* a, std::size_t k, std::size_t m, float* at);
-
-/// Rows [i0, i1) of pack_at's At, serially: at[(i - i0)·ldat + kk] =
-/// a[kk·m + i]. With ldat > k, an A that arrives in row chunks packs each
-/// chunk at its k offset of one At (a train step's sample chunks do).
+/// Rows [i0, i1) of the transpose-pack of column-walked A[k,m] into
+/// row-major At[m,k]: at[(i - i0)·ldat + kk] = a[kk·m + i]. Removes
+/// matmul_tn's stride-m column walk from the inner loop. With ldat > k, an
+/// A that arrives in row chunks packs each chunk at its k offset of one At
+/// (a train step's sample chunks do).
 void pack_at_rows(const float* a, std::size_t k, std::size_t m,
                   std::size_t i0, std::size_t i1, float* at, std::size_t ldat);
 
-/// C[m,n] (row-major, ldc) = A[m,k] (row-major, lda) · packed B. Fans C
-/// rows across the pool with grain control. `zero_skip` replicates the
+/// C[m,n] (row-major, ldc) = A[m,k] (row-major, lda) · packed B, serially.
+/// `zero_skip` replicates the
 /// naive kernels' `if (a == 0) continue` (the post-ReLU sparsity
 /// shortcut) without changing any bit. With the AVX kernel and m ≥ kMR,
-/// a zero-skip call first scans the packed_size(k, n) panel on the
-/// calling lane: all finite runs the plain kernel, otherwise the masked
+/// a zero-skip call first scans the packed_size(k, n) panel: all finite runs the plain kernel, otherwise the masked
 /// one (counted in tensor.gemm.masked_calls).
 void run(std::size_t m, std::size_t k, std::size_t n, const float* a,
          std::size_t lda, const float* bp, float* c, std::size_t ldc,

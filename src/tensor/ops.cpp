@@ -1,4 +1,4 @@
-// Tensor kernels — GEMM / conv fan-out over the thread pool (see ops.hpp).
+// Serial tensor kernels — GEMM, conv lowering and pooling (see ops.hpp).
 #include "tensor/ops.hpp"
 
 #include <algorithm>
@@ -6,7 +6,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/gemm.hpp"
 
@@ -30,9 +29,9 @@ void count_gemm_flops(std::size_t m, std::size_t k, std::size_t n) {
 // All three GEMMs run on the packed-panel core in tensor/gemm.hpp: the
 // right-hand side is packed into kNR-wide column strips once per call, then
 // a kMR×kNR register-blocked micro-kernel streams each strip against blocks
-// of A rows. Lanes own contiguous C row blocks and every element keeps its
-// serial k-ascending accumulation order, so results are bit-identical to
-// the pre-blocking kernels at any thread count (see docs/kernels.md).
+// of A rows. Every element keeps its k-ascending accumulation order, so
+// results are bit-identical to the pre-blocking kernels (see
+// docs/kernels.md).
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   check_rank2(a, "a");
@@ -62,7 +61,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   // walking columns at stride m.
   std::vector<float>& arows = gemm::scratch(1);
   arows.resize(m * k);
-  gemm::pack_at(a.data(), k, m, arows.data());
+  gemm::pack_at_rows(a.data(), k, m, 0, m, arows.data(), k);
   std::vector<float>& panels = gemm::scratch(0);
   panels.resize(gemm::packed_size(k, n));
   gemm::pack_b(b.data(), k, n, panels.data());
@@ -79,27 +78,21 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   Tensor c({m, n});
   count_gemm_flops(m, k, n);
   // The pre-blocking nt kernel had no zero skip; keep its exact FP path.
+  std::vector<float>& panels = gemm::scratch(0);
   if (m <= gemm::kMC) {
     // One row block, as in a train chunk's input gradient: each packed
-    // strip is read by one kernel pass only, so lanes pack and use a group
-    // of strips at a time instead of packing all of B into their scratch.
+    // strip is read by one kernel pass only, so a group of strips is
+    // packed and used while it is in cache instead of packing all of B.
     constexpr std::size_t kGroupCols = 8 * gemm::kNR;
-    parallel_for_grained(
-        (n + kGroupCols - 1) / kGroupCols, 2 * m * k * kGroupCols,
-        [&](std::size_t g0, std::size_t g1) {
-          std::vector<float> panels;
-          for (std::size_t g = g0; g < g1; ++g) {
-            const std::size_t j0 = g * kGroupCols;
-            const std::size_t cols = std::min(kGroupCols, n - j0);
-            panels.resize(gemm::packed_size(k, cols));
-            gemm::pack_bt(b.data() + j0 * k, cols, k, panels.data());
-            gemm::run(m, k, cols, a.data(), k, panels.data(), c.data() + j0,
-                      n, /*zero_skip=*/false);
-          }
-        });
+    for (std::size_t j0 = 0; j0 < n; j0 += kGroupCols) {
+      const std::size_t cols = std::min(kGroupCols, n - j0);
+      panels.resize(gemm::packed_size(k, cols));
+      gemm::pack_bt(b.data() + j0 * k, cols, k, panels.data());
+      gemm::run(m, k, cols, a.data(), k, panels.data(), c.data() + j0, n,
+                /*zero_skip=*/false);
+    }
     return c;
   }
-  std::vector<float>& panels = gemm::scratch(0);
   panels.resize(gemm::packed_size(k, n));
   gemm::pack_bt(b.data(), n, k, panels.data());
   gemm::run(m, k, n, a.data(), k, panels.data(), c.data(), n,
@@ -130,7 +123,7 @@ void add_row_vector(Tensor& m, const Tensor& bias) {
 
 // im2col and col2im walk each patch as (c, kh) kernel rows. A kernel row
 // of output column x is the K floats at x·stride of the zero-padded input
-// row, so each input row is padded into a lane-local buffer once per
+// row, so each input row is padded into a local buffer once per
 // (c, kh, y) and the x loop runs without bounds tests.
 
 namespace {
@@ -160,38 +153,33 @@ Tensor im2col(const Tensor& input, const ConvGeometry& g) {
   Tensor cols({batch * oh * ow, plen});
   float* cp = cols.data();
   const float* ip = input.data();
-  // Each image owns a disjoint block of patch rows — batch-parallel, with a
-  // grain cutoff so tiny shapes run inline instead of paying pool fan-out.
   with_kernel_width(g.kernel, [&](auto kern) {
-    parallel_for_grained(batch, oh * ow * plen,
-                         [&](std::size_t n0, std::size_t n1) {
-      std::vector<float> padded(g.in_w + 2 * g.pad, 0.0f);  // pads stay 0
-      for (std::size_t n = n0; n < n1; ++n) {
-        const float* img = ip + n * g.in_channels * plane;
-        for (std::size_t y = 0; y < oh; ++y) {
-          float* out = cp + (n * oh + y) * ow * plen;
-          for (std::size_t c = 0; c < g.in_channels; ++c) {
-            for (std::size_t kh = 0; kh < kern; ++kh) {
-              float* dst = out + (c * kern + kh) * kern;
-              const std::size_t in_y = y * g.stride + kh;  // padded row
-              if (in_y < g.pad || in_y >= g.in_h + g.pad) {
-                for (std::size_t x = 0; x < ow; ++x)
-                  for (std::size_t kw = 0; kw < kern; ++kw)
-                    dst[x * plen + kw] = 0.0f;
-                continue;
-              }
-              std::copy_n(img + c * plane + (in_y - g.pad) * g.in_w, g.in_w,
-                          padded.data() + g.pad);
-              for (std::size_t x = 0; x < ow; ++x) {
-                const float* src = padded.data() + x * g.stride;
+    std::vector<float> padded(g.in_w + 2 * g.pad, 0.0f);  // pads stay 0
+    for (std::size_t n = 0; n < batch; ++n) {
+      const float* img = ip + n * g.in_channels * plane;
+      for (std::size_t y = 0; y < oh; ++y) {
+        float* out = cp + (n * oh + y) * ow * plen;
+        for (std::size_t c = 0; c < g.in_channels; ++c) {
+          for (std::size_t kh = 0; kh < kern; ++kh) {
+            float* dst = out + (c * kern + kh) * kern;
+            const std::size_t in_y = y * g.stride + kh;  // padded row
+            if (in_y < g.pad || in_y >= g.in_h + g.pad) {
+              for (std::size_t x = 0; x < ow; ++x)
                 for (std::size_t kw = 0; kw < kern; ++kw)
-                  dst[x * plen + kw] = src[kw];
-              }
+                  dst[x * plen + kw] = 0.0f;
+              continue;
+            }
+            std::copy_n(img + c * plane + (in_y - g.pad) * g.in_w, g.in_w,
+                        padded.data() + g.pad);
+            for (std::size_t x = 0; x < ow; ++x) {
+              const float* src = padded.data() + x * g.stride;
+              for (std::size_t kw = 0; kw < kern; ++kw)
+                dst[x * plen + kw] = src[kw];
             }
           }
         }
       }
-    });
+    }
   });
   return cols;
 }
@@ -205,38 +193,33 @@ Tensor col2im(const Tensor& cols, std::size_t batch, const ConvGeometry& g) {
   Tensor input({batch, g.in_channels, g.in_h, g.in_w});
   const float* cp = cols.data();
   float* ip = input.data();
-  // Overlapping windows only collide within one image; images are disjoint,
-  // so the scatter-accumulate is batch-parallel. The padded row carries an
-  // input row's running sums through one (c, kh, y) pass; its pad slots
-  // collect the taps that fall outside and are never written back. Every
-  // input element still receives its terms in ascending (y, x) order, the
-  // serial order.
+  // The padded row carries an input row's running sums through one
+  // (c, kh, y) pass; its pad slots collect the taps that fall outside and
+  // are never written back. Every input element receives its terms in
+  // ascending (y, x) order.
   with_kernel_width(g.kernel, [&](auto kern) {
-    parallel_for_grained(batch, oh * ow * plen,
-                         [&](std::size_t n0, std::size_t n1) {
-      std::vector<float> padded(g.in_w + 2 * g.pad, 0.0f);
-      for (std::size_t n = n0; n < n1; ++n) {
-        float* img = ip + n * g.in_channels * plane;
-        for (std::size_t y = 0; y < oh; ++y) {
-          const float* in = cp + (n * oh + y) * ow * plen;
-          for (std::size_t c = 0; c < g.in_channels; ++c) {
-            for (std::size_t kh = 0; kh < kern; ++kh) {
-              const std::size_t in_y = y * g.stride + kh;  // padded row
-              if (in_y < g.pad || in_y >= g.in_h + g.pad) continue;
-              float* row = img + c * plane + (in_y - g.pad) * g.in_w;
-              std::copy_n(row, g.in_w, padded.data() + g.pad);
-              const float* src = in + (c * kern + kh) * kern;
-              for (std::size_t x = 0; x < ow; ++x) {
-                float* acc = padded.data() + x * g.stride;
-                for (std::size_t kw = 0; kw < kern; ++kw)
-                  acc[kw] += src[x * plen + kw];
-              }
-              std::copy_n(padded.data() + g.pad, g.in_w, row);
+    std::vector<float> padded(g.in_w + 2 * g.pad, 0.0f);
+    for (std::size_t n = 0; n < batch; ++n) {
+      float* img = ip + n * g.in_channels * plane;
+      for (std::size_t y = 0; y < oh; ++y) {
+        const float* in = cp + (n * oh + y) * ow * plen;
+        for (std::size_t c = 0; c < g.in_channels; ++c) {
+          for (std::size_t kh = 0; kh < kern; ++kh) {
+            const std::size_t in_y = y * g.stride + kh;  // padded row
+            if (in_y < g.pad || in_y >= g.in_h + g.pad) continue;
+            float* row = img + c * plane + (in_y - g.pad) * g.in_w;
+            std::copy_n(row, g.in_w, padded.data() + g.pad);
+            const float* src = in + (c * kern + kh) * kern;
+            for (std::size_t x = 0; x < ow; ++x) {
+              float* acc = padded.data() + x * g.stride;
+              for (std::size_t kw = 0; kw < kern; ++kw)
+                acc[kw] += src[x * plen + kw];
             }
+            std::copy_n(padded.data() + g.pad, g.in_w, row);
           }
         }
       }
-    });
+    }
   });
   return input;
 }
@@ -285,14 +268,10 @@ Tensor maxpool2d(const Tensor& input, std::size_t window, std::size_t stride,
   REFIT_CHECK(argmax.size() == out.numel());
   const std::size_t ch = input.dim(1), ih = input.dim(2), iw = input.dim(3);
   const std::size_t oh = out.dim(2), ow = out.dim(3);
-  // Output index derived from (n, c, y, x) instead of a running counter so
-  // each image's windows can run on a separate lane; grained so small pools
-  // stay inline. The running maximum and its index update through
-  // conditional selects (maxss and cmov at -O2) rather than the branch
-  // that mispredicted on activations.
-  parallel_for_grained(input.dim(0), ch * oh * ow * window * window,
-                       [&](std::size_t n0, std::size_t n1) {
-  for (std::size_t n = n0; n < n1; ++n) {
+  // The running maximum and its index update through conditional selects
+  // (maxss and cmov at -O2) rather than the branch that mispredicted on
+  // activations.
+  for (std::size_t n = 0; n < input.dim(0); ++n) {
     for (std::size_t c = 0; c < ch; ++c) {
       const std::size_t plane = (n * ch + c) * ih;
       for (std::size_t y = 0; y < oh; ++y) {
@@ -316,7 +295,6 @@ Tensor maxpool2d(const Tensor& input, std::size_t window, std::size_t stride,
       }
     }
   }
-  });
   return out;
 }
 

@@ -1,6 +1,6 @@
 // Tests for the parallel compute backend (common/thread_pool.hpp) and its
-// consumers: pooled tensor kernels must be bit-identical to the serial
-// path at any thread count, the crossbar store's fused update pass must be
+// consumers: tensor kernels must never call the pool and give the same
+// bits at any pool size, the crossbar store's fused update pass must be
 // bit-identical at any thread count and re-read only the cells it writes,
 // and the store's running write/fault counters must always match a fresh
 // tile scan.
@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include "detect/quiescent_detector.hpp"
 #include "nn/dense.hpp"
 #include "nn/network.hpp"
+#include "obs/metrics.hpp"
 #include "rcs/crossbar_store.hpp"
 #include "rcs/rcs_system.hpp"
 #include "tensor/ops.hpp"
@@ -39,6 +41,24 @@ bool same_bits(const Tensor& a, const Tensor& b) {
 struct PoolGuard {
   ~PoolGuard() { ThreadPool::set_global_threads(1); }
 };
+
+/// Turns metrics on for a test and restores the previous switch after.
+struct MetricsOn {
+  MetricsOn() : was_(obs::metrics_enabled()) {
+    obs::MetricsRegistry::instance().set_enabled(true);
+  }
+  ~MetricsOn() { obs::MetricsRegistry::instance().set_enabled(was_); }
+  bool was_;
+};
+
+/// Top-level parallel_for calls so far (pool.parallel_for.calls).
+std::uint64_t pool_calls() {
+  for (const obs::MetricSnapshot& m :
+       obs::MetricsRegistry::instance().snapshot()) {
+    if (m.name == "pool.parallel_for.calls") return m.count;
+  }
+  return 0;
+}
 
 TEST(Backend, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
@@ -101,8 +121,9 @@ TEST(Backend, ThreadCountParseRejectsMalformedAndHugeValues) {
 
 TEST(Backend, GemmVariantsBitIdenticalAcrossThreadCounts) {
   PoolGuard guard;
+  MetricsOn metrics;
   Rng rng(42);
-  // Odd sizes so chunk boundaries don't align with anything.
+  // Odd sizes so register-block edges don't align with anything.
   const Tensor a = Tensor::randn({67, 45}, rng);
   const Tensor b = Tensor::randn({45, 53}, rng);
   const Tensor at = Tensor::randn({45, 67}, rng);
@@ -114,14 +135,18 @@ TEST(Backend, GemmVariantsBitIdenticalAcrossThreadCounts) {
   const Tensor nt = matmul_nt(a, bt);
   for (const std::size_t threads : {2UL, 5UL}) {
     ThreadPool::set_global_threads(threads);
+    // The kernels are serial: parallelism lives in the jobs that call them.
+    const std::uint64_t calls = pool_calls();
     EXPECT_TRUE(same_bits(mm, matmul(a, b))) << threads << " threads";
     EXPECT_TRUE(same_bits(tn, matmul_tn(at, b))) << threads << " threads";
     EXPECT_TRUE(same_bits(nt, matmul_nt(a, bt))) << threads << " threads";
+    EXPECT_EQ(pool_calls(), calls) << threads << " threads";
   }
 }
 
 TEST(Backend, ConvKernelsBitIdenticalAcrossThreadCounts) {
   PoolGuard guard;
+  MetricsOn metrics;
   Rng rng(43);
   const Tensor img = Tensor::randn({5, 3, 9, 9}, rng);
   ConvGeometry g;
@@ -137,11 +162,13 @@ TEST(Backend, ConvKernelsBitIdenticalAcrossThreadCounts) {
   const Tensor pooled = maxpool2d(img, 2, 2, argmax1);
   for (const std::size_t threads : {2UL, 5UL}) {
     ThreadPool::set_global_threads(threads);
+    const std::uint64_t calls = pool_calls();
     EXPECT_TRUE(same_bits(cols, im2col(img, g)));
     EXPECT_TRUE(same_bits(folded, col2im(cols, 5, g)));
     std::vector<std::size_t> argmax;
     EXPECT_TRUE(same_bits(pooled, maxpool2d(img, 2, 2, argmax)));
     EXPECT_EQ(argmax, argmax1);
+    EXPECT_EQ(pool_calls(), calls) << threads << " threads";
   }
 }
 

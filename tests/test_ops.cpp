@@ -373,7 +373,7 @@ Tensor portable_matmul(const Tensor& a, const Tensor& b) {
 Tensor portable_matmul_tn(const Tensor& at, const Tensor& b) {
   const std::size_t k = at.dim(0), m = at.dim(1), n = b.dim(1);
   Tensor a({m, k});
-  gemm::pack_at(at.data(), k, m, a.data());
+  gemm::pack_at_rows(at.data(), k, m, 0, m, a.data(), k);
   std::vector<float> bp(gemm::packed_size(k, n));
   gemm::pack_b(b.data(), k, n, bp.data());
   return portable_run(a, bp, m, k, n, /*zero_skip=*/true);

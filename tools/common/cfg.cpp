@@ -213,7 +213,7 @@ bool is_lambda_start(const std::vector<Token>& toks, std::size_t i) {
 
 /// The thread-pool entry points the race rule watches.
 bool is_parallel_entry(const std::string& name) {
-  return name == "parallel_for" || name == "parallel_for_grained" ||
+  return name == "parallel_for" || name == "parallel_for_weighted" ||
          name == "for_each_tile";
 }
 

@@ -18,7 +18,7 @@
 //     enclosing statement keeps the lambda's tokens, and analyses skip the
 //     nested body range via FunctionCfg::body_begin/body_end. A lambda
 //     passed (possibly indirectly) to ThreadPool::parallel_for /
-//     parallel_for_grained / TileGrid::for_each_tile records the callee in
+//     parallel_for_weighted / TileGrid::for_each_tile records the callee in
 //     parallel_callee — the hook the static race rule keys on.
 //
 // Statements are token ranges into the file-wide token vector, so analyses
@@ -65,7 +65,7 @@ struct FunctionCfg {
   bool is_lambda = false;
   /// For lambdas: the innermost enclosing call the lambda is an argument
   /// of, when it is one of the thread-pool entry points ("parallel_for",
-  /// "parallel_for_grained", "for_each_tile"); empty otherwise.
+  /// "parallel_for_weighted", "for_each_tile"); empty otherwise.
   std::string parallel_callee;
   /// Index (into FileCfg::functions) of the lexically enclosing function;
   /// -1 for file-scope functions.

@@ -6,14 +6,15 @@
 // for dead results, union fixpoints for moved-from state.
 //
 //   parallel-shared-write    inside a lambda handed to ThreadPool::
-//                            parallel_for / parallel_for_grained /
+//                            parallel_for / parallel_for_weighted /
 //                            TileGrid::for_each_tile, a write to a
 //                            variable declared *outside* the lambda that
 //                            is not a subscripted element (`out[i] = ...`
-//                            is the pool's per-lane contract), not a
+//                            is the pool's per-item contract), not a
 //                            std::atomic, and not dominated by a lock
-//                            statement. Static partitioning makes reads
-//                            race-free; a shared scalar write never is.
+//                            statement. Items write disjoint state, so
+//                            reads are race-free; a shared scalar write
+//                            never is.
 //   unchecked-must-use       the result of detect / detect_store /
 //                            forward_matmul is bound to a variable that is
 //                            dead on every path to exit. (A discarded
@@ -303,7 +304,7 @@ void rule_parallel_shared_write(const FileCfg& file,
     }
 
     for (const Write& w : writes) {
-      if (w.subscript) continue;        // per-lane element: the contract
+      if (w.subscript) continue;        // per-item element: the contract
       if (locals.count(w.root)) continue;
       if (caps.by_val.count(w.root)) continue;  // lambda's own copy
       if (caps.default_val && !caps.by_ref.count(w.root)) continue;
@@ -318,8 +319,8 @@ void rule_parallel_shared_write(const FileCfg& file,
                      "'" + w.root + "' is declared outside this " +
                          fn.parallel_callee +
                          " lambda and written inside it without std::atomic, "
-                         "a dominating lock, or per-lane indexing — a data "
-                         "race under static partitioning"});
+                         "a dominating lock, or per-item indexing — a data "
+                         "race when two lanes run the lambda"});
     }
   }
 }
@@ -540,9 +541,10 @@ Family flow_family() {
   return {"flow",
           {
               {"parallel-shared-write",
-               "a variable declared outside a parallel_for/for_each_tile "
-               "lambda is written inside it without std::atomic, a "
-               "dominating lock, or per-lane indexing"},
+               "a variable declared outside a parallel_for/"
+               "parallel_for_weighted/for_each_tile lambda is written inside "
+               "it without std::atomic, a dominating lock, or per-item "
+               "indexing"},
               {"unchecked-must-use",
                "the result of detect/detect_store/forward_matmul is bound to "
                "a variable that is never read"},

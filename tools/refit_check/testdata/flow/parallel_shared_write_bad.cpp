@@ -12,6 +12,9 @@ struct Grid {
   void for_each_tile(F f);
 };
 
+template <class C, class F>
+void parallel_for_weighted(const C& cost, F f);
+
 void accumulate(Pool& pool, std::size_t n) {
   double sum = 0.0;
   int hits = 0;
@@ -56,4 +59,12 @@ int bad_count(Grid& grid) {
     (void)tile;
   });
   return count;
+}
+
+double bad_weighted(const float* cost, std::size_t n) {
+  double sum = 0.0;
+  parallel_for_weighted(cost, [&](std::size_t i) {
+    sum += cost[i] * static_cast<double>(n);  // EXPECT: parallel-shared-write
+  });
+  return sum;
 }

@@ -14,9 +14,18 @@ struct Pool {
   void parallel_for(std::size_t n, F f);
 };
 
+template <class C, class F>
+void parallel_for_weighted(const C& cost, F f);
+
 void lanes(Pool& pool, std::vector<float>& out) {
   pool.parallel_for(out.size(), [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) out[i] = 1.0f;
+  });
+}
+
+void items(const std::vector<std::size_t>& cost, std::vector<float>& out) {
+  parallel_for_weighted(cost, [&](std::size_t i) {
+    out[i] = static_cast<float>(cost[i]);
   });
 }
 
